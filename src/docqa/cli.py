@@ -56,12 +56,27 @@ class UsageError(ValueError):
     """Bad flags or flag combinations; maps to exit status 2."""
 
 
+def _job_count(text: str) -> int:
+    """A positive worker count, from --jobs or from DOCQA_JOBS."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or DOCQA_JOBS) must be a positive integer, got {text!r}"
+        )
+    return jobs
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
+    # A string default goes through _job_count at parse time, so a bad
+    # DOCQA_JOBS is reported as a usage error like a bad --jobs.
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("DOCQA_JOBS", "1")),
+        type=_job_count,
+        default=os.environ.get("DOCQA_JOBS", "1"),
         help="worker processes for grid cells (env DOCQA_JOBS)",
     )
 
@@ -165,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--profile", help="noise profile JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
     _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    # No --seed keeps the profile's own seed; any given value, 0 included, overrides it.
+    p_sim.set_defaults(func=cmd_simulate, seed=None)
 
     p_check = sub.add_parser("check", help="run the randomized self-check suite")
     p_check.add_argument("--trials", type=int, default=100)
@@ -414,7 +430,7 @@ def cmd_simulate(args) -> int:
         profile = NoiseProfile.from_json(Path(args.profile).read_text(encoding="utf-8"))
     else:
         profile = NoiseProfile()
-    if args.seed:
+    if args.seed is not None:
         profile = replace(profile, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 DEFAULT_MAX_PARAGRAPHS = 8
 DEFAULT_MAX_TOKENS = 400
 
-_ARTICLES = frozenset({"a", "an", "the"})
+ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -39,9 +39,23 @@ def normalize_string(text: str) -> str:
     """
     words = text.lower().translate(_PUNCT_TABLE).split()
     start = 0
-    while start < len(words) and words[start] in _ARTICLES:
+    while start < len(words) and words[start] in ARTICLES:
         start += 1
     return " ".join(words[start:])
+
+
+def normalized_words(tokens: Sequence["Token"]) -> list[str]:
+    """Each token's text lowercased and stripped of punctuation.
+
+    A punctuation-only token such as "," gives "".  For every span
+    tokens[i..j], joining the non-empty words of [i..j] with single spaces and
+    dropping leading ARTICLES gives exactly
+    normalize_string(" ".join(t.text for t in tokens[i : j + 1])).  This holds
+    because tokens contain no whitespace, which is neither cased nor
+    case-ignorable: lowercasing (final sigma included) and punctuation
+    stripping act on each token as they act on it inside the joined span.
+    """
+    return [t.text.lower().translate(_PUNCT_TABLE) for t in tokens]
 
 
 def tokenize(text: str) -> list["Token"]:
@@ -82,10 +96,12 @@ class Paragraph:
         return len(self.tokens)
 
     def text(self, begin: int | None = None, end: int | None = None) -> str:
-        """Surface string of the paragraph, or of the inclusive span [begin, end]."""
-        if begin is None:
-            return " ".join(t.text for t in self.tokens)
-        return " ".join(t.text for t in self.tokens[begin : (end if end is None else end) + 1])
+        """Surface string of the paragraph, or of the inclusive span [begin, end].
+
+        end=None runs the span through the last token.
+        """
+        stop = None if end is None else end + 1
+        return " ".join(t.text for t in self.tokens[begin:stop])
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DocumentQuestionPair, normalize_string
-from .metrics import rouge_l
+from .corpus import ARTICLES, DocumentQuestionPair, normalize_string, normalized_words
+from .metrics import rouge_l_words
 
 DEFAULT_MAX_SPAN_LENGTH = 8
 DEFAULT_ROUGE_THRESHOLD = 0.5
@@ -99,6 +99,17 @@ def counts(labels: ConsistentLabelSet) -> tuple[int, int]:
     return (labels.num_answers, labels.total_spans)
 
 
+def _first_word(words: Sequence[str], begin: int, stop: int) -> int:
+    """Index of the first non-empty, non-article word in words[begin:stop].
+
+    Spans starting at begin normalize to text that starts with this word.
+    Returns stop when there is none: every such span then normalizes to "".
+    """
+    while begin < stop and (not words[begin] or words[begin] in ARTICLES):
+        begin += 1
+    return begin
+
+
 def find_consistent_spans_exact(
     pair: DocumentQuestionPair, max_span_length: int = DEFAULT_MAX_SPAN_LENGTH
 ) -> ConsistentLabelSet:
@@ -106,20 +117,31 @@ def find_consistent_spans_exact(
 
     Spans longer than max_span_length tokens are never considered.  Spans that
     normalize to the empty string never match.
+
+    One scan per paragraph, over each token's normalized word
+    (corpus.normalized_words): a span [i, j] normalizes to the non-empty words
+    of [s, j] joined by spaces, where s is the first non-empty, non-article
+    word at or after i.  A begin i is extended only when words[s] is the first
+    word of some answer, and then its keys grow one word at a time.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
     targets = {s for s in pair.answers.normalized if s}
+    first_words = {t.split(" ", 1)[0] for t in targets}
     spans = []
     for paragraph in pair.paragraphs:
-        texts = [t.text for t in paragraph.tokens]
-        for i in range(len(texts)):
-            for j in range(i, min(i + max_span_length, len(texts))):
-                key = normalize_string(" ".join(texts[i : j + 1]))
+        words = normalized_words(paragraph.tokens)
+        for i in range(len(words)):
+            stop = min(i + max_span_length, len(words))
+            s = _first_word(words, i, stop)
+            if s == stop or words[s] not in first_words:
+                continue
+            key = words[s]
+            for j in range(s, stop):
+                if j > s and words[j]:
+                    key = f"{key} {words[j]}"
                 if key in targets:
-                    spans.append(
-                        SpanLabel(paragraph.index, i, j, matched_string=key)
-                    )
+                    spans.append(SpanLabel(paragraph.index, i, j, matched_string=key))
     return ConsistentLabelSet.from_spans(
         len(pair.paragraphs), spans, num_answers=len(pair.answers)
     )
@@ -134,29 +156,37 @@ def find_consistent_spans_rouge(
 
     Keeps every span whose best similarity reaches the threshold, and always
     keeps each paragraph's best-scoring span when its similarity is positive,
-    even below the threshold.  Ties go to the earliest (begin, end).
+    even below the threshold.  Ties go to the earliest (begin, end), and
+    between answers to the first raw answer string.  Similarity is
+    metrics.rouge_l, computed on the span's normalized words.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    answers = list(pair.answers.raw)
+    references = []
+    for answer in pair.answers.raw:
+        normalized = normalize_string(answer)
+        references.append((normalized, normalized.split()))
     spans = []
     for paragraph in pair.paragraphs:
-        texts = [t.text for t in paragraph.tokens]
+        words = normalized_words(paragraph.tokens)
         kept = []
         best = None
         best_score = 0.0
-        for i in range(len(texts)):
-            for j in range(i, min(i + max_span_length, len(texts))):
-                text = " ".join(texts[i : j + 1])
-                score = 0.0
-                matched = ""
-                for answer in answers:
-                    value = rouge_l(text, answer)
-                    if value > score:
-                        score = value
-                        matched = normalize_string(answer)
+        for i in range(len(words)):
+            stop = min(i + max_span_length, len(words))
+            span_words: list[str] = []
+            for j in range(_first_word(words, i, stop), stop):
+                if words[j]:
+                    span_words.append(words[j])
+                    score = 0.0
+                    matched = ""
+                    for normalized, reference in references:
+                        value = rouge_l_words(span_words, reference)
+                        if value > score:
+                            score = value
+                            matched = normalized
                 if score <= 0.0:
                     continue
                 label = SpanLabel(paragraph.index, i, j, matched_string=matched)

@@ -55,6 +55,18 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return previous[len(b)]
 
 
+def rouge_l_words(prediction: Sequence[str], reference: Sequence[str]) -> float:
+    """rouge_l on word sequences that are already normalized and split."""
+    if not prediction or not reference:
+        return 0.0
+    lcs = _lcs_length(prediction, reference)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(prediction)
+    recall = lcs / len(reference)
+    return 2 * precision * recall / (precision + recall)
+
+
 def rouge_l(prediction: str, reference: str) -> float:
     """Longest-common-subsequence F measure over normalized tokens.
 
@@ -62,16 +74,9 @@ def rouge_l(prediction: str, reference: str) -> float:
     symmetric in its arguments.  Returns 0 when either side normalizes to
     nothing.
     """
-    a = normalize_string(prediction).split()
-    b = normalize_string(reference).split()
-    if not a or not b:
-        return 0.0
-    lcs = _lcs_length(a, b)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(a)
-    recall = lcs / len(b)
-    return 2 * precision * recall / (precision + recall)
+    return rouge_l_words(
+        normalize_string(prediction).split(), normalize_string(reference).split()
+    )
 
 
 @dataclass

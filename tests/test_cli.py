@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from docqa.cli import main
+from docqa.cli import build_parser, main
 from docqa.model import Checkpoint
 from docqa.synthlab import NoiseProfile
 
@@ -68,6 +68,36 @@ class TestSimulate:
         assert set(record) == {"id", "spans"}
         for span in record["spans"]:
             assert len(span) == 3
+
+    def test_seed_zero_overrides_profile_seed(self, workspace, tmp_path):
+        out = tmp_path / "seed0"
+        status = main(
+            ["simulate", "--profile", str(workspace["profile"]), "--seed", "0", "--out", str(out)]
+        )
+        assert status == 0
+        assert json.loads((out / "profile.json").read_text())["seed"] == 0
+        assert (out / "train.jsonl").read_text() != (
+            workspace["data"] / "train.jsonl"
+        ).read_text()
+
+
+class TestJobs:
+    def test_zero_jobs_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--trials", "1", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_env_jobs_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("DOCQA_JOBS", "x")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--trials", "1"])
+        assert exit_info.value.code == 2
+        assert "DOCQA_JOBS" in capsys.readouterr().err
+
+    def test_env_jobs_is_read(self, monkeypatch):
+        monkeypatch.setenv("DOCQA_JOBS", "3")
+        assert build_parser().parse_args(["check"]).jobs == 3
 
 
 class TestLabel:

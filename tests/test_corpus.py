@@ -12,6 +12,7 @@ from docqa.corpus import (
     load_dataset,
     make_pair,
     normalize_string,
+    normalized_words,
     save_dataset,
     tokenize,
 )
@@ -55,6 +56,21 @@ class TestNormalizeString:
             if out:
                 assert out.split()[0] not in {"a", "an", "the"}
 
+    def test_normalized_words_rebuild_every_span(self):
+        """Joining a span's non-empty words, minus leading articles, is its normalized text."""
+        rng = np.random.default_rng(11)
+        raw = ["Cat.", ",", "--", "THE", "a", "An", "ΟΔΟΣ", "İx", "don't", "dog", "ΣΑΣ"]
+        for _ in range(200):
+            tokens = [Token(raw[i]) for i in rng.integers(0, len(raw), int(rng.integers(1, 10)))]
+            words = normalized_words(tokens)
+            for i in range(len(tokens)):
+                for j in range(i, len(tokens)):
+                    kept = [w for w in words[i : j + 1] if w]
+                    while kept and kept[0] in {"a", "an", "the"}:
+                        kept.pop(0)
+                    text = " ".join(t.text for t in tokens[i : j + 1])
+                    assert " ".join(kept) == normalize_string(text)
+
 
 class TestTokenize:
     def test_collapses_whitespace(self):
@@ -92,6 +108,12 @@ class TestTypes:
     def test_span_text(self):
         pair = make_pair("x", "q", ["alpha beta gamma"], ["beta"])
         assert pair.paragraphs[0].text(1, 2) == "beta gamma"
+
+    def test_span_text_without_end_runs_to_last_token(self):
+        paragraph = make_pair("x", "q", ["alpha beta gamma"], ["beta"]).paragraphs[0]
+        assert paragraph.text(1) == "beta gamma"
+        assert paragraph.text(2, None) == "gamma"
+        assert paragraph.text(0) == paragraph.text()
 
 
 class TestLoadDataset:

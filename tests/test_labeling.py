@@ -30,6 +30,55 @@ def oracle_exact(pair, max_span_length=8):
     return sorted(found)
 
 
+def oracle_rouge(pair, max_span_length=8, threshold=0.5):
+    """Independent rouge matcher: score every span's surface text with rouge_l."""
+    found = []
+    for paragraph in pair.paragraphs:
+        words = [t.text for t in paragraph.tokens]
+        kept, best, best_score = [], None, 0.0
+        for i in range(len(words)):
+            for j in range(i, min(i + max_span_length, len(words))):
+                text = " ".join(words[i : j + 1])
+                score, matched = 0.0, ""
+                for answer in pair.answers.raw:
+                    value = rouge_l(text, answer)
+                    if value > score:
+                        score, matched = value, normalize_string(answer)
+                if score <= 0.0:
+                    continue
+                label = (paragraph.index, i, j, matched)
+                if score > best_score:
+                    best_score, best = score, label
+                if score >= threshold:
+                    kept.append(label)
+        if best is not None and best not in kept:
+            kept.append(best)
+        found.extend(kept)
+    return sorted(found)
+
+
+# Raw tokens that normalize in every way a span can: punctuation-only tokens
+# that vanish, upper case, articles, punctuation inside a word, and non-ASCII
+# lowercasing (final sigma, dotted capital I).
+RAW_TOKENS = [
+    "cat", "Cat.", "dog", "do-g", ",", "--", "'", "the", "THE", "a", "An",
+    "ΟΔΟΣ", "οδος", "İx", "i̇x", "cat's", "ΣΑΣ",
+]
+
+
+def random_raw_pair(rng, n_paragraphs=3, max_tokens=14, max_answers=3):
+    """A pair built from raw token lists, and answers joined from the same tokens."""
+    paragraphs = [
+        [RAW_TOKENS[k] for k in rng.integers(0, len(RAW_TOKENS), int(rng.integers(1, max_tokens)))]
+        for _ in range(int(rng.integers(1, n_paragraphs + 1)))
+    ]
+    answers = [
+        " ".join(RAW_TOKENS[k] for k in rng.integers(0, len(RAW_TOKENS), int(rng.integers(1, 4))))
+        for _ in range(int(rng.integers(1, max_answers + 1)))
+    ]
+    return make_pair("f", "q", paragraphs, answers)
+
+
 class TestExactMatcher:
     def test_multiple_mentions(self):
         pair = make_pair(
@@ -115,8 +164,33 @@ class TestExactMatcher:
                 assert normalize_string(text) == span.matched_string
                 assert span.matched_string in pair.answers.normalized
 
+    def test_matches_oracle_on_raw_tokens(self):
+        """Per-token normalization must agree with normalizing each span's text."""
+        rng = np.random.default_rng(16)
+        for max_span_length in range(1, 10):
+            for _ in range(300):
+                pair = random_raw_pair(rng)
+                labels = find_consistent_spans_exact(pair, max_span_length)
+                triples = sorted(s.triple() for s in labels.all_spans())
+                assert triples == oracle_exact(pair, max_span_length)
+                for span in labels.all_spans():
+                    text = pair.paragraphs[span.paragraph].text(span.begin, span.end)
+                    assert span.matched_string == normalize_string(text)
+
 
 class TestRougeMatcher:
+    def test_matches_oracle_on_raw_tokens(self):
+        rng = np.random.default_rng(17)
+        for max_span_length in (1, 3, 8):
+            for threshold in (0.3, 0.6, 1.0):
+                for _ in range(25):
+                    pair = random_raw_pair(rng, n_paragraphs=2, max_tokens=12)
+                    labels = find_consistent_spans_rouge(pair, max_span_length, threshold)
+                    found = sorted(
+                        (*s.triple(), s.matched_string) for s in labels.all_spans()
+                    )
+                    assert found == oracle_rouge(pair, max_span_length, threshold)
+
     def test_threshold_keeps_partial_overlap(self):
         pair = make_pair("x", "q", ["stories about mount helicon myths"], ["at mount helicon"])
         labels = find_consistent_spans_rouge(pair, threshold=0.5)
