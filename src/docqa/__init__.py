@@ -64,6 +64,7 @@ from .probability import (
 from .synthlab import (
     NoiseProfile,
     SyntheticTruth,
+    decode_corpus,
     dev_profile,
     evaluate_checkpoint,
     generate,

@@ -21,9 +21,7 @@ from .inference import (
     DEFAULT_MAX_ANSWER_LENGTH,
     DEFAULT_TOP_K,
     AnswerAggregation,
-    InferenceError,
     InferenceSpec,
-    predict,
 )
 from .labeling import (
     DEFAULT_MAX_SPAN_LENGTH,
@@ -36,9 +34,10 @@ from .labeling import (
 from .metrics import exact_match, partition_analysis, summarize, token_f1
 from .model import Checkpoint, Vocabulary
 from .objectives import ObjectiveSpecError, parse_combo
-from .probability import SpaceKind, log_partition
+from .probability import SpaceKind
 from .synthlab import (
     NoiseProfile,
+    decode_corpus,
     dev_profile,
     generate,
     inference_space,
@@ -299,19 +298,13 @@ def cmd_eval(args) -> int:
     if args.ckpt:
         checkpoint = Checkpoint.load(args.ckpt)
         space = _eval_space(args, checkpoint)
-        scorer = checkpoint.to_scorer()
         spec = InferenceSpec(
             aggregation=AnswerAggregation.parse(args.infer),
             top_k=args.top_k,
             max_answer_length=args.max_answer_length,
         )
-        for pair in pairs:
-            probs = log_partition(scorer.score(pair), space)
-            try:
-                prediction = predict(probs, pair, spec)
-                predictions[pair.id] = (prediction.answer, prediction.score)
-            except InferenceError:
-                predictions[pair.id] = ("", float("-inf"))
+        decoded = decode_corpus(checkpoint, pairs, spec, space)
+        predictions = {pair.id: p for pair, p in zip(pairs, decoded)}
         logger.info("decoded %d pairs in space %s", len(pairs), space.value)
     else:
         with open(args.pred, encoding="utf-8") as handle:
@@ -468,7 +461,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     results = run_all(seed=args.seed, trials=args.trials)
-    failed = 0
     for result in results:
         status = "ok  " if result.ok else "FAIL"
         detail = f"  ({result.detail})" if result.detail else ""

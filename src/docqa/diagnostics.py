@@ -50,28 +50,28 @@ def random_instance(
     max_span_length: int = 3,
     ensure_positive: bool = True,
 ) -> tuple[ScoreGrid, ConsistentLabelSet]:
-    """A random score grid with a random consistent label set over it."""
+    """A random score grid with a random consistent label set over it.
+
+    Each paragraph draws zero to three spans of up to max_span_length tokens.
+    With ensure_positive an instance that drew none gets the span (0, 0, 0)
+    without a further draw.  The label set records one answer string.
+    """
     n_paragraphs = int(rng.integers(1, max_paragraphs + 1))
     token_counts = [int(rng.integers(1, max_tokens + 1)) for _ in range(n_paragraphs)]
     grid = ScoreGrid(
         begin=[rng.normal(0.0, score_scale, n + 1) for n in token_counts],
         end=[rng.normal(0.0, score_scale, n + 1) for n in token_counts],
     )
-    spans = []
+    chosen = set()
     for k, n in enumerate(token_counts):
-        chosen = set()
         for _ in range(int(rng.integers(0, 4))):
             i = int(rng.integers(0, n))
             j = int(rng.integers(i, min(i + max_span_length, n)))
-            chosen.add((i, j))
-        spans.extend(SpanLabel(k, i, j, matched_string="x") for i, j in sorted(chosen))
-    if ensure_positive and not spans:
-        k = int(rng.integers(0, n_paragraphs))
-        spans.append(SpanLabel(k, 0, 0, matched_string="x"))
-    labels = ConsistentLabelSet.from_spans(
-        n_paragraphs, spans, num_answers=int(rng.integers(1, 4))
-    )
-    return grid, labels
+            chosen.add((k, i, j))
+    if ensure_positive and not chosen:
+        chosen.add((0, 0, 0))
+    spans = [SpanLabel(k, i, j, matched_string="x") for k, i, j in sorted(chosen)]
+    return grid, ConsistentLabelSet.from_spans(n_paragraphs, spans, num_answers=1)
 
 
 def random_scored_pair(rng: np.random.Generator, vocab: int = 6):

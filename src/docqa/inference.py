@@ -71,10 +71,9 @@ def _candidate_spans(
     top_k: int | None,
     max_answer_length: int,
 ) -> Iterable[tuple[int, int, int]]:
-    for k in range(probs.n_paragraphs):
-        n = probs.token_counts()[k]
-        begins = _top_positions(probs.log_begin[k][:n], top_k)
-        ends = _top_positions(probs.log_end[k][:n], top_k)
+    for k, (log_begin, log_end) in enumerate(zip(probs.log_begin, probs.log_end)):
+        begins = _top_positions(log_begin[:-1], top_k)
+        ends = _top_positions(log_end[:-1], top_k)
         for b in begins:
             for e in ends:
                 if b <= e < b + max_answer_length:

@@ -220,29 +220,83 @@ def save_labels(
             handle.write(json.dumps(record) + "\n")
 
 
+def read_span_records(
+    pairs: Sequence[DocumentQuestionPair],
+    path: str | Path,
+    spans_key: str,
+    text_keys: tuple[str, ...] = (),
+) -> list[tuple[dict, list[SpanLabel]]]:
+    """The JSONL record of each pair, with its spans checked against the pair.
+
+    Every record is a JSON object with a string "id", a list of
+    [paragraph, begin, end] integer triples under spans_key, and a string
+    under each of text_keys.  Each span must lie inside the loaded (possibly
+    truncated) paragraph; its matched string is rebuilt from the paragraph
+    text.  A bad line raises ValueError("<path>:<line>: ..."); a pair without
+    a record raises KeyError.  When an id repeats, its last record wins.
+    """
+    by_id: dict[str, tuple[str, dict]] = {}
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not valid JSON: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: record must be a JSON object")
+            for key in ("id", spans_key, *text_keys):
+                if key not in record:
+                    raise ValueError(f"{where}: missing key {key!r}")
+            for key in ("id", *text_keys):
+                if not isinstance(record[key], str):
+                    raise ValueError(f"{where}: {key!r} must be a string")
+            triples = record[spans_key]
+            if not isinstance(triples, list) or not all(
+                isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+                for t in triples
+            ):
+                raise ValueError(
+                    f"{where}: {spans_key!r} must be a list of"
+                    " [paragraph, begin, end] integer triples"
+                )
+            by_id[record["id"]] = (where, record)
+    out = []
+    for pair in pairs:
+        if pair.id not in by_id:
+            raise KeyError(f"no record for pair {pair.id!r} in {path}")
+        where, record = by_id[pair.id]
+        spans = []
+        for k, i, j in record[spans_key]:
+            if not 0 <= k < len(pair.paragraphs):
+                raise ValueError(
+                    f"{where}: paragraph {k} is outside document {pair.id!r}"
+                    f" of {len(pair.paragraphs)} paragraphs"
+                )
+            paragraph = pair.paragraphs[k]
+            if not 0 <= i <= j < len(paragraph):
+                raise ValueError(
+                    f"{where}: span [{k}, {i}, {j}] is not inside paragraph {k}"
+                    f" of {len(paragraph)} tokens"
+                )
+            text = normalize_string(paragraph.text(i, j))
+            spans.append(SpanLabel(k, i, j, matched_string=text))
+        out.append((record, spans))
+    return out
+
+
 def load_labels(
     pairs: Sequence[DocumentQuestionPair], path: str | Path
 ) -> list[ConsistentLabelSet]:
-    """Read a label file back, rebuilding matched strings from the paragraphs."""
-    by_id = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            by_id[record["id"]] = record["spans"]
-    out = []
-    for pair in pairs:
-        triples = by_id.get(pair.id)
-        if triples is None:
-            raise KeyError(f"no labels for pair {pair.id!r}")
-        spans = []
-        for k, i, j in triples:
-            text = pair.paragraphs[k].text(i, j)
-            spans.append(SpanLabel(k, i, j, matched_string=normalize_string(text)))
-        out.append(
-            ConsistentLabelSet.from_spans(
-                len(pair.paragraphs), spans, num_answers=len(pair.answers)
-            )
+    """Read a label file back, rebuilding matched strings from the paragraphs.
+
+    Bad lines and spans fail as read_span_records describes.
+    """
+    return [
+        ConsistentLabelSet.from_spans(
+            len(pair.paragraphs), spans, num_answers=len(pair.answers)
         )
-    return out
+        for pair, (_, spans) in zip(pairs, read_span_records(pairs, path, "spans"))
+    ]

@@ -9,6 +9,7 @@ at desk scale, not to compete with real encoders.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -267,15 +268,23 @@ class Checkpoint:
         return ToyScorer(self.vocab, *(self.params[name].copy() for name in PARAM_NAMES))
 
     def save(self, path: str | Path) -> None:
-        # Writing through a handle keeps the exact path (no .npz suffix games).
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                vocab_json=np.array(self.vocab.to_json()),
-                fingerprint=np.array(self.fingerprint),
-                history_json=np.array(json.dumps(self.history)),
-                **self.params,
-            )
+        # A temporary file beside the target replaces it only once complete, so
+        # a failed write keeps the old checkpoint; the handle avoids a .npz suffix.
+        path = Path(path)
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "wb") as handle:
+                np.savez(
+                    handle,
+                    vocab_json=np.array(self.vocab.to_json()),
+                    fingerprint=np.array(self.fingerprint),
+                    history_json=np.array(json.dumps(self.history)),
+                    **self.params,
+                )
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":

@@ -10,9 +10,9 @@ choice is marginalized or maximized.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,24 +82,19 @@ class ObjectiveSpec:
             raise ObjectiveSpecError(
                 f"objective spec {text!r} must have four dash-separated fields"
             )
-        hyp_key, space_key, gran_key, agg_key = parts
-        try:
-            hypothesis = Hypothesis(hyp_key.upper())
-        except ValueError:
-            raise ObjectiveSpecError(f"unknown hypothesis {hyp_key!r}") from None
-        try:
-            space = SpaceKind.parse(space_key)
-        except ValueError:
-            raise ObjectiveSpecError(f"unknown space {space_key!r}") from None
-        try:
-            granularity = Granularity(gran_key.lower())
-        except ValueError:
-            raise ObjectiveSpecError(f"unknown granularity {gran_key!r}") from None
-        try:
-            aggregation = Aggregation(agg_key.lower())
-        except ValueError:
-            raise ObjectiveSpecError(f"unknown aggregation {agg_key!r}") from None
-        return cls(hypothesis, space, granularity, aggregation)
+        readers = (
+            ("hypothesis", lambda key: Hypothesis(key.upper())),
+            ("space", SpaceKind.parse),
+            ("granularity", lambda key: Granularity(key.lower())),
+            ("aggregation", lambda key: Aggregation(key.lower())),
+        )
+        fields = []
+        for (name, read), key in zip(readers, parts):
+            try:
+                fields.append(read(key))
+            except ValueError:
+                raise ObjectiveSpecError(f"unknown {name} {key!r}") from None
+        return cls(*fields)
 
     def __str__(self) -> str:
         return "-".join(
@@ -157,6 +152,8 @@ def _aggregate(
     temperature in (0, 1] softens the maximum into a tempered log-sum-exp.
     """
     if aggregation is Aggregation.MML:
+        if logs.shape[0] == 1:  # a lone outcome is its own log-sum-exp
+            return float(logs[0]), np.array([1.0]), None
         value = float(logsumexp(logs))
         return value, np.exp(logs - value), None
     if temperature is None:
@@ -169,6 +166,15 @@ def _aggregate(
     return temperature * norm, np.exp(scaled - norm), None
 
 
+# The hypothesis only picks the latent group a labeled mention joins: its own
+# (by rank), its paragraph's, or the document's.
+_GROUP_KEY = {
+    Hypothesis.ALL_MENTIONS: lambda rank, span: rank,
+    Hypothesis.PER_PARAGRAPH: lambda rank, span: span.paragraph,
+    Hypothesis.PER_DOCUMENT: lambda rank, span: 0,
+}
+
+
 def evaluate(
     spec: ObjectiveSpec,
     grid: ScoreGrid,
@@ -177,12 +183,18 @@ def evaluate(
 ) -> LossResult:
     """Compute one objective and its analytic gradient.
 
-    Under the paragraph space, paragraphs without a consistent span contribute
-    their null outcome when the hypothesis is ALL_MENTIONS or PER_PARAGRAPH.
-    Under the document space an example with no consistent span at all is a
-    label error and must be skipped by the caller.  temperature only affects
-    maximizing objectives and exists for annealed training schedules; left at
-    None the maximum is exact.
+    One recipe serves every cell.  The labeled mentions form latent groups:
+    one per mention (H1), per positive paragraph (H2) or for the document
+    (H3), and under P each unlabeled paragraph's null outcome forms one more.
+    Each group aggregates the log probabilities of its whole spans, or of its
+    distinct begin and end positions separately, scatters the aggregation
+    weights into the gradient and presses once on its normalization unit (its
+    paragraph under P, the document under D).  H1 and null groups are always
+    marginalized and never reported in selected.
+
+    A document-space example with no consistent span is a label error the
+    caller must skip.  temperature only affects maximizing objectives and
+    exists for annealed training schedules; left at None the maximum is exact.
     """
     if temperature is not None and not 0.0 < temperature <= 1.0:
         raise ValueError("temperature must lie in (0, 1]")
@@ -190,153 +202,80 @@ def evaluate(
         raise LabelError(
             f"labels cover {labels.n_paragraphs} paragraphs, grid has {grid.n_paragraphs}"
         )
-    token_counts = grid.token_counts()
-    for k, spans in enumerate(labels.spans_by_paragraph):
-        for span in spans:
-            if span.end >= token_counts[k]:
-                raise LabelError(
-                    f"span {span.triple()} exceeds paragraph length {token_counts[k]}"
-                )
-    positive = [k for k in range(grid.n_paragraphs) if labels.spans_by_paragraph[k]]
-    if spec.space is SpaceKind.DOCUMENT and not positive:
+    sizes = [a.shape[0] for a in grid.begin]
+    key = _GROUP_KEY[spec.hypothesis]
+    grouped: dict[int, list[tuple[int, int, int]]] = {}
+    for rank, span in enumerate(labels.all_spans()):
+        if span.end >= sizes[span.paragraph] - 1:
+            raise LabelError(
+                f"span {span.triple()} exceeds paragraph length {sizes[span.paragraph] - 1}"
+            )
+        grouped.setdefault(key(rank, span), []).append(span.triple())
+    if spec.space is SpaceKind.DOCUMENT and not grouped:
         raise LabelError("document-space objective needs at least one consistent span")
 
+    # One flat vector in the grid's to_vector layout: position i of paragraph
+    # k sits at offset[k] + i on the begin side, offset[n + k] + i on the end.
     probs = log_partition(grid, spec.space)
-    lb, le = probs.log_begin, probs.log_end
-    gb = [np.zeros_like(a) for a in grid.begin]
-    ge = [np.zeros_like(a) for a in grid.end]
-    # How many log-partition subtractions press on each normalization unit.
-    pressure_b = np.zeros(grid.n_paragraphs)
-    pressure_e = np.zeros(grid.n_paragraphs)
-    doc_pressure_b = 0.0
-    doc_pressure_e = 0.0
-    value = 0.0
-    hard = (
-        spec.aggregation is Aggregation.HARD_EM
-        and spec.hypothesis is not Hypothesis.ALL_MENTIONS
-        and temperature is None
-    )
-    selected: list[SelectedOutcome] = []
-
-    def press(k: int, begin_count: float, end_count: float):
-        nonlocal doc_pressure_b, doc_pressure_e
-        if spec.space is SpaceKind.PARAGRAPH:
-            pressure_b[k] += begin_count
-            pressure_e[k] += end_count
-        else:
-            doc_pressure_b += begin_count
-            doc_pressure_e += end_count
-
-    if spec.hypothesis is Hypothesis.ALL_MENTIONS:
-        # Every labeled mention is a factor; aggregation has nothing to resolve.
-        for k in positive:
-            spans = labels.spans_by_paragraph[k]
-            if spec.granularity is Granularity.SPAN:
-                for span in spans:
-                    value += float(lb[k][span.begin] + le[k][span.end])
-                    gb[k][span.begin] += 1.0
-                    ge[k][span.end] += 1.0
-            else:
-                # Positions inherit each span's multiplicity, which is what
-                # makes this variant identical to the span variant.
-                for pos, count in sorted(Counter(s.begin for s in spans).items()):
-                    value += count * float(lb[k][pos])
-                    gb[k][pos] += count
-                for pos, count in sorted(Counter(s.end for s in spans).items()):
-                    value += count * float(le[k][pos])
-                    ge[k][pos] += count
-            press(k, len(spans), len(spans))
-
-    elif spec.hypothesis is Hypothesis.PER_PARAGRAPH:
-        for k in positive:
-            spans = labels.spans_by_paragraph[k]
-            if spec.granularity is Granularity.SPAN:
-                logs = np.array(
-                    [float(lb[k][s.begin] + le[k][s.end]) for s in spans]
-                )
-                term, weights, idx = _aggregate(logs, spec.aggregation, temperature)
-                value += term
-                for span, weight in zip(spans, weights):
-                    gb[k][span.begin] += weight
-                    ge[k][span.end] += weight
-                if hard:
-                    chosen = spans[idx]
-                    selected.append(
-                        SelectedOutcome((k, chosen.begin), (k, chosen.end))
-                    )
-            else:
-                bpos = labels.begin_positions(k)
-                epos = labels.end_positions(k)
-                term_b, wb, ib = _aggregate(
-                    lb[k][list(bpos)], spec.aggregation, temperature
-                )
-                term_e, we, ie = _aggregate(
-                    le[k][list(epos)], spec.aggregation, temperature
-                )
-                value += term_b + term_e
-                gb[k][list(bpos)] += wb
-                ge[k][list(epos)] += we
-                if hard:
-                    selected.append(SelectedOutcome((k, bpos[ib]), (k, epos[ie])))
-            press(k, 1.0, 1.0)
-
-    else:  # one mention per document, document space only
-        if spec.granularity is Granularity.SPAN:
-            entries = [(k, s) for k in positive for s in labels.spans_by_paragraph[k]]
-            logs = np.array([float(lb[k][s.begin] + le[k][s.end]) for k, s in entries])
-            term, weights, idx = _aggregate(logs, spec.aggregation, temperature)
-            value += term
-            for (k, span), weight in zip(entries, weights):
-                gb[k][span.begin] += weight
-                ge[k][span.end] += weight
-            if hard:
-                k_star, chosen = entries[idx]
-                selected.append(
-                    SelectedOutcome((k_star, chosen.begin), (k_star, chosen.end))
-                )
-        else:
-            bentries = [(k, i) for k in positive for i in labels.begin_positions(k)]
-            eentries = [(k, j) for k in positive for j in labels.end_positions(k)]
-            logs_b = np.array([float(lb[k][i]) for k, i in bentries])
-            logs_e = np.array([float(le[k][j]) for k, j in eentries])
-            term_b, wb, ib = _aggregate(logs_b, spec.aggregation, temperature)
-            term_e, we, ie = _aggregate(logs_e, spec.aggregation, temperature)
-            value += term_b + term_e
-            for (k, i), weight in zip(bentries, wb):
-                gb[k][i] += weight
-            for (k, j), weight in zip(eentries, we):
-                ge[k][j] += weight
-            if hard:
-                selected.append(SelectedOutcome(bentries[ib], eentries[ie]))
-        doc_pressure_b += 1.0
-        doc_pressure_e += 1.0
-
+    log_probs = np.concatenate(probs.log_begin + probs.log_end)
+    n = grid.n_paragraphs
+    offset = [0, *accumulate(sizes + sizes)]
+    groups = list(grouped.values())
+    # Only the first `latent` groups choose: H1 groups and null groups hold one
+    # outcome, which marginalizing resolves to itself with weight one.
+    latent = 0 if spec.hypothesis is Hypothesis.ALL_MENTIONS else len(groups)
     if spec.space is SpaceKind.PARAGRAPH:
-        # Paragraphs with no consistent span assert their null outcome.
-        for k in range(grid.n_paragraphs):
-            if labels.spans_by_paragraph[k]:
-                continue
-            null = grid.null_index(k)
-            value += float(lb[k][null] + le[k][null])
-            gb[k][null] += 1.0
-            ge[k][null] += 1.0
-            pressure_b[k] += 1.0
-            pressure_e[k] += 1.0
-        for k in range(grid.n_paragraphs):
-            if pressure_b[k]:
-                gb[k] -= pressure_b[k] * np.exp(lb[k])
-            if pressure_e[k]:
-                ge[k] -= pressure_e[k] * np.exp(le[k])
-    else:
-        for k in range(grid.n_paragraphs):
-            gb[k] -= doc_pressure_b * np.exp(lb[k])
-            ge[k] -= doc_pressure_e * np.exp(le[k])
+        groups += [[(k, sizes[k] - 1, sizes[k] - 1)] for k in range(n) if labels.is_null(k)]
 
+    # Whole spans pair begins[g][i] with ends[g][i]; positions are distinct.
+    if spec.granularity is Granularity.SPAN:
+        begins = [[(k, b) for k, b, _ in group] for group in groups]
+        ends = [[(k, e) for k, _, e in group] for group in groups]
+    else:
+        begins = [sorted({(k, b) for k, b, _ in group}) for group in groups]
+        ends = [sorted({(k, e) for k, _, e in group}) for group in groups]
+    at = [offset[k] + b for side in begins for k, b in side]
+    n_begin = len(at)
+    at += [offset[n + k] + e for side in ends for k, e in side]
+    logs = log_probs[at]
+    weights = np.ones(len(at))
+
+    value = 0.0
+    selected: list[SelectedOutcome] = []
+    b0, e0 = 0, n_begin
+    for g in range(latent):
+        b1, e1 = b0 + len(begins[g]), e0 + len(ends[g])
+        if spec.granularity is Granularity.SPAN:
+            term, w, ib = _aggregate(logs[b0:b1] + logs[e0:e1], spec.aggregation, temperature)
+            weights[b0:b1] = weights[e0:e1] = w
+            ie = ib
+        else:
+            term_b, weights[b0:b1], ib = _aggregate(logs[b0:b1], spec.aggregation, temperature)
+            term_e, weights[e0:e1], ie = _aggregate(logs[e0:e1], spec.aggregation, temperature)
+            term = term_b + term_e
+        value += term
+        if ib is not None:
+            selected.append(SelectedOutcome(begins[g][ib], ends[g][ie]))
+        b0, e0 = b1, e1
+    # Each remaining group adds its one outcome's begin plus end log probability.
+    for term in (logs[b0:n_begin] + logs[e0:]).tolist():
+        value += term
+
+    # Each group presses once on its paragraph under P, on the document under D.
+    if spec.space is SpaceKind.PARAGRAPH:
+        presses = [0] * n
+        for group in groups:
+            presses[group[0][0]] += 1
+        pressure = np.repeat(presses * 2, sizes * 2)
+    else:
+        pressure = len(groups)
+    grad = np.bincount(at, weights, offset[-1])
+    grad -= pressure * np.exp(log_probs)
+    slices = [grad[a:b] for a, b in zip(offset, offset[1:])]
+    exact_max = spec.aggregation is Aggregation.HARD_EM and temperature is None
+    hard = exact_max and spec.hypothesis is not Hypothesis.ALL_MENTIONS
     return LossResult(
-        value=float(value),
-        grad_begin=gb,
-        grad_end=ge,
-        selected=tuple(selected) if hard else None,
+        float(value), slices[:n], slices[n:], tuple(selected) if hard else None
     )
 
 

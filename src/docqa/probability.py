@@ -112,12 +112,6 @@ class LogProbGrid:
     def n_paragraphs(self) -> int:
         return len(self.log_begin)
 
-    def token_counts(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] - 1 for a in self.log_begin)
-
-    def null_index(self, k: int) -> int:
-        return self.log_begin[k].shape[0] - 1
-
 
 def logsumexp(a: np.ndarray) -> np.float64:
     """log(sum(exp(a))) of a 1-D array, shifted by its maximum.

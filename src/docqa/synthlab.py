@@ -19,12 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, make_pair, normalize_string
+from .corpus import DocumentQuestionPair, make_pair
 from .inference import InferenceError, InferenceSpec, predict
 from .labeling import (
     ConsistentLabelSet,
     SpanLabel,
     find_consistent_spans_exact,
+    read_span_records,
 )
 from .metrics import exact_match, token_f1
 from .model import Checkpoint
@@ -259,24 +260,12 @@ def save_truth(
 def load_truth(
     pairs: Sequence[DocumentQuestionPair], path: str | Path
 ) -> list[SyntheticTruth]:
-    by_id = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            by_id[record["id"]] = record
-    out = []
-    for pair in pairs:
-        record = by_id[pair.id]
-        spans = []
-        for k, i, j in record["correct_spans"]:
-            text = pair.paragraphs[k].text(i, j)
-            spans.append(SpanLabel(k, i, j, matched_string=normalize_string(text)))
-        out.append(
-            SyntheticTruth(gold_answer=record["gold"], correct_spans=tuple(spans))
-        )
-    return out
+    """Read a truth file back; bad lines fail as read_span_records describes."""
+    records = read_span_records(pairs, path, "correct_spans", text_keys=("gold",))
+    return [
+        SyntheticTruth(gold_answer=record["gold"], correct_spans=tuple(spans))
+        for record, spans in records
+    ]
 
 
 def inference_space(combo: str) -> SpaceKind:
@@ -291,6 +280,25 @@ def inference_space(combo: str) -> SpaceKind:
     return SpaceKind.PARAGRAPH
 
 
+def decode_corpus(
+    checkpoint: Checkpoint,
+    pairs: Sequence[DocumentQuestionPair],
+    spec: InferenceSpec,
+    space: SpaceKind,
+) -> list[tuple[str, float]]:
+    """(answer, log score) per pair; ("", -inf) when no candidate decodes."""
+    scorer = checkpoint.to_scorer()
+    out = []
+    for pair in pairs:
+        probs = log_partition(scorer.score(pair), space)
+        try:
+            prediction = predict(probs, pair, spec)
+            out.append((prediction.answer, prediction.score))
+        except InferenceError:
+            out.append(("", float("-inf")))
+    return out
+
+
 def evaluate_checkpoint(
     checkpoint: Checkpoint,
     pairs: Sequence[DocumentQuestionPair],
@@ -298,20 +306,15 @@ def evaluate_checkpoint(
     inference: InferenceSpec,
     space: SpaceKind,
 ) -> dict[str, float]:
-    """Mean EM and token F1, in points, of a checkpoint's predictions."""
-    scorer = checkpoint.to_scorer()
+    """Mean EM and token F1, in points, of a checkpoint's predictions.
+
+    A pair with no decodable answer scores zero on both.
+    """
     ems, f1s = [], []
-    for pair, golds in zip(pairs, gold_strings):
-        grid = scorer.score(pair)
-        probs = log_partition(grid, space)
-        try:
-            prediction = predict(probs, pair, inference)
-        except InferenceError:
-            ems.append(0.0)
-            f1s.append(0.0)
-            continue
-        ems.append(exact_match(prediction.answer, golds))
-        f1s.append(token_f1(prediction.answer, golds))
+    decoded = decode_corpus(checkpoint, pairs, inference, space)
+    for (answer, _), golds in zip(decoded, gold_strings):
+        ems.append(exact_match(answer, golds) if answer else 0.0)
+        f1s.append(token_f1(answer, golds) if answer else 0.0)
     n = max(1, len(ems))
     return {"em": 100.0 * sum(ems) / n, "f1": 100.0 * sum(f1s) / n}
 

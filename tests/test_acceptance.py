@@ -25,8 +25,9 @@ from docqa import (
     train,
 )
 from docqa.corpus import make_pair
+from docqa.diagnostics import random_instance
 from docqa.inference import InferenceError, exhaustive_predict, predict
-from docqa.labeling import ConsistentLabelSet, SpanLabel, find_consistent_spans_exact
+from docqa.labeling import find_consistent_spans_exact
 from docqa.metrics import partition_analysis, rouge_l, token_f1
 from docqa.model import PARAM_NAMES, ToyScorer
 from docqa.objectives import (
@@ -69,24 +70,6 @@ def random_grid(rng, low=-1e4, high=1e4):
     return grid
 
 
-def random_labeled(rng, score_scale=3.0):
-    n_par = int(rng.integers(1, 4))
-    sizes = [int(rng.integers(1, 6)) for _ in range(n_par)]
-    grid = ScoreGrid.zeros(sizes)
-    for arr in grid.begin + grid.end:
-        arr[:] = rng.normal(0.0, score_scale, arr.shape)
-    chosen = set()
-    for k, n in enumerate(sizes):
-        for _ in range(int(rng.integers(0, 4))):
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(i, min(i + 3, n)))
-            chosen.add((k, i, j))
-    if not chosen:
-        chosen.add((0, 0, 0))
-    spans = [SpanLabel(k, i, j, "s") for k, i, j in sorted(chosen)]
-    return grid, ConsistentLabelSet.from_spans(n_par, spans, num_answers=1)
-
-
 def test_normalization_sums_to_one():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -114,7 +97,7 @@ def test_all_mentions_span_position_equivalence():
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(1000):
-        grid, labels = random_labeled(rng)
+        grid, labels = random_instance(rng, max_tokens=5)
         for space in ("P", "D"):
             span = evaluate(ObjectiveSpec.parse(f"H1-{space}-span-mml"), grid, labels)
             pos = evaluate(ObjectiveSpec.parse(f"H1-{space}-pos-mml"), grid, labels)
@@ -132,7 +115,7 @@ def test_position_marginal_lower_bound():
     rng = np.random.default_rng(103)
     worst = np.inf
     for _ in range(1000):
-        grid, labels = random_labeled(rng)
+        grid, labels = random_instance(rng, max_tokens=5)
         for base in LATENT_BASES:
             span = evaluate(ObjectiveSpec.parse(f"{base}-span-mml"), grid, labels)
             pos = evaluate(ObjectiveSpec.parse(f"{base}-pos-mml"), grid, labels)
@@ -150,7 +133,7 @@ def test_marginal_dominates_maximum():
     rng = np.random.default_rng(104)
     worst = np.inf
     for _ in range(1000):
-        grid, labels = random_labeled(rng)
+        grid, labels = random_instance(rng, max_tokens=5)
         for base in LATENT_BASES:
             for gran in ("span", "pos"):
                 soft = evaluate(ObjectiveSpec.parse(f"{base}-{gran}-mml"), grid, labels)
@@ -174,7 +157,7 @@ def test_gradients_match_finite_differences():
         for agg in (Aggregation.MML, Aggregation.HARD_EM):
             spec = ObjectiveSpec(cell.hypothesis, cell.space, cell.granularity, agg)
             for _ in range(4):
-                grid, labels = random_labeled(rng)
+                grid, labels = random_instance(rng, max_tokens=5)
                 worst_grid = max(worst_grid, grad_check(spec, grid, labels))
 
     worst_model = 0.0

@@ -296,6 +296,61 @@ class TestEval:
         assert status == 1
 
 
+class TestBadRecordFiles:
+    def test_label_record_without_spans(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text('{"id": "d0"}\n')
+        out = tmp_path / "x.ckpt"
+        status = main(
+            [
+                "train",
+                str(workspace["data"] / "train.jsonl"),
+                "--labels",
+                str(labels),
+                "--out",
+                str(out),
+            ]
+        )
+        assert status == 1
+        assert f"error: {labels}:1: missing key 'spans'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labels_past_truncated_paragraphs(self, workspace, tmp_path, capsys):
+        labels = workspace["data"] / "labels_train.jsonl"
+        status = main(
+            [
+                "train",
+                str(workspace["data"] / "train.jsonl"),
+                "--labels",
+                str(labels),
+                "--max-tokens",
+                "3",
+                "--out",
+                str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"error: {labels}:" in err
+        assert "of 3 tokens" in err
+
+    def test_truth_line_not_json(self, workspace, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("{not json\n")
+        status = main(
+            [
+                "eval",
+                str(workspace["data"] / "dev.jsonl"),
+                "--ckpt",
+                str(workspace["ckpt"]),
+                "--truth",
+                str(truth),
+            ]
+        )
+        assert status == 1
+        assert f"error: {truth}:1: not valid JSON" in capsys.readouterr().err
+
+
 class TestGrid:
     def test_profile_driven_grid(self, workspace, tmp_path, capsys):
         table = tmp_path / "grid.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from docqa.corpus import make_pair, normalize_string
+from docqa.corpus import load_dataset, make_pair, normalize_string, save_dataset
 from docqa.labeling import (
     ConsistentLabelSet,
     SpanLabel,
@@ -12,6 +12,7 @@ from docqa.labeling import (
     save_labels,
 )
 from docqa.metrics import rouge_l
+from docqa.synthlab import load_truth
 
 
 def oracle_exact(pair, max_span_length=8):
@@ -267,3 +268,75 @@ class TestLabelSet:
             s.triple() for s in labels[0].all_spans()
         ]
         assert loaded[0].all_spans()[0].matched_string == "joan rivers"
+
+
+def joan_pair():
+    return make_pair(
+        "doc9", "who", ["joan rivers spoke and joan rivers left"], ["Joan Rivers."]
+    )
+
+
+class TestLabelFiles:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "not valid JSON"),
+            ("[1, 2]", "record must be a JSON object"),
+            ('{"spans": []}', "missing key 'id'"),
+            ('{"id": "doc9"}', "missing key 'spans'"),
+            ('{"id": 9, "spans": []}', "'id' must be a string"),
+            ('{"id": "doc9", "spans": [0, 1, 2]}', "integer triples"),
+            ('{"id": "doc9", "spans": [[0, 1]]}', "integer triples"),
+            ('{"id": "doc9", "spans": [[0, 1.0, 2]]}', "integer triples"),
+            ('{"id": "doc9", "spans": [[0, true, 2]]}', "integer triples"),
+            ('{"id": "doc9", "spans": [[1, 0, 0]]}', "paragraph 1 is outside"),
+            ('{"id": "doc9", "spans": [[-1, 0, 0]]}', "paragraph -1 is outside"),
+            ('{"id": "doc9", "spans": [[0, 2, 1]]}', "span [0, 2, 1] is not inside"),
+            ('{"id": "doc9", "spans": [[0, -1, 0]]}', "span [0, -1, 0] is not inside"),
+            ('{"id": "doc9", "spans": [[0, 5, 7]]}', "paragraph 0 of 7 tokens"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"id": "other", "spans": [[0, 0, 0]]}\n\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_labels([joan_pair()], path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert message in str(info.value)
+
+    def test_last_token_is_inside(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"id": "doc9", "spans": [[0, 4, 6]]}\n')
+        (labels,) = load_labels([joan_pair()], path)
+        assert labels.all_spans()[0].matched_string == "joan rivers left"
+
+    def test_missing_pair_is_key_error(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"id": "other", "spans": []}\n')
+        with pytest.raises(KeyError, match="doc9"):
+            load_labels([joan_pair()], path)
+
+    def test_spans_checked_against_truncated_paragraphs(self, tmp_path):
+        pair = joan_pair()
+        data = tmp_path / "data.jsonl"
+        save_dataset([pair], data)
+        path = tmp_path / "labels.jsonl"
+        save_labels([pair], [find_consistent_spans_exact(pair)], path)
+        assert load_labels(load_dataset(data), path)[0].total_spans == 2
+        with pytest.raises(ValueError, match=r"labels\.jsonl:1: span \[0, 4, 5\]"):
+            load_labels(load_dataset(data, max_tokens=5), path)
+
+    def test_truth_file_shares_the_checks(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_text(
+            '{"id": "doc9", "gold": "joan rivers", "correct_spans": [[0, 0, 1]]}\n'
+            '{"id": "doc9", "correct_spans": []}\n'
+        )
+        with pytest.raises(ValueError, match=r"truth\.jsonl:2: missing key 'gold'"):
+            load_truth([joan_pair()], path)
+        path.write_text('{"id": "doc9", "gold": "joan rivers", "correct_spans": [[0, 0, 9]]}\n')
+        with pytest.raises(ValueError, match=r"truth\.jsonl:1: span \[0, 0, 9\]"):
+            load_truth([joan_pair()], path)
+        path.write_text('{"id": "doc9", "gold": 3, "correct_spans": []}\n')
+        with pytest.raises(ValueError, match=r"truth\.jsonl:1: 'gold' must be a string"):
+            load_truth([joan_pair()], path)

@@ -217,3 +217,19 @@ class TestCheckpoint:
         ckpt.save(path)
         assert path.exists()
         assert not (tmp_path / "no_suffix.npz").exists()
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        _, scorer = build_scorer()
+        path = tmp_path / "model.ckpt"
+        Checkpoint.from_scorer(scorer, "old", {}).save(path)
+        before = path.read_bytes()
+
+        def broken_savez(handle, **arrays):
+            handle.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            Checkpoint.from_scorer(scorer, "new", {"epochs": 1}).save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from docqa.diagnostics import random_instance
 from docqa.labeling import ConsistentLabelSet, SpanLabel
 from docqa.objectives import (
     Aggregation,
@@ -36,25 +37,6 @@ def two_span_case():
     labels = ConsistentLabelSet.from_spans(
         1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 1, 1, "y")], num_answers=1
     )
-    return grid, labels
-
-
-def random_case(rng, ensure_positive=True):
-    n_par = int(rng.integers(1, 4))
-    sizes = [int(rng.integers(1, 5)) for _ in range(n_par)]
-    grid = ScoreGrid.zeros(sizes)
-    for arr in grid.begin + grid.end:
-        arr[:] = rng.normal(0.0, 3.0, arr.shape)
-    chosen = set()
-    for k, n in enumerate(sizes):
-        for _ in range(int(rng.integers(0, 4))):
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(i, min(i + 3, n)))
-            chosen.add((k, i, j))
-    if ensure_positive and not chosen:
-        chosen.add((0, 0, 0))
-    spans = [SpanLabel(k, i, j, "s") for k, i, j in sorted(chosen)]
-    labels = ConsistentLabelSet.from_spans(n_par, spans, num_answers=1)
     return grid, labels
 
 
@@ -147,7 +129,7 @@ class TestAgainstOracle:
     def test_every_cell_matches_probability_domain(self):
         rng = np.random.default_rng(31)
         for _ in range(120):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for spec in ALL_SPECS:
                 got = evaluate(spec, grid, labels).value
                 want = oracle_value(spec, grid, labels)
@@ -156,7 +138,7 @@ class TestAgainstOracle:
     def test_values_nonpositive(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for spec in ALL_SPECS:
                 assert evaluate(spec, grid, labels).value <= 1e-12
 
@@ -165,7 +147,7 @@ class TestIdentities:
     def test_all_mentions_ignores_granularity_and_aggregation(self):
         rng = np.random.default_rng(33)
         for _ in range(100):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for space in ("P", "D"):
                 values = {
                     evaluate(
@@ -179,10 +161,11 @@ class TestIdentities:
     def test_all_mentions_granularity_grads_match(self):
         rng = np.random.default_rng(34)
         for _ in range(50):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             span = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
             pos = evaluate(ObjectiveSpec.parse("H1-P-pos-mml"), grid, labels)
             np.testing.assert_allclose(span.grad_vector(), pos.grad_vector(), atol=1e-12)
+            assert pos.value == span.value
 
     def test_singleton_spans_collapse_hypotheses(self):
         # With one span per positive paragraph there is nothing latent left.
@@ -212,7 +195,7 @@ class TestIdentities:
     def test_marginal_dominates_maximum(self):
         rng = np.random.default_rng(36)
         for _ in range(150):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for text in ("H2-P", "H2-D", "H3-D"):
                 for gran in ("span", "pos"):
                     soft = evaluate(
@@ -226,7 +209,7 @@ class TestIdentities:
     def test_position_marginal_dominates_span_marginal(self):
         rng = np.random.default_rng(37)
         for _ in range(150):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for text in ("H2-P", "H2-D", "H3-D"):
                 span = evaluate(
                     ObjectiveSpec.parse(f"{text}-span-mml"), grid, labels
@@ -243,7 +226,7 @@ class TestGradients:
         for spec in ALL_SPECS:
             worst = 0.0
             for _ in range(3):
-                grid, labels = random_case(rng)
+                grid, labels = random_instance(rng, max_tokens=4)
                 worst = max(worst, grad_check(spec, grid, labels))
             assert worst < 1e-5, f"{spec}: {worst:.2e}"
 
@@ -251,14 +234,14 @@ class TestGradients:
         rng = np.random.default_rng(39)
         spec = ObjectiveSpec.parse("H2-P-span-hardem")
         for _ in range(5):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             assert grad_check(spec, grid, labels, temperature=0.4) < 1e-5
 
     def test_gradient_sums_to_zero_in_document_space(self):
         # Shift invariance of the pooled softmax forces a zero-sum gradient.
         rng = np.random.default_rng(40)
         for _ in range(40):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             result = evaluate(ObjectiveSpec.parse("H3-D-span-mml"), grid, labels)
             total_b = sum(a[:-1].sum() for a in result.grad_begin)
             total_e = sum(a[:-1].sum() for a in result.grad_end)
@@ -267,7 +250,7 @@ class TestGradients:
 
     def test_null_entries_untouched_in_document_space(self):
         rng = np.random.default_rng(41)
-        grid, labels = random_case(rng)
+        grid, labels = random_instance(rng, max_tokens=4)
         result = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
         for k in range(grid.n_paragraphs):
             assert result.grad_begin[k][-1] == 0.0
@@ -301,7 +284,7 @@ class TestNegativeParagraphs:
 
     def test_negative_paragraph_silent_in_document_space(self):
         rng = np.random.default_rng(42)
-        grid, labels = random_case(rng)
+        grid, labels = random_instance(rng, max_tokens=4)
         spans = labels.all_spans()
         wider = ScoreGrid(
             begin=list(grid.begin) + [np.zeros(4)],
@@ -334,6 +317,41 @@ class TestHardSelection:
         assert outcome.begin == (0, 0)
         assert outcome.end == (0, 0)
 
+    def test_ties_break_to_lowest_paragraph_and_position(self):
+        # Tied maxima lie in different paragraphs and at different positions.
+        grid = ScoreGrid.zeros([3, 3])
+        grid.begin[0][:] = [0.0, -1.0, 2.0, 0.0]
+        grid.end[0][:] = [0.0, -1.0, 1.0, 0.0]
+        grid.begin[1][:] = [2.0, 0.0, 0.0, 0.0]
+        grid.end[1][:] = [2.0, 0.0, 2.0, 0.0]
+        labels = ConsistentLabelSet.from_spans(
+            2,
+            [
+                SpanLabel(0, 1, 1, "x"),
+                SpanLabel(0, 2, 2, "x"),
+                SpanLabel(1, 0, 0, "x"),
+                SpanLabel(1, 0, 2, "x"),
+            ],
+            1,
+        )
+        per_paragraph = (
+            SelectedOutcome((0, 2), (0, 2)),
+            SelectedOutcome((1, 0), (1, 0)),
+        )
+        expected = {
+            "H2-P-span-hardem": per_paragraph,
+            "H2-P-pos-hardem": per_paragraph,
+            "H2-D-span-hardem": per_paragraph,
+            "H2-D-pos-hardem": per_paragraph,
+            # spans (1, 0, 0) and (1, 0, 2) tie for the document maximum
+            "H3-D-span-hardem": (SelectedOutcome((1, 0), (1, 0)),),
+            # begins (0, 2) and (1, 0) tie, ends (1, 0) and (1, 2) tie
+            "H3-D-pos-hardem": (SelectedOutcome((0, 2), (1, 0)),),
+        }
+        for text, want in expected.items():
+            result = evaluate(ObjectiveSpec.parse(text), grid, labels)
+            assert result.selected == want, text
+
     def test_marginal_and_tempered_report_no_selection(self):
         grid, labels = two_span_case()
         assert evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels).selected is None
@@ -347,7 +365,7 @@ class TestTemperature:
     def test_unit_temperature_recovers_marginal(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             for text in ("H2-P-span-hardem", "H3-D-pos-hardem"):
                 spec = ObjectiveSpec.parse(text)
                 tempered = evaluate(spec, grid, labels, temperature=1.0)
@@ -367,7 +385,7 @@ class TestTemperature:
         rng = np.random.default_rng(44)
         spec = ObjectiveSpec.parse("H2-P-span-hardem")
         for _ in range(30):
-            grid, labels = random_case(rng)
+            grid, labels = random_instance(rng, max_tokens=4)
             cold = evaluate(spec, grid, labels, temperature=0.01)
             hard = evaluate(spec, grid, labels)
             assert abs(cold.value - hard.value) < 0.05
