@@ -29,6 +29,7 @@ from .labeling import (
     find_consistent_spans_exact,
     find_consistent_spans_rouge,
     load_labels,
+    read_json_lines,
     save_labels,
 )
 from .metrics import exact_match, partition_analysis, summarize, token_f1
@@ -285,6 +286,17 @@ def _eval_space(args, checkpoint) -> SpaceKind:
     return SpaceKind.PARAGRAPH
 
 
+def _read_predictions(path) -> dict[str, tuple[str, float]]:
+    """{id: (answer, score)} from a --pred-out file; bad lines fail with <path>:<line>."""
+    predictions = {}
+    for where, record in read_json_lines(path, ("id", "answer", "score"), ("id", "answer")):
+        score = record["score"]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValueError(f"{where}: 'score' must be a number")
+        predictions[record["id"]] = (record["answer"], score)
+    return predictions
+
+
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.pred):
         raise UsageError("exactly one of --ckpt and --pred is required")
@@ -294,7 +306,6 @@ def cmd_eval(args) -> int:
         golds = [t.gold_strings() for t in truths]
     else:
         golds = [set(p.answers.normalized) for p in pairs]
-    predictions = {}
     if args.ckpt:
         checkpoint = Checkpoint.load(args.ckpt)
         space = _eval_space(args, checkpoint)
@@ -307,11 +318,7 @@ def cmd_eval(args) -> int:
         predictions = {pair.id: p for pair, p in zip(pairs, decoded)}
         logger.info("decoded %d pairs in space %s", len(pairs), space.value)
     else:
-        with open(args.pred, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    record = json.loads(line)
-                    predictions[record["id"]] = (record["answer"], record["score"])
+        predictions = _read_predictions(args.pred)
     if args.pred_out:
         with open(args.pred_out, "w", encoding="utf-8") as handle:
             for pair in pairs:
@@ -351,6 +358,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _load_profile(path) -> NoiseProfile:
+    try:
+        return NoiseProfile.from_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_grid(args) -> int:
     if bool(args.data) == bool(args.profile):
         raise UsageError("exactly one of --data and --profile is required")
@@ -371,7 +385,7 @@ def cmd_grid(args) -> int:
         dev_pairs = load_dataset(root / "dev.jsonl")
         dev_truth = load_truth(dev_pairs, root / "truth_dev.jsonl")
     else:
-        profile = NoiseProfile.from_json(Path(args.profile).read_text(encoding="utf-8"))
+        profile = _load_profile(args.profile)
         train_pairs, train_labels, train_truth = generate(profile, id_prefix="train")
         dev_pairs, _, dev_truth = generate(dev_profile(profile), id_prefix="dev")
     if args.infer == "both":
@@ -420,7 +434,7 @@ def cmd_grid(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.profile:
-        profile = NoiseProfile.from_json(Path(args.profile).read_text(encoding="utf-8"))
+        profile = _load_profile(args.profile)
     else:
         profile = NoiseProfile()
     if args.seed is not None:

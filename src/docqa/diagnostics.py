@@ -205,15 +205,20 @@ def _check_inference_oracle(rng, trials) -> CheckResult:
         pair, grid = random_scored_pair(rng)
         space = SpaceKind.PARAGRAPH if rng.random() < 0.5 else SpaceKind.DOCUMENT
         probs = log_partition(grid, space)
+        # k = the longest paragraph keeps every position: the smallest k that
+        # must reproduce exhaustive decoding exactly
+        top_k = max(pair.paragraph_lengths())
         for agg in AnswerAggregation:
-            spec = InferenceSpec(aggregation=agg, top_k=10, max_answer_length=3)
+            spec = InferenceSpec(aggregation=agg, top_k=top_k, max_answer_length=3)
             fast = predict(probs, pair, spec)
             slow = exhaustive_predict(probs, pair, agg, max_answer_length=3)
-            if fast.answer != slow.answer or abs(fast.score - slow.score) > 1e-9:
+            if fast != slow:
                 ok = False
-                detail = f"{fast.answer!r} vs {slow.answer!r}"
+                detail = f"{fast.answer!r} {fast.score!r} vs {slow.answer!r} {slow.score!r}"
                 break
-    return CheckResult("top-k decoding matches exhaustive decoding", ok, detail)
+    return CheckResult(
+        "top-k at k = paragraph length equals exhaustive decoding, bitwise", ok, detail
+    )
 
 
 def _check_metric_fixtures(rng, trials) -> CheckResult:

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, normalize_string
+from .corpus import ARTICLES, DocumentQuestionPair, normalized_words
 from .labeling import SpanLabel
 from .probability import LogProbGrid, logsumexp
 
@@ -60,48 +59,68 @@ class Prediction:
 
 def _top_positions(log_probs: np.ndarray, limit: int | None) -> np.ndarray:
     """Indices of the largest entries, ranked stably so smaller prefixes nest."""
-    order = np.argsort(-log_probs, kind="stable")
-    if limit is not None:
-        order = order[:limit]
-    return order
+    return np.argsort(-log_probs, kind="stable")[:limit]
 
 
-def _candidate_spans(
-    probs: LogProbGrid,
-    top_k: int | None,
-    max_answer_length: int,
-) -> Iterable[tuple[int, int, int]]:
-    for k, (log_begin, log_end) in enumerate(zip(probs.log_begin, probs.log_end)):
-        begins = _top_positions(log_begin[:-1], top_k)
-        ends = _top_positions(log_end[:-1], top_k)
-        for b in begins:
-            for e in ends:
-                if b <= e < b + max_answer_length:
-                    yield (k, int(b), int(e))
+def _span_strings(words: list[str]) -> list[str]:
+    """Normalized text of words[:1], words[:2], ... for per-token normalized words:
+    empty words are skipped, and so are ARTICLES until the first kept word."""
+    strings, text = [], ""
+    for word in words:
+        if word and (text or word not in ARTICLES):
+            text = f"{text} {word}" if text else word
+        strings.append(text)
+    return strings
 
 
-def _grouped_scores(
-    probs: LogProbGrid,
-    pair: DocumentQuestionPair,
-    spans: Iterable[tuple[int, int, int]],
-    aggregation: AnswerAggregation,
-) -> dict[str, tuple[float, list[tuple[float, tuple[int, int, int]]]]]:
-    groups: dict[str, list[tuple[float, tuple[int, int, int]]]] = {}
-    for k, b, e in spans:
-        text = normalize_string(pair.paragraphs[k].text(b, e))
-        if not text:
-            continue
-        log_p = float(probs.log_begin[k][b] + probs.log_end[k][e])
-        groups.setdefault(text, []).append((log_p, (k, b, e)))
-    out = {}
-    for text, members in groups.items():
-        logs = np.array([m[0] for m in members])
-        if aggregation is AnswerAggregation.SUM:
-            score = float(logsumexp(logs))
-        else:
-            score = float(np.max(logs))
-        out[text] = (score, members)
-    return out
+def _pool(probs, pair, aggregation, top_k, max_answer_length):
+    """Pool the candidate spans of every paragraph by normalized string.
+
+    Returns the strings in order of first sight, their pooled log scores, and
+    each candidate's string index and (paragraph, begin, end) row.
+    """
+    if probs.n_paragraphs != len(pair.paragraphs):
+        raise InferenceError("probability grid does not match the document")
+    texts, log_ps, triples = [], [], []
+    for k, paragraph in enumerate(pair.paragraphs):
+        begins = _top_positions(probs.log_begin[k][:-1], top_k)
+        ends = _top_positions(probs.log_end[k][:-1], top_k)
+        # row-major over ranked begins x ranked ends: the order SUM pools in
+        offsets = ends[None, :] - begins[:, None]
+        rows, cols = np.nonzero((offsets >= 0) & (offsets < max_answer_length))
+        b, e = begins[rows], ends[cols]
+        # Each distinct begin's strings run to the furthest end it pairs with;
+        # every token those runs cover is normalized once.
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+        starts, stops = b[firsts], np.maximum.reduceat(e, firsts) + 1
+        n = len(paragraph) + 1
+        depth = np.cumsum(np.bincount(starts, minlength=n) - np.bincount(stops, minlength=n))
+        covered = np.flatnonzero(depth).tolist()
+        words = dict(zip(covered, normalized_words([paragraph.tokens[j] for j in covered])))
+        runs = zip(starts.tolist(), stops.tolist())
+        strings = {i: _span_strings([words[j] for j in range(i, stop)]) for i, stop in runs}
+        texts += [strings[i][d] for i, d in zip(b.tolist(), (e - b).tolist())]
+        log_ps.append(probs.log_begin[k][b] + probs.log_end[k][e])
+        triples.append(np.stack([np.full_like(b, k), b, e], axis=1))
+    found = list(dict.fromkeys(filter(None, texts)))
+    if not found:
+        return found, np.empty(0), np.empty(0, np.intp), np.empty((0, 3), np.intp)
+    ids = {text: g for g, text in enumerate(found)} | {"": -1}
+    group = np.fromiter(map(ids.__getitem__, texts), np.intp, len(texts))
+    keep = group >= 0
+    group, log_p, triple = group[keep], np.concatenate(log_ps)[keep], np.concatenate(triples)[keep]
+    # A stable sort keeps each string's mentions in candidate order.
+    sizes = np.bincount(group)
+    heads = np.cumsum(sizes) - sizes
+    pooled = log_p[np.argsort(group, kind="stable")]
+    if aggregation is AnswerAggregation.MAX:
+        scores = np.maximum.reduceat(pooled, heads)
+    else:
+        # logsumexp of one entry is exactly that entry + 0.0
+        scores = pooled[heads] + 0.0
+        for g in np.flatnonzero(sizes > 1).tolist():
+            scores[g] = logsumexp(pooled[heads[g] : heads[g] + sizes[g]])
+    return found, scores, group, triple
 
 
 def score_strings(
@@ -115,24 +134,21 @@ def score_strings(
 
     top_k=None scores every span up to the length cap.
     """
-    grouped = _grouped_scores(
-        probs, pair, _candidate_spans(probs, top_k, max_answer_length), aggregation
-    )
-    return {text: score for text, (score, _) in grouped.items()}
+    texts, scores, _, _ = _pool(probs, pair, aggregation, top_k, max_answer_length)
+    return dict(zip(texts, scores.tolist()))
 
 
-def _pick_winner(
-    grouped: dict[str, tuple[float, list[tuple[float, tuple[int, int, int]]]]]
-) -> Prediction:
-    if not grouped:
+def _best(texts, scores, group, triple) -> Prediction:
+    """The top-scoring string, ties to the smallest, with its spans in order."""
+    if not texts:
         raise InferenceError("no candidate answer string")
-    answer = min(grouped, key=lambda text: (-grouped[text][0], text))
-    score, members = grouped[answer]
+    best = np.flatnonzero(scores == scores.max()).tolist()
+    winner = min(best, key=texts.__getitem__)
     support = tuple(
-        SpanLabel(k, b, e, matched_string=answer)
-        for _, (k, b, e) in sorted(members, key=lambda m: m[1])
+        SpanLabel(k, b, e, matched_string=texts[winner])
+        for k, b, e in sorted(map(tuple, triple[group == winner].tolist()))
     )
-    return Prediction(answer=answer, score=score, support=support)
+    return Prediction(answer=texts[winner], score=float(scores[winner]), support=support)
 
 
 def predict(
@@ -145,15 +161,7 @@ def predict(
     and pool document-wide by normalized string.  Score ties break toward the
     lexicographically smallest string.
     """
-    if probs.n_paragraphs != len(pair.paragraphs):
-        raise InferenceError("probability grid does not match the document")
-    grouped = _grouped_scores(
-        probs,
-        pair,
-        _candidate_spans(probs, spec.top_k, spec.max_answer_length),
-        spec.aggregation,
-    )
-    return _pick_winner(grouped)
+    return _best(*_pool(probs, pair, spec.aggregation, spec.top_k, spec.max_answer_length))
 
 
 def exhaustive_predict(
@@ -163,12 +171,4 @@ def exhaustive_predict(
     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
 ) -> Prediction:
     """Decode with every legal span considered; the top-k path must match this."""
-    if probs.n_paragraphs != len(pair.paragraphs):
-        raise InferenceError("probability grid does not match the document")
-    grouped = _grouped_scores(
-        probs,
-        pair,
-        _candidate_spans(probs, None, max_answer_length),
-        aggregation,
-    )
-    return _pick_winner(grouped)
+    return _best(*_pool(probs, pair, aggregation, None, max_answer_length))

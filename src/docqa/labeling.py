@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import ARTICLES, DocumentQuestionPair, normalize_string, normalized_words
 from .metrics import rouge_l_words
@@ -220,6 +220,34 @@ def save_labels(
             handle.write(json.dumps(record) + "\n")
 
 
+def read_json_lines(
+    path: str | Path, keys: tuple[str, ...], string_keys: tuple[str, ...]
+) -> Iterator[tuple[str, dict]]:
+    """Each non-blank line of a JSONL file as ("<path>:<line>", record).
+
+    A line that is not JSON or not an object, lacks one of keys, or holds a
+    non-string under one of string_keys raises ValueError("<path>:<line>: ...").
+    """
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not valid JSON: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: record must be a JSON object")
+            for key in keys:
+                if key not in record:
+                    raise ValueError(f"{where}: missing key {key!r}")
+            for key in string_keys:
+                if not isinstance(record[key], str):
+                    raise ValueError(f"{where}: {key!r} must be a string")
+            yield where, record
+
+
 def read_span_records(
     pairs: Sequence[DocumentQuestionPair],
     path: str | Path,
@@ -236,33 +264,18 @@ def read_span_records(
     a record raises KeyError.  When an id repeats, its last record wins.
     """
     by_id: dict[str, tuple[str, dict]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{number}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: not valid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: record must be a JSON object")
-            for key in ("id", spans_key, *text_keys):
-                if key not in record:
-                    raise ValueError(f"{where}: missing key {key!r}")
-            for key in ("id", *text_keys):
-                if not isinstance(record[key], str):
-                    raise ValueError(f"{where}: {key!r} must be a string")
-            triples = record[spans_key]
-            if not isinstance(triples, list) or not all(
-                isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
-                for t in triples
-            ):
-                raise ValueError(
-                    f"{where}: {spans_key!r} must be a list of"
-                    " [paragraph, begin, end] integer triples"
-                )
-            by_id[record["id"]] = (where, record)
+    keys = ("id", spans_key, *text_keys)
+    for where, record in read_json_lines(path, keys, ("id", *text_keys)):
+        triples = record[spans_key]
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+            for t in triples
+        ):
+            raise ValueError(
+                f"{where}: {spans_key!r} must be a list of"
+                " [paragraph, begin, end] integer triples"
+            )
+        by_id[record["id"]] = (where, record)
     out = []
     for pair in pairs:
         if pair.id not in by_id:

@@ -87,12 +87,39 @@ class NoiseProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseProfile":
+        """Read to_json output; any field may be left out for its default.
+
+        A non-object, an unknown field or a field of the wrong type raises
+        ValueError naming the field.
+        """
         record = json.loads(text)
-        if "mention_counts" in record:
-            record["mention_counts"] = tuple(
-                (int(c), float(w)) for c, w in record["mention_counts"]
-            )
+        if not isinstance(record, dict):
+            raise ValueError("profile must be a JSON object")
+        defaults = asdict(cls())
+        for key, value in record.items():
+            if key not in defaults:
+                raise ValueError(f"unknown field {key!r}")
+            if key == "mention_counts":
+                well_formed = isinstance(value, list) and all(
+                    isinstance(p, list) and len(p) == 2
+                    and _is_number(p[0], int) and _is_number(p[1], float)
+                    for p in value
+                )
+                if not well_formed:
+                    raise ValueError(
+                        "field 'mention_counts' must be a list of [count, weight] pairs"
+                    )
+                record[key] = tuple((c, float(w)) for c, w in value)
+            elif not _is_number(value, type(defaults[key])):
+                kind = "an integer" if type(defaults[key]) is int else "a number"
+                raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
         return cls(**record)
+
+
+def _is_number(value, kind: type) -> bool:
+    """An int, or for kind float also a float; bools are neither."""
+    allowed = (int, float) if kind is float else int
+    return isinstance(value, allowed) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,61 @@ class TestBadRecordFiles:
         assert f"error: {truth}:1: not valid JSON" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"answer": "x", "score": 0.0}', "missing key 'id'"),
+            ('{"id": "dev00000", "score": 0.0}', "missing key 'answer'"),
+            ('{"id": "dev00000", "answer": "x"}', "missing key 'score'"),
+            ('{"id": 7, "answer": "x", "score": 0.0}', "'id' must be a string"),
+            ('{"id": "dev00000", "answer": 3, "score": 1}', "'answer' must be a string"),
+            ('{"id": "dev00000", "answer": "x", "score": "1"}', "'score' must be a number"),
+            ('{"id": "dev00000", "answer": "x", "score": true}', "'score' must be a number"),
+            ('["dev00000", "x", 0.0]', "record must be a JSON object"),
+            ("{not json", "not valid JSON"),
+        ],
+    )
+    def test_bad_prediction_line(self, workspace, tmp_path, capsys, line, message):
+        pred = tmp_path / "pred.jsonl"
+        good = '{"id": "dev00001", "answer": "x", "score": -Infinity}'
+        pred.write_text(f"{good}\n\n{line}\n")
+        status = main(["eval", str(workspace["data"] / "dev.jsonl"), "--pred", str(pred)])
+        assert status == 1
+        assert f"error: {pred}:3: {message}" in capsys.readouterr().err
+
+    def test_integer_prediction_score_is_accepted(self, workspace, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "dev00000", "answer": "x", "score": 1}\n')
+        assert main(["eval", str(workspace["data"] / "dev.jsonl"), "--pred", str(pred)]) == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vocab_size": "x"}', "field 'vocab_size' must be an integer, got 'x'"),
+            ('{"documents": 4.0}', "field 'documents' must be an integer"),
+            ('{"alias_rate": true}', "field 'alias_rate' must be a number"),
+            ('{"vocab": 80}', "unknown field 'vocab'"),
+            ('{"mention_counts": [[1, 0.5, 2]]}', "field 'mention_counts' must be a list"),
+            ('{"mention_counts": [["1", 0.5]]}', "field 'mention_counts' must be a list"),
+            ('{"mention_counts": {"1": 0.5}}', "field 'mention_counts' must be a list"),
+            ("[400]", "profile must be a JSON object"),
+            ('{"alias_rate": 2.0}', "rates must lie in [0, 1]"),
+            ("{", "Expecting property name"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "grid"])
+    def test_bad_profile(self, tmp_path, capsys, command, text, message):
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        argv = [command, "--profile", str(profile), "--out", str(tmp_path / "out")]
+        if command == "grid":
+            argv += ["--specs", "H2-P-span-mml", "--epochs", "1"]
+        status = main(argv)
+        assert status == 1
+        assert f"error: {profile}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestGrid:
     def test_profile_driven_grid(self, workspace, tmp_path, capsys):
         table = tmp_path / "grid.csv"

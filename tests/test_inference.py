@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from docqa.corpus import make_pair
+from docqa.corpus import make_pair, normalize_string
 from docqa.inference import (
     AnswerAggregation,
     InferenceError,
@@ -12,7 +12,7 @@ from docqa.inference import (
     predict,
     score_strings,
 )
-from docqa.probability import ScoreGrid, SpaceKind, log_partition
+from docqa.probability import ScoreGrid, SpaceKind, log_partition, logsumexp
 
 
 def scored_pair(texts, scores_begin, scores_end):
@@ -23,6 +23,138 @@ def scored_pair(texts, scores_begin, scores_end):
     for k, values in enumerate(scores_end):
         grid.end[k][: len(values)] = values
     return pair, grid
+
+
+def oracle_grouped(probs, pair, aggregation, top_k, max_answer_length):
+    """Independent decoder: loop over ranked begin x end pairs, renormalize each
+    span's text from scratch, and pool every string's mentions in loop order."""
+    groups = {}
+    for k, (log_begin, log_end) in enumerate(zip(probs.log_begin, probs.log_end)):
+        begins = np.argsort(-log_begin[:-1], kind="stable")[:top_k]
+        ends = np.argsort(-log_end[:-1], kind="stable")[:top_k]
+        for b in begins:
+            for e in ends:
+                if b <= e < b + max_answer_length:
+                    text = normalize_string(pair.paragraphs[k].text(b, e))
+                    if text:
+                        log_p = float(log_begin[b] + log_end[e])
+                        groups.setdefault(text, []).append((log_p, (k, int(b), int(e))))
+    out = {}
+    for text, members in groups.items():
+        logs = np.array([m[0] for m in members])
+        if aggregation is AnswerAggregation.SUM:
+            out[text] = (float(logsumexp(logs)), members)
+        else:
+            out[text] = (float(np.max(logs)), members)
+    return out
+
+
+def oracle_predict(probs, pair, aggregation, top_k, max_answer_length):
+    """(answer, score, support triples) of oracle_grouped's best string."""
+    grouped = oracle_grouped(probs, pair, aggregation, top_k, max_answer_length)
+    if not grouped:
+        raise InferenceError("no candidate answer string")
+    answer = min(grouped, key=lambda text: (-grouped[text][0], text))
+    score, members = grouped[answer]
+    return answer, score, sorted(triple for _, triple in members)
+
+
+RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]
+
+
+def raw_scored_pair(rng, max_tokens=12):
+    """Raw tokens from a small vocabulary, so strings repeat and spans normalize
+    to "" or to article-stripped variants; scores are sometimes integers, so
+    ranks tie."""
+    counts = [int(rng.integers(1, max_tokens + 1)) for _ in range(int(rng.integers(1, 4)))]
+    paragraphs = [
+        [RAW_TOKENS[i] for i in rng.integers(0, len(RAW_TOKENS), n)] for n in counts
+    ]
+    pair = make_pair("f", "q", paragraphs, ["rome"])
+    grid = ScoreGrid.zeros(counts)
+    for arr in grid.begin + grid.end:
+        if rng.random() < 0.5:
+            arr[:] = rng.integers(-2, 3, arr.shape)
+        else:
+            arr[:] = rng.normal(0.0, 2.0, arr.shape)
+    return pair, grid
+
+
+def decode(probs, pair, aggregation, top_k, max_answer_length):
+    """predict, or exhaustive_predict for top_k=None."""
+    if top_k is None:
+        return exhaustive_predict(probs, pair, aggregation, max_answer_length)
+    spec = InferenceSpec(aggregation=aggregation, top_k=top_k, max_answer_length=max_answer_length)
+    return predict(probs, pair, spec)
+
+
+class TestDecoderAgainstOracle:
+    """predict, score_strings and exhaustive_predict equal the nested-loop
+    oracle bit for bit, including top_k below the paragraph length."""
+
+    def check(self, probs, pair, aggregation, top_k, max_answer_length):
+        expected = oracle_grouped(probs, pair, aggregation, top_k, max_answer_length)
+        scores = score_strings(probs, pair, aggregation, top_k, max_answer_length)
+        assert list(scores.items()) == [(t, s) for t, (s, _) in expected.items()]
+        try:
+            answer, score, support = oracle_predict(
+                probs, pair, aggregation, top_k, max_answer_length
+            )
+        except InferenceError:
+            with pytest.raises(InferenceError):
+                decode(probs, pair, aggregation, top_k, max_answer_length)
+            return 1
+        got = decode(probs, pair, aggregation, top_k, max_answer_length)
+        assert got.answer == answer
+        assert got.score == score
+        assert type(got.score) is float
+        assert [s.triple() for s in got.support] == support
+        assert {s.matched_string for s in got.support} == {answer}
+        return 0
+
+    def test_fuzz_matches_oracle(self):
+        rng = np.random.default_rng(61)
+        empty = below = 0
+        for max_answer_length in range(1, 10):
+            for _ in range(40):
+                pair, grid = raw_scored_pair(rng)
+                longest = max(pair.paragraph_lengths())
+                for space in SpaceKind:
+                    probs = log_partition(grid, space)
+                    for aggregation in AnswerAggregation:
+                        for top_k in (1, 2, 3, 5, None):
+                            below += top_k is not None and top_k < longest
+                            empty += self.check(
+                                probs, pair, aggregation, top_k, max_answer_length
+                            )
+        # the sweep must reach the truncating and the no-candidate cases
+        assert below > 2000
+        assert empty > 50
+
+    def test_large_groups_pool_in_candidate_order(self):
+        # "rome" and "Rome." normalize alike, so with length-1 spans SUM pools
+        # up to 15 mentions in one group
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            pair = make_pair("g", "q", [["rome"] * n, ["Rome.", ","] * 3], ["rome"])
+            grid = ScoreGrid.zeros([n, 6])
+            for arr in grid.begin + grid.end:
+                arr[:] = rng.normal(0.0, 3.0, arr.shape)
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                for top_k in (3, 5, None):
+                    self.check(probs, pair, AnswerAggregation.SUM, top_k, 1)
+
+    def test_no_candidate_raises(self):
+        pair = make_pair("e", "q", [["The", ",", "--", "an"], [","]], ["rome"])
+        grid = ScoreGrid.zeros([4, 1])
+        for space in SpaceKind:
+            probs = log_partition(grid, space)
+            assert score_strings(probs, pair, AnswerAggregation.SUM, None) == {}
+            for top_k in (1, 3, None):
+                with pytest.raises(InferenceError):
+                    decode(probs, pair, AnswerAggregation.MAX, top_k, 4)
 
 
 class TestAggregationFlip:

@@ -140,6 +140,8 @@ class TestProfile:
         profile = small_profile(alias_rate=0.25, mention_counts=((1, 0.7), (2, 0.3)))
         again = NoiseProfile.from_json(profile.to_json())
         assert again == profile
+        # an integer is a valid rate; left-out fields keep their defaults
+        assert NoiseProfile.from_json('{"alias_rate": 0}') == NoiseProfile(alias_rate=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
