@@ -39,7 +39,7 @@ from .metrics import (
     summarize,
     token_f1,
 )
-from .model import Checkpoint, ParamGradients, ToyScorer, Vocabulary
+from .model import Checkpoint, ToyScorer, Vocabulary
 from .objectives import (
     Aggregation,
     Granularity,

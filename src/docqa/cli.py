@@ -32,7 +32,7 @@ from .labeling import (
     read_json_lines,
     save_labels,
 )
-from .metrics import exact_match, partition_analysis, summarize, token_f1
+from .metrics import partition_analysis, summarize
 from .model import Checkpoint, Vocabulary
 from .objectives import ObjectiveSpecError, parse_combo
 from .probability import SpaceKind
@@ -46,6 +46,7 @@ from .synthlab import (
     run_grid,
     save_table,
     save_truth,
+    score_answers,
 )
 from .training import TrainConfig, pretrain_clean, train
 
@@ -326,11 +327,8 @@ def cmd_eval(args) -> int:
                 handle.write(
                     json.dumps({"id": pair.id, "answer": answer, "score": score}) + "\n"
                 )
-    per_example = {"em": [], "f1": []}
-    for pair, gold in zip(pairs, golds):
-        answer = predictions.get(pair.id, ("", float("-inf")))[0]
-        per_example["em"].append(exact_match(answer, gold))
-        per_example["f1"].append(token_f1(answer, gold))
+    answers = [predictions.get(pair.id, ("", float("-inf")))[0] for pair in pairs]
+    per_example = score_answers(answers, golds)
     if args.partition:
         labels = _labels_for(pairs, args.labels, DEFAULT_MAX_SPAN_LENGTH)
         report = partition_analysis(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -70,31 +71,13 @@ class Vocabulary:
         return cls(tuple(json.loads(text)))
 
 
-@dataclass
-class ParamGradients:
-    """Gradients aligned with ToyScorer parameters."""
-
-    embedding: np.ndarray
-    begin_head: np.ndarray
-    end_head: np.ndarray
-    null_begin_head: np.ndarray
-    null_end_head: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, scorer: "ToyScorer") -> "ParamGradients":
-        return cls(*(np.zeros_like(getattr(scorer, name)) for name in PARAM_NAMES))
-
-    def add_(self, other: "ParamGradients", weight: float = 1.0) -> None:
-        for name in PARAM_NAMES:
-            getattr(self, name).__iadd__(weight * getattr(other, name))
-
-    def scale_(self, factor: float) -> None:
-        for name in PARAM_NAMES:
-            getattr(self, name).__imul__(factor)
-
-
 class ToyScorer:
-    """Linear scorer over token embedding, question mean, and their product."""
+    """Linear scorer over token embedding, question mean, and their product.
+
+    params is one flat vector: the embedding rows, then the begin, end,
+    null-begin and null-end heads.  The attributes of those names are views of
+    it, so updating params in place updates them.
+    """
 
     def __init__(
         self,
@@ -105,18 +88,26 @@ class ToyScorer:
         null_begin_head: np.ndarray,
         null_end_head: np.ndarray,
     ):
-        dim = embedding.shape[1]
-        if embedding.shape[0] != len(vocab):
-            raise ValueError("embedding rows must match vocabulary size")
-        for head in (begin_head, end_head, null_begin_head, null_end_head):
-            if head.shape != (3 * dim,):
-                raise ValueError("heads must have three times the embedding width")
+        """Copy the named arrays into a new parameter vector."""
+        heads = (begin_head, end_head, null_begin_head, null_end_head)
+        dim = np.shape(embedding)[-1] if np.ndim(embedding) else 0
+        shapes = [(len(vocab), dim)] + [(3 * dim,)] * 4
+        for name, array, shape in zip(PARAM_NAMES, (embedding, *heads), shapes):
+            if np.shape(array) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(array)}")
         self.vocab = vocab
-        self.embedding = np.asarray(embedding, dtype=np.float64)
-        self.begin_head = np.asarray(begin_head, dtype=np.float64)
-        self.end_head = np.asarray(end_head, dtype=np.float64)
-        self.null_begin_head = np.asarray(null_begin_head, dtype=np.float64)
-        self.null_end_head = np.asarray(null_end_head, dtype=np.float64)
+        self.params = np.concatenate([np.ravel(embedding), *heads], dtype=np.float64)
+        self._embedding_shape = np.shape(embedding)
+        for name, view in self.views(self.params).items():
+            setattr(self, name, view)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """The named parts of a vector laid out like params."""
+        if np.shape(vector) != self.params.shape:
+            raise ValueError(f"expected a vector of shape {self.params.shape}")
+        split = self._embedding_shape[0] * self._embedding_shape[1]
+        heads = vector[split:].reshape(4, -1)
+        return dict(zip(PARAM_NAMES, (vector[:split].reshape(self._embedding_shape), *heads)))
 
     @property
     def dim(self) -> int:
@@ -132,32 +123,15 @@ class ToyScorer:
     ) -> "ToyScorer":
         """Random embeddings, zero heads; scores start uniform."""
         rng = np.random.default_rng(seed)
-        return cls(
-            vocab=vocab,
-            embedding=rng.normal(0.0, init_scale, size=(len(vocab), dim)),
-            begin_head=np.zeros(3 * dim),
-            end_head=np.zeros(3 * dim),
-            null_begin_head=np.zeros(3 * dim),
-            null_end_head=np.zeros(3 * dim),
-        )
+        embedding = rng.normal(0.0, init_scale, size=(len(vocab), dim))
+        return cls(vocab, embedding, *np.zeros((4, 3 * dim)))
 
     def clone(self) -> "ToyScorer":
-        return ToyScorer(
-            self.vocab,
-            self.embedding.copy(),
-            self.begin_head.copy(),
-            self.end_head.copy(),
-            self.null_begin_head.copy(),
-            self.null_end_head.copy(),
-        )
+        return ToyScorer(self.vocab, *self.views(self.params).values())
 
     def _question_mean(self, pair: DocumentQuestionPair) -> tuple[list[int], np.ndarray]:
         ids = [self.vocab.id_of(t.text) for t in pair.question]
-        if ids:
-            qbar = self.embedding[ids].mean(axis=0)
-        else:
-            qbar = np.zeros(self.dim)
-        return ids, qbar
+        return ids, self.embedding[ids].mean(axis=0) if ids else np.zeros(self.dim)
 
     def _features(self, token_ids: list[int], qbar: np.ndarray) -> np.ndarray:
         x = self.embedding[token_ids]
@@ -167,81 +141,47 @@ class ToyScorer:
     def score(self, pair: DocumentQuestionPair) -> ScoreGrid:
         """Fill the begin/end score grid, one trailing null slot per paragraph."""
         _, qbar = self._question_mean(pair)
-        begin, end = [], []
-        for paragraph in pair.paragraphs:
+        grid = ScoreGrid.zeros([len(p) for p in pair.paragraphs])
+        for paragraph, begin, end in zip(pair.paragraphs, grid.begin, grid.end):
             ids = [self.vocab.id_of(t.text) for t in paragraph.tokens]
             features = self._features(ids, qbar)
             mean_feature = features.mean(axis=0)
-            begin.append(
-                np.concatenate(
-                    [features @ self.begin_head, [mean_feature @ self.null_begin_head]]
-                )
-            )
-            end.append(
-                np.concatenate(
-                    [features @ self.end_head, [mean_feature @ self.null_end_head]]
-                )
-            )
-        return ScoreGrid(begin=begin, end=end)
+            begin[:-1] = features @ self.begin_head
+            begin[-1] = mean_feature @ self.null_begin_head
+            end[:-1] = features @ self.end_head
+            end[-1] = mean_feature @ self.null_end_head
+        return grid
 
-    def backprop(
-        self,
-        pair: DocumentQuestionPair,
-        grad_begin: Sequence[np.ndarray],
-        grad_end: Sequence[np.ndarray],
-    ) -> ParamGradients:
-        """Push score-grid gradients back onto the parameters."""
-        grads = ParamGradients.zeros_like(self)
+    def backprop(self, pair: DocumentQuestionPair, grad: ScoreGrid) -> np.ndarray:
+        """Push a score-grid gradient back onto a vector laid out like params."""
+        out = np.zeros_like(self.params)
+        grads = self.views(out)
         q_ids, qbar = self._question_mean(pair)
         dim = self.dim
         d_qbar = np.zeros(dim)
-        for paragraph, db_full, de_full in zip(pair.paragraphs, grad_begin, grad_end):
+        token_ids, d_xs = [], []
+        for paragraph, db_full, de_full in zip(pair.paragraphs, grad.begin, grad.end):
             n = len(paragraph)
             ids = [self.vocab.id_of(t.text) for t in paragraph.tokens]
             features = self._features(ids, qbar)
             mean_feature = features.mean(axis=0)
-            db = np.asarray(db_full[:n])
-            de = np.asarray(de_full[:n])
-            d_null_b = float(db_full[n])
-            d_null_e = float(de_full[n])
-            grads.begin_head += features.T @ db
-            grads.end_head += features.T @ de
-            grads.null_begin_head += d_null_b * mean_feature
-            grads.null_end_head += d_null_e * mean_feature
-            d_features = (
-                np.outer(db, self.begin_head)
-                + np.outer(de, self.end_head)
-                + (d_null_b * self.null_begin_head + d_null_e * self.null_end_head)[
-                    None, :
-                ]
-                / n
-            )
+            db, de = db_full[:n], de_full[:n]
+            d_null_b, d_null_e = float(db_full[n]), float(de_full[n])
+            grads["begin_head"] += features.T @ db
+            grads["end_head"] += features.T @ de
+            grads["null_begin_head"] += d_null_b * mean_feature
+            grads["null_end_head"] += d_null_e * mean_feature
+            d_null = (d_null_b * self.null_begin_head + d_null_e * self.null_end_head) / n
+            d_features = np.outer(db, self.begin_head) + np.outer(de, self.end_head) + d_null
             x = self.embedding[ids]
-            d_x = d_features[:, :dim] + d_features[:, 2 * dim :] * qbar
-            np.add.at(grads.embedding, ids, d_x)
+            token_ids += ids
+            d_xs.append(d_features[:, :dim] + d_features[:, 2 * dim :] * qbar)
             d_qbar += d_features[:, dim : 2 * dim].sum(axis=0)
             d_qbar += (d_features[:, 2 * dim :] * x).sum(axis=0)
+        np.add.at(grads["embedding"], token_ids, np.concatenate(d_xs))
         if q_ids:
-            np.add.at(grads.embedding, q_ids, d_qbar / len(q_ids))
-        return grads
-
-    def apply_update(self, grads: ParamGradients, step: float) -> None:
-        """Move parameters along grads scaled by step (gradient ascent)."""
-        for name in PARAM_NAMES:
-            getattr(self, name).__iadd__(step * getattr(grads, name))
-
-    def params_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name).ravel() for name in PARAM_NAMES])
-
-    def set_params_vector(self, vector: np.ndarray) -> None:
-        offset = 0
-        for name in PARAM_NAMES:
-            array = getattr(self, name)
-            size = array.size
-            array[...] = vector[offset : offset + size].reshape(array.shape)
-            offset += size
-        if offset != vector.size:
-            raise ValueError("parameter vector has the wrong length")
+            np.add.at(grads["embedding"], q_ids, d_qbar / len(q_ids))
+        return out
 
 
 @dataclass
@@ -265,7 +205,8 @@ class Checkpoint:
         )
 
     def to_scorer(self) -> ToyScorer:
-        return ToyScorer(self.vocab, *(self.params[name].copy() for name in PARAM_NAMES))
+        """A scorer with its own copy of the parameters."""
+        return ToyScorer(self.vocab, *(self.params[name] for name in PARAM_NAMES))
 
     def save(self, path: str | Path) -> None:
         # A temporary file beside the target replaces it only once complete, so
@@ -288,10 +229,28 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                params={name: data[name].copy() for name in PARAM_NAMES},
-                vocab=Vocabulary.from_json(str(data["vocab_json"])),
-                fingerprint=str(data["fingerprint"]),
-                history=json.loads(str(data["history_json"])),
-            )
+        """Read a checkpoint that save wrote.
+
+        Any other file fails with a ValueError that names the path and the fault.
+        """
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not a checkpoint (.npz archive)")
+        with data:
+            for name in (*PARAM_NAMES, "vocab_json", "fingerprint", "history_json"):
+                if name not in data.files:
+                    raise ValueError(f"{path}: checkpoint has no {name!r} array")
+            try:
+                checkpoint = cls(
+                    params={name: data[name].copy() for name in PARAM_NAMES},
+                    vocab=Vocabulary.from_json(str(data["vocab_json"])),
+                    fingerprint=str(data["fingerprint"]),
+                    history=json.loads(str(data["history_json"])),
+                )
+                checkpoint.to_scorer()  # checks every array's shape
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return checkpoint

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -129,15 +128,11 @@ class SelectedOutcome:
 
 @dataclass
 class LossResult:
-    """Objective value with its gradient with respect to every grid entry."""
+    """Objective value with its gradient, a grid in the scored grid's layout."""
 
     value: float
-    grad_begin: list[np.ndarray]
-    grad_end: list[np.ndarray]
+    grad: ScoreGrid
     selected: tuple[SelectedOutcome, ...] | None = None
-
-    def grad_vector(self) -> np.ndarray:
-        return np.concatenate(self.grad_begin + self.grad_end)
 
 
 def _aggregate(
@@ -202,7 +197,7 @@ def evaluate(
         raise LabelError(
             f"labels cover {labels.n_paragraphs} paragraphs, grid has {grid.n_paragraphs}"
         )
-    sizes = [a.shape[0] for a in grid.begin]
+    sizes = grid.sizes
     key = _GROUP_KEY[spec.hypothesis]
     grouped: dict[int, list[tuple[int, int, int]]] = {}
     for rank, span in enumerate(labels.all_spans()):
@@ -214,12 +209,11 @@ def evaluate(
     if spec.space is SpaceKind.DOCUMENT and not grouped:
         raise LabelError("document-space objective needs at least one consistent span")
 
-    # One flat vector in the grid's to_vector layout: position i of paragraph
-    # k sits at offset[k] + i on the begin side, offset[n + k] + i on the end.
-    probs = log_partition(grid, spec.space)
-    log_probs = np.concatenate(probs.log_begin + probs.log_end)
+    # In the grid's flat layout position i of paragraph k sits at offset[k] + i
+    # on the begin side and at offset[n + k] + i on the end side.
+    log_probs = log_partition(grid, spec.space).log.vector
     n = grid.n_paragraphs
-    offset = [0, *accumulate(sizes + sizes)]
+    offset = grid.offsets
     groups = list(grouped.values())
     # Only the first `latent` groups choose: H1 groups and null groups hold one
     # outcome, which marginalizing resolves to itself with weight one.
@@ -271,11 +265,12 @@ def evaluate(
         pressure = len(groups)
     grad = np.bincount(at, weights, offset[-1])
     grad -= pressure * np.exp(log_probs)
-    slices = [grad[a:b] for a, b in zip(offset, offset[1:])]
     exact_max = spec.aggregation is Aggregation.HARD_EM and temperature is None
     hard = exact_max and spec.hypothesis is not Hypothesis.ALL_MENTIONS
     return LossResult(
-        float(value), slices[:n], slices[n:], tuple(selected) if hard else None
+        float(value),
+        ScoreGrid.from_vector(grad, sizes),
+        tuple(selected) if hard else None,
     )
 
 
@@ -295,15 +290,12 @@ def combine(
         if not np.isfinite(w) or w < 0:
             raise ObjectiveSpecError("weights must be finite and non-negative")
     value = 0.0
-    gb = [np.zeros_like(a) for a in grid.begin]
-    ge = [np.zeros_like(a) for a in grid.end]
+    grad = np.zeros_like(grid.vector)
     for spec, weight in zip(specs, weights):
         result = evaluate(spec, grid, labels, temperature)
         value += weight * result.value
-        for k in range(grid.n_paragraphs):
-            gb[k] += weight * result.grad_begin[k]
-            ge[k] += weight * result.grad_end[k]
-    return LossResult(value=float(value), grad_begin=gb, grad_end=ge, selected=None)
+        grad += weight * result.grad.vector
+    return LossResult(float(value), ScoreGrid.from_vector(grad, grid.sizes))
 
 
 def grad_check(
@@ -317,15 +309,15 @@ def grad_check(
 
     Relative error for one coordinate is |fd - g| / max(1, |fd|, |g|).
     """
-    analytic = evaluate(spec, grid, labels, temperature).grad_vector()
-    base = grid.to_vector()
+    analytic = evaluate(spec, grid, labels, temperature).grad.vector
+    base = grid.vector
     worst = 0.0
     for idx in range(base.shape[0]):
         bumped = np.copy(base)
         bumped[idx] = base[idx] + eps
-        high = evaluate(spec, grid.with_vector(bumped), labels, temperature).value
+        high = evaluate(spec, ScoreGrid.from_vector(bumped, grid.sizes), labels, temperature).value
         bumped[idx] = base[idx] - eps
-        low = evaluate(spec, grid.with_vector(bumped), labels, temperature).value
+        low = evaluate(spec, ScoreGrid.from_vector(bumped, grid.sizes), labels, temperature).value
         fd = (high - low) / (2.0 * eps)
         err = abs(fd - analytic[idx]) / max(1.0, abs(fd), abs(analytic[idx]))
         worst = max(worst, err)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -30,87 +31,91 @@ class SpaceKind(Enum):
         raise ValueError(f"unknown probability space {text!r}; expected P or D")
 
 
-@dataclass
 class ScoreGrid:
-    """Raw begin and end scores per paragraph.
+    """Raw begin and end scores of one document in one flat vector.
 
-    Each array has one entry per token position plus a trailing slot for the
-    paragraph's null outcome.
+    Each paragraph has one entry per token position plus a trailing slot for
+    its null outcome; sizes counts both.  vector holds every paragraph's begin
+    entries, then every paragraph's end entries, in paragraph order, so
+    paragraph k of n starts at offsets[k] on the begin side and at
+    offsets[n + k] on the end side.  begin[k] and end[k] are views of those
+    stretches: writing through them writes the vector.
     """
 
-    begin: list[np.ndarray]
-    end: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.begin) != len(self.end):
+    def __init__(self, begin: Sequence[np.ndarray], end: Sequence[np.ndarray]):
+        """Copy per-paragraph begin and end arrays into one vector."""
+        if len(begin) != len(end):
             raise ValueError("begin and end must cover the same paragraphs")
-        if not self.begin:
+        arrays = [np.asarray(a, dtype=np.float64) for a in [*begin, *end]]
+        if any(a.ndim != 1 for a in arrays):
+            raise ValueError("score arrays must be one dimensional")
+        sizes = [a.shape[0] for a in arrays[: len(begin)]]
+        if sizes != [a.shape[0] for a in arrays[len(begin) :]]:
+            raise ValueError("begin and end arrays must share a shape")
+        self._lay_out(np.concatenate(arrays) if arrays else np.empty(0), sizes)
+
+    @classmethod
+    def from_vector(cls, vector: np.ndarray, sizes: Sequence[int]) -> "ScoreGrid":
+        """Views over a vector in this layout; the grid shares its memory."""
+        grid = cls.__new__(cls)
+        grid._lay_out(np.asarray(vector, dtype=np.float64), sizes)
+        return grid
+
+    def _lay_out(self, vector: np.ndarray, sizes: Sequence[int]) -> None:
+        if not sizes:
             raise ValueError("grid must cover at least one paragraph")
-        self.begin = [np.asarray(a, dtype=np.float64) for a in self.begin]
-        self.end = [np.asarray(a, dtype=np.float64) for a in self.end]
-        for b, e in zip(self.begin, self.end):
-            if b.ndim != 1 or e.ndim != 1:
-                raise ValueError("score arrays must be one dimensional")
-            if b.shape != e.shape:
-                raise ValueError("begin and end arrays must share a shape")
-            if b.shape[0] < 2:
-                raise ValueError("each paragraph needs a position and a null slot")
+        if min(sizes) < 2:
+            raise ValueError("each paragraph needs a position and a null slot")
+        if vector.shape != (2 * sum(sizes),):
+            raise ValueError("vector length does not match grid shape")
+        self.vector = vector
+        self.sizes = tuple(int(s) for s in sizes)
+        self.offsets = tuple(accumulate(self.sizes * 2, initial=0))
+        pieces = [vector[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+        self.begin, self.end = pieces[: len(sizes)], pieces[len(sizes) :]
 
     @property
     def n_paragraphs(self) -> int:
-        return len(self.begin)
+        return len(self.sizes)
 
     def token_counts(self) -> tuple[int, ...]:
         """Positions per paragraph, excluding the null slot."""
-        return tuple(a.shape[0] - 1 for a in self.begin)
+        return tuple(s - 1 for s in self.sizes)
 
     def null_index(self, k: int) -> int:
-        return self.begin[k].shape[0] - 1
+        return self.sizes[k] - 1
 
     @classmethod
     def zeros(cls, token_counts: Sequence[int]) -> "ScoreGrid":
-        return cls(
-            begin=[np.zeros(n + 1) for n in token_counts],
-            end=[np.zeros(n + 1) for n in token_counts],
-        )
-
-    def copy(self) -> "ScoreGrid":
-        return ScoreGrid(
-            begin=[a.copy() for a in self.begin],
-            end=[a.copy() for a in self.end],
-        )
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten all entries, begin arrays then end arrays, paragraph order."""
-        return np.concatenate(self.begin + self.end)
-
-    def with_vector(self, vector: np.ndarray) -> "ScoreGrid":
-        """Rebuild a grid of this shape from a flat vector."""
-        sizes = [a.shape[0] for a in self.begin]
-        if vector.shape[0] != 2 * sum(sizes):
-            raise ValueError("vector length does not match grid shape")
-        pieces = np.split(np.asarray(vector, dtype=np.float64), np.cumsum(sizes + sizes)[:-1])
-        return ScoreGrid(begin=pieces[: len(sizes)], end=pieces[len(sizes) :])
+        sizes = [n + 1 for n in token_counts]
+        return cls.from_vector(np.zeros(2 * sum(sizes)), sizes)
 
 
 @dataclass
 class LogProbGrid:
     """Log probabilities for begin and end positions under one space.
 
-    Arrays mirror ScoreGrid shapes.  Under DOCUMENT the null slots hold -inf.
-    log_z_begin and log_z_end are per-paragraph arrays under PARAGRAPH and
-    zero-dimensional under DOCUMENT.
+    log is laid out like the ScoreGrid it normalizes.  Under DOCUMENT the null
+    slots hold -inf.  log_z_begin and log_z_end are per-paragraph arrays under
+    PARAGRAPH and zero-dimensional under DOCUMENT.
     """
 
     space: SpaceKind
-    log_begin: list[np.ndarray]
-    log_end: list[np.ndarray]
+    log: ScoreGrid
     log_z_begin: np.ndarray
     log_z_end: np.ndarray
 
     @property
+    def log_begin(self) -> list[np.ndarray]:
+        return self.log.begin
+
+    @property
+    def log_end(self) -> list[np.ndarray]:
+        return self.log.end
+
+    @property
     def n_paragraphs(self) -> int:
-        return len(self.log_begin)
+        return self.log.n_paragraphs
 
 
 def logsumexp(a: np.ndarray) -> np.float64:
@@ -131,22 +136,6 @@ def logsumexp(a: np.ndarray) -> np.float64:
     return np.log1p(rest / count) + np.log(count) + top
 
 
-def _paragraph_normalize(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    zs = np.array([logsumexp(a) for a in arrays])
-    return [a - z for a, z in zip(arrays, zs)], zs
-
-
-def _document_normalize(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    z = logsumexp(np.concatenate([a[:-1] for a in arrays]))
-    out = []
-    for a in arrays:
-        shifted = np.empty_like(a)
-        shifted[:-1] = a[:-1] - z
-        shifted[-1] = -np.inf
-        out.append(shifted)
-    return out, np.asarray(z)
-
-
 def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     """Normalize a score grid into log probabilities.
 
@@ -154,21 +143,21 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     DOCUMENT: all positions across paragraphs sum to one; null is excluded.
     All work happens in the log domain so extreme scores stay finite.
     """
+    n = grid.n_paragraphs
     if space is SpaceKind.PARAGRAPH:
-        log_begin, zb = _paragraph_normalize(grid.begin)
-        log_end, ze = _paragraph_normalize(grid.end)
+        zs = np.array([logsumexp(a) for a in grid.begin + grid.end])
+        log = grid.vector - np.repeat(zs, grid.sizes * 2)
+        zb, ze = zs[:n], zs[n:]
     elif space is SpaceKind.DOCUMENT:
-        log_begin, zb = _document_normalize(grid.begin)
-        log_end, ze = _document_normalize(grid.end)
+        positions = np.ones(grid.vector.shape, dtype=bool)
+        positions[np.subtract(grid.offsets[1:], 1)] = False  # the null slots
+        scores = grid.vector[positions]
+        zb, ze = (np.asarray(logsumexp(side)) for side in np.split(scores, 2))
+        log = np.full(grid.vector.shape, -np.inf)
+        log[positions] = scores - np.repeat([zb, ze], scores.shape[0] // 2)
     else:
         raise ValueError(f"unknown space {space!r}")
-    return LogProbGrid(
-        space=space,
-        log_begin=log_begin,
-        log_end=log_end,
-        log_z_begin=zb,
-        log_z_end=ze,
-    )
+    return LogProbGrid(space, ScoreGrid.from_vector(log, grid.sizes), zb, ze)
 
 
 def log_span_prob(probs: LogProbGrid, k: int, begin: int, end: int) -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, make_pair
+from .corpus import DocumentQuestionPair, make_pair, normalize_string
 from .inference import InferenceError, InferenceSpec, predict
 from .labeling import (
     ConsistentLabelSet,
@@ -337,13 +337,27 @@ def evaluate_checkpoint(
 
     A pair with no decodable answer scores zero on both.
     """
-    ems, f1s = [], []
     decoded = decode_corpus(checkpoint, pairs, inference, space)
-    for (answer, _), golds in zip(decoded, gold_strings):
-        ems.append(exact_match(answer, golds) if answer else 0.0)
-        f1s.append(token_f1(answer, golds) if answer else 0.0)
-    n = max(1, len(ems))
-    return {"em": 100.0 * sum(ems) / n, "f1": 100.0 * sum(f1s) / n}
+    scores = score_answers([answer for answer, _ in decoded], gold_strings)
+    n = max(1, len(decoded))
+    return {name: 100.0 * sum(values) / n for name, values in scores.items()}
+
+
+def score_answers(
+    answers: Sequence[str], gold_strings: Sequence[set[str]]
+) -> dict[str, list[float]]:
+    """Per-answer exact match and token F1 against each answer's gold strings.
+
+    An answer that normalizes to nothing ("", "the", ",") is no answer and
+    scores zero on both, even when a gold string (such as "The") normalizes to
+    nothing too.
+    """
+    scores: dict[str, list[float]] = {"em": [], "f1": []}
+    for answer, golds in zip(answers, gold_strings):
+        given = bool(normalize_string(answer))
+        scores["em"].append(exact_match(answer, golds) if given else 0.0)
+        scores["f1"].append(token_f1(answer, golds) if given else 0.0)
+    return scores
 
 
 def _run_cell(args) -> list[dict]:

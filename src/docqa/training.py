@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import DocumentQuestionPair
 from .labeling import ConsistentLabelSet
-from .model import Checkpoint, ParamGradients, ToyScorer, Vocabulary
+from .model import Checkpoint, ToyScorer, Vocabulary
 from .objectives import Aggregation, LabelError, ObjectiveSpec, combine
 from .probability import SpaceKind
 
@@ -126,7 +126,7 @@ def _run_epochs(
     )
     n_batches = (len(examples) + config.batch_size - 1) // config.batch_size
     total_steps = epochs * n_batches
-    velocity = ParamGradients.zeros_like(scorer) if config.momentum else None
+    velocity = np.zeros_like(scorer.params) if config.momentum else None
     history = []
     step = 0
     for epoch in range(epochs):
@@ -136,7 +136,7 @@ def _run_epochs(
             batch = [examples[i] for i in order[start : start + config.batch_size]]
             batch.sort(key=lambda item: item[0].id)
             temperature = _ramp_temperature(step, total_steps) if use_ramp else None
-            accumulated = ParamGradients.zeros_like(scorer)
+            accumulated = np.zeros_like(scorer.params)
             for pair, label_set in batch:
                 grid = scorer.score(pair)
                 loss = combine(list(specs), list(weights), grid, label_set, temperature)
@@ -145,16 +145,14 @@ def _run_epochs(
                         f"non-finite objective at epoch {epoch}, pair {pair.id!r}"
                     )
                 epoch_value += loss.value
-                accumulated.add_(
-                    scorer.backprop(pair, loss.grad_begin, loss.grad_end)
-                )
-            accumulated.scale_(1.0 / len(batch))
+                accumulated += scorer.backprop(pair, loss.grad)
+            accumulated *= 1.0 / len(batch)
             if velocity is not None:
-                velocity.scale_(config.momentum)
-                velocity.add_(accumulated)
-                scorer.apply_update(velocity, config.learning_rate)
+                velocity *= config.momentum
+                velocity += accumulated
+                scorer.params += config.learning_rate * velocity
             else:
-                scorer.apply_update(accumulated, config.learning_rate)
+                scorer.params += config.learning_rate * accumulated
             step += 1
         history.append(epoch_value / len(examples))
     return history

@@ -29,7 +29,7 @@ from docqa.diagnostics import random_instance
 from docqa.inference import InferenceError, exhaustive_predict, predict
 from docqa.labeling import find_consistent_spans_exact
 from docqa.metrics import partition_analysis, rouge_l, token_f1
-from docqa.model import PARAM_NAMES, ToyScorer
+from docqa.model import ToyScorer
 from docqa.objectives import (
     Aggregation,
     ObjectiveSpec,
@@ -173,25 +173,20 @@ def test_gradients_match_finite_differences():
             Vocabulary.from_pairs([pair]), dim=4, seed=trial
         )
         probe_rng = np.random.default_rng(trial)
-        scorer.set_params_vector(
-            probe_rng.normal(0.0, 0.4, scorer.params_vector().shape)
-        )
+        scorer.params[:] = probe_rng.normal(0.0, 0.4, scorer.params.shape)
         spec = ObjectiveSpec.parse("H2-P-span-mml")
         result = evaluate(spec, scorer.score(pair), labels)
-        grads = scorer.backprop(pair, result.grad_begin, result.grad_end)
-        flat = np.concatenate(
-            [getattr(grads, name).ravel() for name in PARAM_NAMES]
-        )
-        base = scorer.params_vector()
+        flat = scorer.backprop(pair, result.grad)
+        base = scorer.params.copy()
         eps = 1e-4
         for idx in range(base.size):
             bumped = base.copy()
             bumped[idx] += eps
             clone = scorer.clone()
-            clone.set_params_vector(bumped)
+            clone.params[:] = bumped
             high = evaluate(spec, clone.score(pair), labels).value
             bumped[idx] = base[idx] - eps
-            clone.set_params_vector(bumped)
+            clone.params[:] = bumped
             low = evaluate(spec, clone.score(pair), labels).value
             fd = (high - low) / (2 * eps)
             worst_model = max(

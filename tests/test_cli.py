@@ -1,7 +1,9 @@
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from docqa.cli import build_parser, main
@@ -289,6 +291,26 @@ class TestEval:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "pred_line, points",
+        [
+            ('{"id": "x", "answer": "", "score": 0}', 0.0),
+            ('{"id": "other", "answer": "paris", "score": 0}', 0.0),
+            ('{"id": "x", "answer": "The", "score": 0}', 0.0),
+            ('{"id": "x", "answer": "Paris", "score": 0}', 100.0),
+        ],
+        ids=["empty-answer", "missing-id", "article-only", "answer"],
+    )
+    def test_no_answer_scores_zero(self, tmp_path, capsys, pred_line, points):
+        # "The" normalizes to the empty string, which must not match no answer
+        data = tmp_path / "data.jsonl"
+        record = {"id": "x", "question": "where", "paragraphs": ["paris is here"], "answers": ["The", "paris"]}
+        data.write_text(json.dumps(record) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(pred_line + "\n")
+        assert main(["eval", str(data), "--pred", str(pred)]) == 0
+        assert json.loads(capsys.readouterr().out)["aggregates"] == {"em": points, "f1": points}
+
     def test_missing_data_is_runtime_error(self, workspace):
         status = main(
             ["eval", "no_such_file.jsonl", "--ckpt", str(workspace["ckpt"])]
@@ -404,6 +426,51 @@ class TestBadRecordFiles:
         assert status == 1
         assert f"error: {profile}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestBadCheckpoint:
+    def _eval(self, workspace, ckpt):
+        return main(["eval", str(workspace["data"] / "dev.jsonl"), "--ckpt", str(ckpt)])
+
+    def _rewrite(self, workspace, path, **changes):
+        with np.load(workspace["ckpt"], allow_pickle=False) as data:
+            arrays = {name: changes.get(name, data[name]) for name in data.files}
+        with open(path, "wb") as handle:
+            np.savez(handle, **{name: a for name, a in arrays.items() if a is not None})
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a checkpoint\n", b"", npy_bytes(np.zeros(3))],
+        ids=["text", "empty", "npy-array"],
+    )
+    def test_not_a_checkpoint(self, workspace, tmp_path, capsys, content):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(content)
+        assert self._eval(workspace, ckpt) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: not a checkpoint (.npz archive)" in err
+        assert "pickle" not in err
+
+    def test_missing_array(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        self._rewrite(workspace, ckpt, end_head=None)
+        assert self._eval(workspace, ckpt) == 1
+        assert f"error: {ckpt}: checkpoint has no 'end_head' array" in capsys.readouterr().err
+
+    def test_misshaped_embedding(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        embedding = Checkpoint.load(workspace["ckpt"]).params["embedding"]
+        self._rewrite(workspace, ckpt, embedding=embedding[:-1])
+        assert self._eval(workspace, ckpt) == 1
+        err = capsys.readouterr().err
+        rows, dim = embedding.shape
+        assert f"error: {ckpt}: embedding must have shape ({rows}, {dim}), got ({rows - 1}, {dim})" in err
 
 
 class TestGrid:

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from docqa.corpus import make_pair
+from docqa.labeling import find_consistent_spans_exact
 from docqa.model import (
     PARAM_NAMES,
     UNKNOWN_TOKEN,
     Checkpoint,
-    ParamGradients,
     ToyScorer,
     Vocabulary,
 )
-from docqa.objectives import ObjectiveSpec, evaluate
+from docqa.objectives import ObjectiveSpec, combine, evaluate
+from docqa.probability import ScoreGrid
 
 
 def sample_pair():
@@ -26,6 +27,44 @@ def build_scorer(seed=3):
     pair = sample_pair()
     vocab = Vocabulary.from_pairs([pair])
     return pair, ToyScorer.initialize(vocab, dim=5, seed=seed)
+
+
+def oracle_backprop(scorer, pair, grad_begin, grad_end):
+    """The per-paragraph backprop over five named gradient arrays that the flat
+    one replaced, kept as a bitwise oracle; returns them in the params layout."""
+    grads = {name: np.zeros_like(getattr(scorer, name)) for name in PARAM_NAMES}
+    q_ids, qbar = scorer._question_mean(pair)
+    dim = scorer.dim
+    d_qbar = np.zeros(dim)
+    for paragraph, db_full, de_full in zip(pair.paragraphs, grad_begin, grad_end):
+        n = len(paragraph)
+        ids = [scorer.vocab.id_of(t.text) for t in paragraph.tokens]
+        features = scorer._features(ids, qbar)
+        mean_feature = features.mean(axis=0)
+        db = np.asarray(db_full[:n])
+        de = np.asarray(de_full[:n])
+        d_null_b = float(db_full[n])
+        d_null_e = float(de_full[n])
+        grads["begin_head"] += features.T @ db
+        grads["end_head"] += features.T @ de
+        grads["null_begin_head"] += d_null_b * mean_feature
+        grads["null_end_head"] += d_null_e * mean_feature
+        d_features = (
+            np.outer(db, scorer.begin_head)
+            + np.outer(de, scorer.end_head)
+            + (d_null_b * scorer.null_begin_head + d_null_e * scorer.null_end_head)[
+                None, :
+            ]
+            / n
+        )
+        x = scorer.embedding[ids]
+        d_x = d_features[:, :dim] + d_features[:, 2 * dim :] * qbar
+        np.add.at(grads["embedding"], ids, d_x)
+        d_qbar += d_features[:, dim : 2 * dim].sum(axis=0)
+        d_qbar += (d_features[:, 2 * dim :] * x).sum(axis=0)
+    if q_ids:
+        np.add.at(grads["embedding"], q_ids, d_qbar / len(q_ids))
+    return np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
 
 
 class TestVocabulary:
@@ -69,14 +108,14 @@ class TestScoring:
         pair, a = build_scorer(seed=9)
         _, b = build_scorer(seed=9)
         _, c = build_scorer(seed=10)
-        np.testing.assert_array_equal(a.params_vector(), b.params_vector())
-        assert not np.array_equal(a.params_vector(), c.params_vector())
+        np.testing.assert_array_equal(a.params, b.params)
+        assert not np.array_equal(a.params, c.params)
 
     def test_shared_tokens_share_scores(self):
         # both "delft" mentions see the same features, hence the same score
         pair, scorer = build_scorer()
         rng = np.random.default_rng(0)
-        scorer.set_params_vector(rng.normal(0, 0.3, scorer.params_vector().shape))
+        scorer.params[:] = rng.normal(0, 0.3, scorer.params.shape)
         grid = scorer.score(pair)
         tokens0 = [t.text for t in pair.paragraphs[0].tokens]
         tokens1 = [t.text for t in pair.paragraphs[1].tokens]
@@ -89,23 +128,18 @@ class TestBackprop:
     def test_matches_finite_differences(self):
         pair, scorer = build_scorer()
         rng = np.random.default_rng(7)
-        scorer.set_params_vector(rng.normal(0, 0.4, scorer.params_vector().shape))
+        scorer.params[:] = rng.normal(0, 0.4, scorer.params.shape)
         grid = scorer.score(pair)
         # arbitrary smooth function of the grid: weighted sum of entries
-        weights_b = [rng.normal(0, 1, a.shape) for a in grid.begin]
-        weights_e = [rng.normal(0, 1, a.shape) for a in grid.end]
+        weights = ScoreGrid.from_vector(rng.normal(0, 1, grid.vector.shape), grid.sizes)
 
         def objective(vec):
             probe = scorer.clone()
-            probe.set_params_vector(vec)
-            g = probe.score(pair)
-            return sum(
-                float(w @ a) for w, a in zip(weights_b + weights_e, g.begin + g.end)
-            )
+            probe.params[:] = vec
+            return float(weights.vector @ probe.score(pair).vector)
 
-        grads = scorer.backprop(pair, weights_b, weights_e)
-        flat = np.concatenate([getattr(grads, n).ravel() for n in PARAM_NAMES])
-        base = scorer.params_vector()
+        flat = scorer.backprop(pair, weights)
+        base = scorer.params.copy()
         eps = 1e-6
         worst = 0.0
         for idx in range(0, base.size, 7):
@@ -121,21 +155,18 @@ class TestBackprop:
     def test_chains_through_training_objective(self):
         pair, scorer = build_scorer()
         rng = np.random.default_rng(8)
-        scorer.set_params_vector(rng.normal(0, 0.4, scorer.params_vector().shape))
-        from docqa.labeling import find_consistent_spans_exact
-
+        scorer.params[:] = rng.normal(0, 0.4, scorer.params.shape)
         labels = find_consistent_spans_exact(pair)
         spec = ObjectiveSpec.parse("H2-P-span-mml")
 
         def value_at(vec):
             probe = scorer.clone()
-            probe.set_params_vector(vec)
+            probe.params[:] = vec
             return evaluate(spec, probe.score(pair), labels).value
 
         result = evaluate(spec, scorer.score(pair), labels)
-        grads = scorer.backprop(pair, result.grad_begin, result.grad_end)
-        flat = np.concatenate([getattr(grads, n).ravel() for n in PARAM_NAMES])
-        base = scorer.params_vector()
+        flat = scorer.backprop(pair, result.grad)
+        base = scorer.params.copy()
         eps = 1e-5
         worst = 0.0
         for idx in range(0, base.size, 5):
@@ -152,47 +183,128 @@ class TestBackprop:
         pair = make_pair("m2", "zzz yyy", ["one two"], ["two"])
         vocab = Vocabulary.from_pairs([make_pair("v", "q", ["one two"], ["two"])])
         scorer = ToyScorer.initialize(vocab, dim=4, seed=1)
+        scorer.params[:] = np.random.default_rng(1).normal(0, 0.4, scorer.params.shape)
         grid = scorer.score(pair)
-        gb = [np.ones_like(a) for a in grid.begin]
-        ge = [np.ones_like(a) for a in grid.end]
-        grads = scorer.backprop(pair, gb, ge)
-        assert grads.embedding.shape == scorer.embedding.shape
+        ones = ScoreGrid.from_vector(np.ones_like(grid.vector), grid.sizes)
+        grads = scorer.backprop(pair, ones)
+        assert grads.shape == scorer.params.shape
+        named = scorer.views(grads)
+        assert named["embedding"].shape == scorer.embedding.shape
+        # both question tokens map to the unknown row, which alone collects
+        # the question's gradient beside the paragraph's own rows
+        touched = np.flatnonzero(np.abs(named["embedding"]).sum(axis=1))
+        assert list(touched) == sorted({0, vocab.id_of("one"), vocab.id_of("two")})
 
 
-class TestUpdates:
-    def test_apply_update_ascends(self):
-        pair, scorer = build_scorer()
-        grads = ParamGradients.zeros_like(scorer)
-        grads.begin_head[:] = 1.0
-        before = scorer.begin_head.copy()
-        scorer.apply_update(grads, step=0.25)
-        np.testing.assert_allclose(scorer.begin_head, before + 0.25, atol=1e-15)
+def oracle_cases():
+    """Seeded (scorer, pair) cases for the bitwise backprop oracle."""
+    pairs = [
+        sample_pair(),
+        # unknown question and paragraph tokens, tokens repeated across paragraphs
+        make_pair("u", "which zzz town", ["delft tiles qqq delft", "tiles delft", "zzz"], ["delft"]),
+        # an empty question
+        make_pair("e", "", ["the town of delft", "delft"], ["delft"]),
+        # one-token paragraphs only
+        make_pair("o", "which town", ["delft", "tiles", "delft"], ["delft"]),
+    ]
+    vocab = Vocabulary.from_pairs([sample_pair()])
+    for seed, pair in enumerate(pairs):
+        scorer = ToyScorer.initialize(vocab, dim=4, seed=seed)
+        scorer.params[:] = np.random.default_rng(seed).normal(0, 0.5, scorer.params.shape)
+        yield seed, scorer, pair
 
-    def test_gradient_accumulator_ops(self):
+
+class TestBackpropOracle:
+    def test_flat_gradient_equals_per_paragraph_oracle_bitwise(self):
+        cases = list(oracle_cases())
+        _, scorer, repeated = cases[1]
+        ids = [scorer.vocab.id_of(t.text) for p in repeated.paragraphs for t in p.tokens]
+        assert 0 in ids and len(set(ids)) < len(ids)
+        assert not cases[2][2].question
+        assert all(len(p) == 1 for p in cases[3][2].paragraphs)
+        checked = 0
+        for seed, scorer, pair in cases:
+            rng = np.random.default_rng(100 + seed)
+            grid = scorer.score(pair)
+            labels = find_consistent_spans_exact(pair)
+            specs = [ObjectiveSpec.parse("H2-P-span-mml"), ObjectiveSpec.parse("H1-P-pos-hardem")]
+            grads = [
+                ScoreGrid.from_vector(rng.normal(0, 1, grid.vector.shape), grid.sizes),
+                combine(specs, [0.5, 1.0], grid, labels).grad,
+            ]
+            for grad in grads:
+                expected = oracle_backprop(scorer, pair, grad.begin, grad.end)
+                np.testing.assert_array_equal(scorer.backprop(pair, grad), expected)
+                checked += 1
+        assert checked == 8
+
+
+class TestParams:
+    def test_named_attributes_view_params(self):
         _, scorer = build_scorer()
-        a = ParamGradients.zeros_like(scorer)
-        b = ParamGradients.zeros_like(scorer)
-        a.end_head[:] = 2.0
-        b.end_head[:] = 1.0
-        a.add_(b, weight=0.5)
-        np.testing.assert_allclose(a.end_head, 2.5)
-        a.scale_(2.0)
-        np.testing.assert_allclose(a.end_head, 5.0)
-
-    def test_params_vector_round_trip(self):
-        _, scorer = build_scorer()
-        vec = scorer.params_vector()
-        scorer.set_params_vector(vec * 2.0)
-        np.testing.assert_allclose(scorer.params_vector(), vec * 2.0)
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(scorer, name), scorer.params)
+        vocab_rows, dim = scorer.embedding.shape
+        assert scorer.params.shape == (vocab_rows * dim + 4 * 3 * dim,)
+        scorer.params += 1.0
+        np.testing.assert_array_equal(scorer.begin_head, np.ones(3 * dim))
+        scorer.null_end_head[0] = 5.0
+        assert scorer.params[-3 * dim] == 5.0
+        scorer.embedding[1, 2] = -3.0
+        assert scorer.params[dim + 2] == -3.0
+        # views names the parts of any vector in the same layout
+        other = np.arange(scorer.params.size, dtype=np.float64)
+        named = scorer.views(other)
+        assert list(named) == list(PARAM_NAMES)
+        assert named["embedding"][1, 2] == dim + 2
+        assert named["null_end_head"][0] == scorer.params.size - 3 * dim
         with pytest.raises(ValueError):
-            scorer.set_params_vector(vec[:-1])
+            scorer.views(other[:-1])
+
+    def test_clone_owns_its_params(self):
+        _, scorer = build_scorer()
+        clone = scorer.clone()
+        np.testing.assert_array_equal(clone.params, scorer.params)
+        clone.params += 1.0
+        assert not np.shares_memory(clone.params, scorer.params)
+        np.testing.assert_array_equal(clone.params, scorer.params + 1.0)
+
+    def test_checkpoint_does_not_share_scorer_params(self):
+        _, scorer = build_scorer()
+        ckpt = Checkpoint.from_scorer(scorer, "f", {})
+        before = {name: array.copy() for name, array in ckpt.params.items()}
+        scorer.params += 1.0
+        scorer.embedding[0, 0] = 9.0
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(ckpt.params[name], before[name])
+
+    def test_scorer_does_not_share_checkpoint_params(self):
+        _, scorer = build_scorer()
+        ckpt = Checkpoint.from_scorer(scorer, "f", {})
+        restored = ckpt.to_scorer()
+        before = restored.params.copy()
+        for array in ckpt.params.values():
+            array += 1.0
+        np.testing.assert_array_equal(restored.params, before)
+        np.testing.assert_array_equal(restored.params, scorer.params)
+
+    def test_shapes_validated(self):
+        _, scorer = build_scorer()
+        arrays = [getattr(scorer, name) for name in PARAM_NAMES]
+        rows, dim = scorer.embedding.shape
+        with pytest.raises(ValueError, match=rf"embedding must have shape \({rows}, {dim}\)"):
+            ToyScorer(scorer.vocab, arrays[0][:-1], *arrays[1:])
+        with pytest.raises(ValueError, match=r"embedding must have shape"):
+            ToyScorer(scorer.vocab, arrays[0].ravel(), *arrays[1:])
+        with pytest.raises(ValueError, match=rf"end_head must have shape \({3 * dim},\)"):
+            ToyScorer(scorer.vocab, arrays[0], arrays[1], arrays[2][:-1], *arrays[3:])
 
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         pair, scorer = build_scorer()
         rng = np.random.default_rng(2)
-        scorer.set_params_vector(rng.normal(0, 0.5, scorer.params_vector().shape))
+        scorer.params[:] = rng.normal(0, 0.5, scorer.params.shape)
         ckpt = Checkpoint.from_scorer(
             scorer, fingerprint="abc123", history={"objective_values": [1.0, 2.0]}
         )
@@ -204,7 +316,7 @@ class TestCheckpoint:
         assert loaded.history == {"objective_values": [1.0, 2.0]}
         assert loaded.vocab == scorer.vocab
         restored = loaded.to_scorer()
-        np.testing.assert_array_equal(restored.params_vector(), scorer.params_vector())
+        np.testing.assert_array_equal(restored.params, scorer.params)
         grid = restored.score(pair)
         original = scorer.score(pair)
         for a, b in zip(grid.begin + grid.end, original.begin + original.end):

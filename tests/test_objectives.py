@@ -164,7 +164,7 @@ class TestIdentities:
             grid, labels = random_instance(rng, max_tokens=4)
             span = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
             pos = evaluate(ObjectiveSpec.parse("H1-P-pos-mml"), grid, labels)
-            np.testing.assert_allclose(span.grad_vector(), pos.grad_vector(), atol=1e-12)
+            np.testing.assert_allclose(span.grad.vector, pos.grad.vector, atol=1e-12)
             assert pos.value == span.value
 
     def test_singleton_spans_collapse_hypotheses(self):
@@ -189,7 +189,7 @@ class TestIdentities:
                 other = evaluate(ObjectiveSpec.parse(text), grid, labels)
                 np.testing.assert_allclose(other.value, h1.value, atol=1e-9)
                 np.testing.assert_allclose(
-                    other.grad_vector(), h1.grad_vector(), atol=1e-9
+                    other.grad.vector, h1.grad.vector, atol=1e-9
                 )
 
     def test_marginal_dominates_maximum(self):
@@ -243,8 +243,8 @@ class TestGradients:
         for _ in range(40):
             grid, labels = random_instance(rng, max_tokens=4)
             result = evaluate(ObjectiveSpec.parse("H3-D-span-mml"), grid, labels)
-            total_b = sum(a[:-1].sum() for a in result.grad_begin)
-            total_e = sum(a[:-1].sum() for a in result.grad_end)
+            total_b = sum(a[:-1].sum() for a in result.grad.begin)
+            total_e = sum(a[:-1].sum() for a in result.grad.end)
             np.testing.assert_allclose(total_b, 0.0, atol=1e-9)
             np.testing.assert_allclose(total_e, 0.0, atol=1e-9)
 
@@ -253,8 +253,8 @@ class TestGradients:
         grid, labels = random_instance(rng, max_tokens=4)
         result = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
         for k in range(grid.n_paragraphs):
-            assert result.grad_begin[k][-1] == 0.0
-            assert result.grad_end[k][-1] == 0.0
+            assert result.grad.begin[k][-1] == 0.0
+            assert result.grad.end[k][-1] == 0.0
 
 
 class TestNegativeParagraphs:
@@ -297,7 +297,7 @@ class TestNegativeParagraphs:
         wide = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), wider, wider_labels)
         # value shifts because the pooled partition grew, no null factor appears
         assert wide.value < base.value
-        assert np.all(wide.grad_begin[-1][-1:] == 0.0)
+        assert np.all(wide.grad.begin[-1][-1:] == 0.0)
 
 
 class TestHardSelection:
@@ -378,7 +378,7 @@ class TestTemperature:
                 )
                 np.testing.assert_allclose(tempered.value, mml.value, atol=1e-9)
                 np.testing.assert_allclose(
-                    tempered.grad_vector(), mml.grad_vector(), atol=1e-9
+                    tempered.grad.vector, mml.grad.vector, atol=1e-9
                 )
 
     def test_cold_temperature_approaches_maximum(self):
@@ -416,8 +416,8 @@ class TestCombine:
             combined.value, 0.3 * parts[0].value + 0.7 * parts[1].value, atol=1e-12
         )
         np.testing.assert_allclose(
-            combined.grad_vector(),
-            0.3 * parts[0].grad_vector() + 0.7 * parts[1].grad_vector(),
+            combined.grad.vector,
+            0.3 * parts[0].grad.vector + 0.7 * parts[1].grad.vector,
             atol=1e-12,
         )
 

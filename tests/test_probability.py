@@ -52,7 +52,7 @@ class TestParagraphSpace:
     def test_shift_invariance(self):
         grid = fixture_grid()
         lp = log_partition(grid, SpaceKind.PARAGRAPH)
-        shifted = grid.copy()
+        shifted = ScoreGrid(begin=grid.begin, end=grid.end)
         for arr in shifted.begin + shifted.end:
             arr += 123.456
         lp2 = log_partition(shifted, SpaceKind.PARAGRAPH)
@@ -94,6 +94,52 @@ class TestDocumentSpace:
         expected = flat - logsumexp(flat)
         got = np.concatenate([a[:-1] for a in lp.log_begin])
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def oracle_log_partition(grid, space):
+    """Per-paragraph normalization as it was before the flat layout; a bitwise oracle."""
+    if space is SpaceKind.PARAGRAPH:
+        sides = []
+        for arrays in (grid.begin, grid.end):
+            zs = np.array([probability.logsumexp(a) for a in arrays])
+            sides.append(([a - z for a, z in zip(arrays, zs)], zs))
+        return sides
+    sides = []
+    for arrays in (grid.begin, grid.end):
+        z = probability.logsumexp(np.concatenate([a[:-1] for a in arrays]))
+        out = []
+        for a in arrays:
+            shifted = np.empty_like(a)
+            shifted[:-1] = a[:-1] - z
+            shifted[-1] = -np.inf
+            out.append(shifted)
+        sides.append((out, np.asarray(z)))
+    return sides
+
+
+class TestFlatLayout:
+    def test_matches_per_paragraph_oracle_bitwise(self):
+        rng = np.random.default_rng(24)
+        for trial in range(400):
+            sizes = [int(n) for n in rng.integers(1, 8, int(rng.integers(1, 5)))]
+            grid = ScoreGrid.zeros(sizes)
+            scale = [1.0, 30.0, 1e4][trial % 3]
+            grid.vector[:] = rng.normal(0.0, scale, grid.vector.shape)
+            if trial % 7 == 0:
+                grid.vector[rng.integers(0, grid.vector.size)] = -np.inf
+            for space in SpaceKind:
+                # a side whose only position is -inf normalizes to nan in both
+                with np.errstate(invalid="ignore"):
+                    lp = log_partition(grid, space)
+                    expected = oracle_log_partition(grid, space)
+                assert lp.log.sizes == grid.sizes
+                for got, z, (want, want_z) in zip(
+                    (lp.log_begin, lp.log_end), (lp.log_z_begin, lp.log_z_end), expected
+                ):
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b)
+                    np.testing.assert_array_equal(z, want_z)
+                    assert np.shape(z) == np.shape(want_z)
 
 
 class TestLogSumExp:
@@ -151,12 +197,34 @@ class TestSpanProb:
 class TestScoreGrid:
     def test_vector_round_trip(self):
         grid = fixture_grid()
-        vec = grid.to_vector()
-        assert vec.shape == (10,)
-        back = grid.with_vector(vec + 1.0)
-        np.testing.assert_allclose(back.to_vector(), vec + 1.0)
+        vec = grid.vector
+        # begin arrays then end arrays, paragraph order
+        np.testing.assert_array_equal(vec, [0.2, -0.3, 0.1, 1.5, -0.7, 0, 0, 0, 0, 0])
+        assert grid.sizes == (3, 2)
+        assert grid.offsets == (0, 3, 5, 8, 10)
+        back = ScoreGrid.from_vector(vec + 1.0, grid.sizes)
+        np.testing.assert_array_equal(back.vector, vec + 1.0)
+        np.testing.assert_array_equal(back.end[1], [1.0, 1.0])
         # original untouched
-        np.testing.assert_allclose(grid.to_vector(), vec)
+        np.testing.assert_array_equal(grid.begin[1], [1.5, -0.7])
+        with pytest.raises(ValueError):
+            ScoreGrid.from_vector(vec[:-1], grid.sizes)
+
+    def test_paragraphs_are_views_of_the_vector(self):
+        grid = fixture_grid()
+        grid.end[1][0] = 4.0
+        assert grid.vector[8] == 4.0
+        grid.vector[0] = -2.0
+        assert grid.begin[0][0] == -2.0
+        vec = np.arange(10.0)
+        shared = ScoreGrid.from_vector(vec, grid.sizes)
+        vec[3] = 7.0
+        assert shared.begin[1][0] == 7.0
+        # the list constructor copies its arrays
+        arrays = [np.zeros(2)]
+        copied = ScoreGrid(begin=arrays, end=arrays)
+        arrays[0][0] = 1.0
+        np.testing.assert_array_equal(copied.vector, np.zeros(4))
 
     def test_null_index(self):
         grid = fixture_grid()
@@ -170,6 +238,12 @@ class TestScoreGrid:
                 begin=[np.zeros(3)],
                 end=[np.zeros(4)],
             )
+        with pytest.raises(ValueError):
+            ScoreGrid(begin=[np.zeros(1)], end=[np.zeros(1)])
+        with pytest.raises(ValueError):
+            ScoreGrid(begin=[np.zeros((2, 2))], end=[np.zeros((2, 2))])
+        with pytest.raises(ValueError):
+            ScoreGrid.from_vector(np.zeros(2), [1])
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ class TestTrainBasics:
         a = train(config, pairs, labels)
         b = train(config, pairs, labels)
         np.testing.assert_array_equal(
-            a.to_scorer().params_vector(), b.to_scorer().params_vector()
+            a.to_scorer().params, b.to_scorer().params
         )
         assert a.history == b.history
         assert a.fingerprint == b.fingerprint
@@ -47,7 +47,7 @@ class TestTrainBasics:
         a = train(TrainConfig(epochs=2, seed=4), pairs, labels)
         b = train(TrainConfig(epochs=2, seed=5), pairs, labels)
         assert not np.array_equal(
-            a.to_scorer().params_vector(), b.to_scorer().params_vector()
+            a.to_scorer().params, b.to_scorer().params
         )
 
     def test_objective_improves(self):
@@ -196,7 +196,7 @@ class TestTemperatureRamp:
             labels,
         )
         assert not np.array_equal(
-            plain.to_scorer().params_vector(), ramped.to_scorer().params_vector()
+            plain.to_scorer().params, ramped.to_scorer().params
         )
 
     def test_ramp_inert_for_marginal_objectives(self):
@@ -206,7 +206,7 @@ class TestTemperatureRamp:
             TrainConfig(epochs=2, hardem_temperature_ramp=True), pairs, labels
         )
         np.testing.assert_array_equal(
-            plain.to_scorer().params_vector(), ramped.to_scorer().params_vector()
+            plain.to_scorer().params, ramped.to_scorer().params
         )
 
 
