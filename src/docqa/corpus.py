@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import string
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,17 +67,22 @@ def tokenize(text: str) -> list["Token"]:
     return [Token(w) for w in text.lower().translate(_PUNCT_TABLE).split()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    """One whitespace-delimited unit of text."""
+    """One whitespace-delimited unit of text.
+
+    Tokens of one word share one interned string, and slots keep each token
+    to a single reference: a corpus holds many tokens of few distinct words.
+    """
 
     text: str
 
     def __post_init__(self):
         if not self.text:
             raise ValueError("token text must be non-empty")
-        if any(ch.isspace() for ch in self.text):
+        if self.text.split() != [self.text]:
             raise ValueError(f"token text must not contain whitespace: {self.text!r}")
+        object.__setattr__(self, "text", sys.intern(str(self.text)))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,23 @@ class Vocabulary:
     def id_of(self, text: str) -> int:
         return self._index.get(text, 0)
 
+    def encode(self, pair: DocumentQuestionPair) -> "EncodedPair":
+        """The pair's token ids under this vocabulary, in the scorer's layout."""
+        get = self._index.get
+        ids = np.array([get(t.text, 0) for p in pair.paragraphs for t in p.tokens], np.int64)
+        counts = np.array([len(p) for p in pair.paragraphs], np.int64)
+        ends = np.cumsum(counts)
+        return EncodedPair(
+            vocab=self,
+            ids=ids,
+            question_ids=np.array([get(t.text, 0) for t in pair.question], np.int64),
+            counts=counts,
+            sizes=tuple((counts + 1).tolist()),
+            starts=ends - counts,
+            token_slots=np.arange(len(ids)) + np.repeat(np.arange(len(counts)), counts),
+            null_slots=ends + np.arange(len(counts)),
+        )
+
     @classmethod
     def from_pairs(cls, pairs: Iterable[DocumentQuestionPair]) -> "Vocabulary":
         seen = set()
@@ -71,8 +88,32 @@ class Vocabulary:
         return cls(tuple(json.loads(text)))
 
 
+@dataclass(frozen=True, eq=False)
+class EncodedPair:
+    """One pair's token ids under one vocabulary: ids of every paragraph token
+    in paragraph order, the question's ids, tokens per paragraph (counts) and
+    each paragraph's first row in ids (starts).  sizes are the score grid's
+    slots per paragraph; token_slots and null_slots index one half of its
+    vector."""
+
+    vocab: Vocabulary
+    ids: np.ndarray
+    question_ids: np.ndarray
+    counts: np.ndarray
+    sizes: tuple[int, ...]
+    starts: np.ndarray
+    token_slots: np.ndarray
+    null_slots: np.ndarray
+
+
 class ToyScorer:
     """Linear scorer over token embedding, question mean, and their product.
+
+    Each head h = [h_x, h_q, h_xq] scores a token embedding x against the
+    question mean qbar as x @ h_x + qbar @ h_q + (x * qbar) @ h_xq.  Folding
+    qbar into the head gives W = h_x + qbar * h_xq and c = h_q @ qbar, so a
+    whole document scores as one product x @ W + c.  A paragraph's null slots
+    score its mean token embedding with the null heads the same way.
 
     params is one flat vector: the embedding rows, then the begin, end,
     null-begin and null-end heads.  The attributes of those names are views of
@@ -100,6 +141,7 @@ class ToyScorer:
         self._embedding_shape = np.shape(embedding)
         for name, view in self.views(self.params).items():
             setattr(self, name, view)
+        self._heads = self.params[self.embedding.size :].reshape(4, 3, dim)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """The named parts of a vector laid out like params."""
@@ -129,58 +171,61 @@ class ToyScorer:
     def clone(self) -> "ToyScorer":
         return ToyScorer(self.vocab, *self.views(self.params).values())
 
-    def _question_mean(self, pair: DocumentQuestionPair) -> tuple[list[int], np.ndarray]:
-        ids = [self.vocab.id_of(t.text) for t in pair.question]
-        return ids, self.embedding[ids].mean(axis=0) if ids else np.zeros(self.dim)
+    def _encoded(self, pair: DocumentQuestionPair | EncodedPair) -> EncodedPair:
+        if not isinstance(pair, EncodedPair):
+            return self.vocab.encode(pair)
+        if pair.vocab is not self.vocab and pair.vocab != self.vocab:
+            raise ValueError("pair was encoded under another vocabulary")
+        return pair
 
-    def _features(self, token_ids: list[int], qbar: np.ndarray) -> np.ndarray:
-        x = self.embedding[token_ids]
-        tiled = np.broadcast_to(qbar, x.shape)
-        return np.concatenate([x, tiled, x * qbar], axis=1)
+    def _fold(self, doc: EncodedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Question mean qbar, then W (4, dim) and c (4,) of the four heads."""
+        n_question = max(1, len(doc.question_ids))
+        qbar = self.embedding[doc.question_ids].sum(axis=0) / n_question
+        return qbar, self._heads[:, 0] + qbar * self._heads[:, 2], self._heads[:, 1] @ qbar
 
-    def score(self, pair: DocumentQuestionPair) -> ScoreGrid:
-        """Fill the begin/end score grid, one trailing null slot per paragraph."""
-        _, qbar = self._question_mean(pair)
-        grid = ScoreGrid.zeros([len(p) for p in pair.paragraphs])
-        for paragraph, begin, end in zip(pair.paragraphs, grid.begin, grid.end):
-            ids = [self.vocab.id_of(t.text) for t in paragraph.tokens]
-            features = self._features(ids, qbar)
-            mean_feature = features.mean(axis=0)
-            begin[:-1] = features @ self.begin_head
-            begin[-1] = mean_feature @ self.null_begin_head
-            end[:-1] = features @ self.end_head
-            end[-1] = mean_feature @ self.null_end_head
+    def score(self, pair: DocumentQuestionPair | EncodedPair) -> ScoreGrid:
+        """Fill the begin/end score grid, one trailing null slot per paragraph.
+
+        A plain pair is encoded on the call.
+        """
+        doc = self._encoded(pair)
+        grid = ScoreGrid.from_vector(np.empty(2 * sum(doc.sizes)), doc.sizes)
+        _, weights, bias = self._fold(doc)
+        x = self.embedding[doc.ids]
+        mean = np.add.reduceat(x, doc.starts) / doc.counts[:, None]
+        halves = grid.vector.reshape(2, -1)
+        halves[:, doc.token_slots] = weights[:2] @ x.T + bias[:2, None]
+        halves[:, doc.null_slots] = weights[2:] @ mean.T + bias[2:, None]
         return grid
 
-    def backprop(self, pair: DocumentQuestionPair, grad: ScoreGrid) -> np.ndarray:
-        """Push a score-grid gradient back onto a vector laid out like params."""
-        out = np.zeros_like(self.params)
-        grads = self.views(out)
-        q_ids, qbar = self._question_mean(pair)
-        dim = self.dim
-        d_qbar = np.zeros(dim)
-        token_ids, d_xs = [], []
-        for paragraph, db_full, de_full in zip(pair.paragraphs, grad.begin, grad.end):
-            n = len(paragraph)
-            ids = [self.vocab.id_of(t.text) for t in paragraph.tokens]
-            features = self._features(ids, qbar)
-            mean_feature = features.mean(axis=0)
-            db, de = db_full[:n], de_full[:n]
-            d_null_b, d_null_e = float(db_full[n]), float(de_full[n])
-            grads["begin_head"] += features.T @ db
-            grads["end_head"] += features.T @ de
-            grads["null_begin_head"] += d_null_b * mean_feature
-            grads["null_end_head"] += d_null_e * mean_feature
-            d_null = (d_null_b * self.null_begin_head + d_null_e * self.null_end_head) / n
-            d_features = np.outer(db, self.begin_head) + np.outer(de, self.end_head) + d_null
-            x = self.embedding[ids]
-            token_ids += ids
-            d_xs.append(d_features[:, :dim] + d_features[:, 2 * dim :] * qbar)
-            d_qbar += d_features[:, dim : 2 * dim].sum(axis=0)
-            d_qbar += (d_features[:, 2 * dim :] * x).sum(axis=0)
-        np.add.at(grads["embedding"], token_ids, np.concatenate(d_xs))
-        if q_ids:
-            np.add.at(grads["embedding"], q_ids, d_qbar / len(q_ids))
+    def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
+        """Push a score-grid gradient back onto a vector laid out like params.
+
+        g holds each head's gradient per token, a null slot's spread evenly
+        over its paragraph, so head j gets X^T g_j on h_x, qbar * sum(g_j) on
+        h_q and qbar * (X^T g_j) on h_xq, and the tokens get g^T W.
+        """
+        doc = self._encoded(pair)
+        qbar, weights, _ = self._fold(doc)
+        x = self.embedding[doc.ids]
+        halves = grad.vector.reshape(2, -1)
+        g = np.empty((4, len(doc.ids)))
+        g[:2] = halves[:, doc.token_slots]
+        g[2:] = np.repeat(halves[:, doc.null_slots] / doc.counts, doc.counts, axis=1)
+        g_x = g @ x
+        g_sum = g.sum(axis=1)
+        out = np.empty_like(self.params)
+        split = self.embedding.size
+        out[split:] = np.stack([g_x, g_sum[:, None] * qbar, g_x * qbar], axis=1).ravel()
+        d_qbar = g_sum @ self._heads[:, 1] + (g_x * self._heads[:, 2]).sum(axis=0)
+        n_question = len(doc.question_ids)
+        shared = np.broadcast_to(d_qbar / max(1, n_question), (n_question, self.dim))
+        ids = np.concatenate([doc.ids, doc.question_ids])
+        d_rows = np.concatenate([g.T @ weights, shared])
+        # One scatter of every row's gradient onto the flat embedding, in row order.
+        cells = (ids[:, None] * self.dim + np.arange(self.dim)).ravel()
+        out[:split] = np.bincount(cells, weights=d_rows.ravel(), minlength=split)
         return out
 
 

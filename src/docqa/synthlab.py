@@ -313,10 +313,14 @@ def decode_corpus(
     spec: InferenceSpec,
     space: SpaceKind,
 ) -> list[tuple[str, float]]:
-    """(answer, log score) per pair; ("", -inf) when no candidate decodes."""
+    """(answer, log score) per pair; ("", -inf) when no candidate decodes,
+    as for a pair without paragraphs."""
     scorer = checkpoint.to_scorer()
     out = []
     for pair in pairs:
+        if not pair.paragraphs:
+            out.append(("", float("-inf")))
+            continue
         probs = log_partition(scorer.score(pair), space)
         try:
             prediction = predict(probs, pair, spec)

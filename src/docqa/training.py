@@ -117,7 +117,10 @@ def _run_epochs(
     config: TrainConfig,
     epochs: int,
 ) -> list[float]:
-    """Shared ascent loop; mutates the scorer, returns per-epoch mean values."""
+    """Shared ascent loop; mutates the scorer, returns per-epoch mean values.
+
+    Each example is encoded under the scorer's vocabulary once per run.
+    """
     if not examples:
         return []
     rng = np.random.default_rng(config.seed)
@@ -127,25 +130,27 @@ def _run_epochs(
     n_batches = (len(examples) + config.batch_size - 1) // config.batch_size
     total_steps = epochs * n_batches
     velocity = np.zeros_like(scorer.params) if config.momentum else None
+    encoded = [scorer.vocab.encode(pair) for pair, _ in examples]
     history = []
     step = 0
     for epoch in range(epochs):
         order = rng.permutation(len(examples))
         epoch_value = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
-            batch.sort(key=lambda item: item[0].id)
+            batch = order[start : start + config.batch_size]
+            batch = sorted(batch, key=lambda i: examples[i][0].id)
             temperature = _ramp_temperature(step, total_steps) if use_ramp else None
             accumulated = np.zeros_like(scorer.params)
-            for pair, label_set in batch:
-                grid = scorer.score(pair)
+            for i in batch:
+                pair, label_set = examples[i]
+                grid = scorer.score(encoded[i])
                 loss = combine(list(specs), list(weights), grid, label_set, temperature)
                 if not np.isfinite(loss.value):
                     raise TrainingDivergedError(
                         f"non-finite objective at epoch {epoch}, pair {pair.id!r}"
                     )
                 epoch_value += loss.value
-                accumulated += scorer.backprop(pair, loss.grad)
+                accumulated += scorer.backprop(encoded[i], loss.grad)
             accumulated *= 1.0 / len(batch)
             if velocity is not None:
                 velocity *= config.momentum

@@ -311,6 +311,25 @@ class TestEval:
         assert main(["eval", str(data), "--pred", str(pred)]) == 0
         assert json.loads(capsys.readouterr().out)["aggregates"] == {"em": points, "f1": points}
 
+    @pytest.mark.parametrize("paragraphs", [["!!! ,,,"], []], ids=["punctuation", "none"])
+    def test_document_without_paragraphs_scores_zero(self, workspace, tmp_path, paragraphs):
+        data = tmp_path / "dev.jsonl"
+        record = {"id": "empty1", "question": "what", "paragraphs": paragraphs, "answers": ["x"]}
+        data.write_text((workspace["data"] / "dev.jsonl").read_text() + json.dumps(record) + "\n")
+        reports = {}
+        for name, path in (("dev", workspace["data"] / "dev.jsonl"), ("padded", data)):
+            pred, out = tmp_path / f"{name}.pred.jsonl", tmp_path / f"{name}.json"
+            args = ["eval", str(path), "--ckpt", str(workspace["ckpt"]), "--pred-out", str(pred)]
+            assert main([*args, "--out", str(out)]) == 0
+            reports[name] = json.loads(out.read_text())
+        records = [json.loads(l) for l in pred.read_text().splitlines()]
+        assert len(records) == 13
+        assert records[-1] == {"id": "empty1", "answer": "", "score": float("-inf")}
+        assert reports["padded"]["count"] == 13
+        for name in ("em", "f1"):
+            expected = reports["dev"]["aggregates"][name] * 12 / 13
+            assert reports["padded"]["aggregates"][name] == pytest.approx(expected)
+
     def test_missing_data_is_runtime_error(self, workspace):
         status = main(
             ["eval", "no_such_file.jsonl", "--ckpt", str(workspace["ckpt"])]

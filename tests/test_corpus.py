@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Token("a b")
         with pytest.raises(ValueError):
+            Token("")
+
+    def test_whitespace_check_agrees_with_isspace_on_every_code_point(self):
+        characters = [chr(c) for c in range(sys.maxunicode + 1)]
+        spaces = [ch for ch in characters if ch.isspace()]
+        assert len(spaces) > 20
+        for ch in spaces:
+            for text in (ch, f"a{ch}", f"{ch}a", f"a{ch}b"):
+                with pytest.raises(ValueError, match="must not contain whitespace"):
+                    Token(text)
+        # every other code point is accepted: all of them in one token
+        others = "".join(ch for ch in characters if not ch.isspace())
+        assert Token(others).text == others
+        with pytest.raises(ValueError, match="must be non-empty"):
             Token("")
 
     def test_paragraph_needs_tokens(self):

@@ -29,17 +29,41 @@ def build_scorer(seed=3):
     return pair, ToyScorer.initialize(vocab, dim=5, seed=seed)
 
 
+def oracle_question_mean(scorer, pair):
+    ids = [scorer.vocab.id_of(t.text) for t in pair.question]
+    return ids, scorer.embedding[ids].mean(axis=0) if ids else np.zeros(scorer.dim)
+
+
+def oracle_features(scorer, ids, qbar):
+    """Each token's [x, qbar, x * qbar] row, 3 * dim wide."""
+    x = scorer.embedding[ids]
+    return np.concatenate([x, np.broadcast_to(qbar, x.shape), x * qbar], axis=1)
+
+
+def oracle_score(scorer, pair):
+    """The per-paragraph score over feature rows that the folded one replaced."""
+    _, qbar = oracle_question_mean(scorer, pair)
+    begin, end = [], []
+    for paragraph in pair.paragraphs:
+        ids = [scorer.vocab.id_of(t.text) for t in paragraph.tokens]
+        features = oracle_features(scorer, ids, qbar)
+        mean_feature = features.mean(axis=0)
+        begin.append([*features @ scorer.begin_head, mean_feature @ scorer.null_begin_head])
+        end.append([*features @ scorer.end_head, mean_feature @ scorer.null_end_head])
+    return ScoreGrid(begin, end)
+
+
 def oracle_backprop(scorer, pair, grad_begin, grad_end):
-    """The per-paragraph backprop over five named gradient arrays that the flat
-    one replaced, kept as a bitwise oracle; returns them in the params layout."""
+    """The per-paragraph backprop over five named gradient arrays and feature
+    rows that the folded one replaced; returns them in the params layout."""
     grads = {name: np.zeros_like(getattr(scorer, name)) for name in PARAM_NAMES}
-    q_ids, qbar = scorer._question_mean(pair)
+    q_ids, qbar = oracle_question_mean(scorer, pair)
     dim = scorer.dim
     d_qbar = np.zeros(dim)
     for paragraph, db_full, de_full in zip(pair.paragraphs, grad_begin, grad_end):
         n = len(paragraph)
         ids = [scorer.vocab.id_of(t.text) for t in paragraph.tokens]
-        features = scorer._features(ids, qbar)
+        features = oracle_features(scorer, ids, qbar)
         mean_feature = features.mean(axis=0)
         db = np.asarray(db_full[:n])
         de = np.asarray(de_full[:n])
@@ -65,6 +89,13 @@ def oracle_backprop(scorer, pair, grad_begin, grad_end):
     if q_ids:
         np.add.at(grads["embedding"], q_ids, d_qbar / len(q_ids))
     return np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
+
+
+def assert_matches_oracle(actual, expected):
+    """Equal to 1e-12 relative to the largest expected magnitude: the fold
+    reorders float operations, so the per-paragraph oracle is not bitwise."""
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestVocabulary:
@@ -197,7 +228,7 @@ class TestBackprop:
 
 
 def oracle_cases():
-    """Seeded (scorer, pair) cases for the bitwise backprop oracle."""
+    """Seeded (scorer, pair) cases for the per-paragraph scorer oracles."""
     pairs = [
         sample_pair(),
         # unknown question and paragraph tokens, tokens repeated across paragraphs
@@ -215,7 +246,7 @@ def oracle_cases():
 
 
 class TestBackpropOracle:
-    def test_flat_gradient_equals_per_paragraph_oracle_bitwise(self):
+    def test_folded_gradient_matches_per_paragraph_oracle(self):
         cases = list(oracle_cases())
         _, scorer, repeated = cases[1]
         ids = [scorer.vocab.id_of(t.text) for p in repeated.paragraphs for t in p.tokens]
@@ -234,9 +265,60 @@ class TestBackpropOracle:
             ]
             for grad in grads:
                 expected = oracle_backprop(scorer, pair, grad.begin, grad.end)
-                np.testing.assert_array_equal(scorer.backprop(pair, grad), expected)
+                assert_matches_oracle(scorer.backprop(pair, grad), expected)
                 checked += 1
         assert checked == 8
+
+    def test_folded_score_matches_per_paragraph_oracle(self):
+        for _, scorer, pair in oracle_cases():
+            grid, expected = scorer.score(pair), oracle_score(scorer, pair)
+            assert grid.sizes == expected.sizes
+            assert_matches_oracle(grid.vector, expected.vector)
+
+
+class TestEncoding:
+    def test_ids_are_id_of_each_token(self):
+        for _, scorer, pair in oracle_cases():
+            doc = scorer.vocab.encode(pair)
+            tokens = [t for p in pair.paragraphs for t in p.tokens]
+            assert doc.ids.tolist() == [scorer.vocab.id_of(t.text) for t in tokens]
+            assert doc.question_ids.tolist() == [scorer.vocab.id_of(t.text) for t in pair.question]
+            assert doc.counts.tolist() == [len(p) for p in pair.paragraphs]
+            assert doc.sizes == tuple(len(p) + 1 for p in pair.paragraphs)
+            # the token and null slots tile one half of the grid vector
+            half = np.concatenate([doc.token_slots, doc.null_slots])
+            assert sorted(half.tolist()) == list(range(sum(doc.sizes)))
+            assert doc.ids[doc.starts].tolist() == [
+                scorer.vocab.id_of(p.tokens[0].text) for p in pair.paragraphs
+            ]
+
+    def test_scoring_an_encoding_equals_scoring_its_pair_bitwise(self):
+        for seed, scorer, pair in oracle_cases():
+            doc = scorer.vocab.encode(pair)
+            grid = scorer.score(pair)
+            np.testing.assert_array_equal(scorer.score(doc).vector, grid.vector)
+            grad = ScoreGrid.from_vector(
+                np.random.default_rng(seed).normal(0, 1, grid.vector.shape), grid.sizes
+            )
+            np.testing.assert_array_equal(scorer.backprop(doc, grad), scorer.backprop(pair, grad))
+
+    def test_encoding_must_share_the_scorer_vocabulary(self):
+        pair, scorer = build_scorer()
+        equal = Vocabulary(scorer.vocab.tokens)
+        np.testing.assert_array_equal(
+            scorer.score(equal.encode(pair)).vector, scorer.score(pair).vector
+        )
+        other = Vocabulary((*scorer.vocab.tokens, "zeppelin"))
+        with pytest.raises(ValueError, match="another vocabulary"):
+            scorer.score(other.encode(pair))
+
+    def test_pair_without_paragraphs_has_no_grid(self):
+        pair, scorer = build_scorer()
+        empty = make_pair("x", "which town", ["!!! ,,,"], ["delft"])
+        assert empty.paragraphs == ()
+        assert scorer.vocab.encode(empty).ids.shape == (0,)
+        with pytest.raises(ValueError, match="at least one paragraph"):
+            scorer.score(empty)
 
 
 class TestParams:

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from docqa.corpus import make_pair
 from docqa.inference import AnswerAggregation, InferenceSpec
 from docqa.labeling import find_consistent_spans_exact
 from docqa.probability import SpaceKind
 from docqa.synthlab import (
     NoiseProfile,
+    decode_corpus,
     dev_profile,
     evaluate_checkpoint,
     generate,
@@ -216,6 +218,22 @@ class TestEvaluation:
         before = evaluate_checkpoint(random_ckpt, pairs, golds, spec, SpaceKind.PARAGRAPH)
         after = evaluate_checkpoint(trained_ckpt, pairs, golds, spec, SpaceKind.PARAGRAPH)
         assert after["em"] > before["em"] + 20
+
+    def test_pair_without_paragraphs_is_a_failed_decode(self):
+        pairs, labels, truths = generate(small_profile(documents=20))
+        checkpoint = train(TrainConfig(epochs=1), pairs, labels)
+        empty = make_pair("empty1", "what", ["!!! ,,,"], ["x"])
+        assert empty.paragraphs == ()
+        spec = InferenceSpec(aggregation=AnswerAggregation.SUM)
+        golds = [t.gold_strings() for t in truths]
+        for space in SpaceKind:
+            decoded = decode_corpus(checkpoint, [*pairs[:3], empty, pairs[3]], spec, space)
+            assert decoded[3] == ("", float("-inf"))
+            assert decoded[:3] + decoded[4:] == decode_corpus(checkpoint, pairs[:4], spec, space)
+            alone = evaluate_checkpoint(checkpoint, pairs, golds, spec, space)
+            padded = evaluate_checkpoint(checkpoint, [*pairs, empty], [*golds, {"x"}], spec, space)
+            for name in ("em", "f1"):
+                assert padded[name] == pytest.approx(alone[name] * len(pairs) / (len(pairs) + 1))
 
 
 class TestGrid:
