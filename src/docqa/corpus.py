@@ -48,6 +48,8 @@ def normalize_string(text: str) -> str:
 def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     """Each token's text lowercased and stripped of punctuation.
 
+    Each distinct token text is normalized once per call, into a table that
+    every token is then mapped through: a paragraph holds few distinct words.
     A punctuation-only token such as "," gives "".  For every span
     tokens[i..j], joining the non-empty words of [i..j] with single spaces and
     dropping leading ARTICLES gives exactly
@@ -56,7 +58,13 @@ def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     case-ignorable: lowercasing (final sigma included) and punctuation
     stripping act on each token as they act on it inside the joined span.
     """
-    return [t.text.lower().translate(_PUNCT_TABLE) for t in tokens]
+    texts = [t.text for t in tokens]
+    table = dict.fromkeys(texts)
+    for text in table:
+        word = text.lower()
+        # No punctuation character is alphanumeric: skip the slower translate.
+        table[text] = word if word.isalnum() else word.translate(_PUNCT_TABLE)
+    return [table[text] for text in texts]
 
 
 def tokenize(text: str) -> list["Token"]:

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import ARTICLES, DocumentQuestionPair, normalize_string, normalized_words
-from .metrics import rouge_l_words
+from .metrics import lcs_row_step, rouge_f
 
 DEFAULT_MAX_SPAN_LENGTH = 8
 DEFAULT_ROUGE_THRESHOLD = 0.5
@@ -99,15 +99,23 @@ def counts(labels: ConsistentLabelSet) -> tuple[int, int]:
     return (labels.num_answers, labels.total_spans)
 
 
-def _first_word(words: Sequence[str], begin: int, stop: int) -> int:
-    """Index of the first non-empty, non-article word in words[begin:stop].
+# Words a span's normalized text never starts with: punctuation-only tokens
+# normalize to "" and vanish, and leading articles are dropped.
+_NEVER_FIRST = ARTICLES | {""}
 
-    Spans starting at begin normalize to text that starts with this word.
-    Returns stop when there is none: every such span then normalizes to "".
+
+def _begins(words: Sequence[str], s: int, max_span_length: int) -> range:
+    """The begins i whose spans normalize to text that starts with words[s].
+
+    words[s] must be a word no normalized text skips.  The begins are s and
+    the run of empty words and articles just before it, at most
+    max_span_length - 1 of them, since a span from i must reach s.
     """
-    while begin < stop and (not words[begin] or words[begin] in ARTICLES):
-        begin += 1
-    return begin
+    i = s
+    floor = max(0, s - max_span_length + 1)
+    while i > floor and words[i - 1] in _NEVER_FIRST:
+        i -= 1
+    return range(i, s + 1)
 
 
 def find_consistent_spans_exact(
@@ -118,11 +126,13 @@ def find_consistent_spans_exact(
     Spans longer than max_span_length tokens are never considered.  Spans that
     normalize to the empty string never match.
 
-    One scan per paragraph, over each token's normalized word
+    One scan per paragraph over its table of normalized words
     (corpus.normalized_words): a span [i, j] normalizes to the non-empty words
     of [s, j] joined by spaces, where s is the first non-empty, non-article
-    word at or after i.  A begin i is extended only when words[s] is the first
-    word of some answer, and then its keys grow one word at a time.
+    word at or after i.  The scan stops only at positions s whose word is the
+    first word of some answer.  From s it grows keys one word at a time,
+    noting the ends j whose key is an answer, and then walks back over the
+    empty words and articles before s to the other begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -131,20 +141,57 @@ def find_consistent_spans_exact(
     spans = []
     for paragraph in pair.paragraphs:
         words = normalized_words(paragraph.tokens)
-        for i in range(len(words)):
-            stop = min(i + max_span_length, len(words))
-            s = _first_word(words, i, stop)
-            if s == stop or words[s] not in first_words:
-                continue
+        starts = [s for s, word in enumerate(words) if word in first_words]
+        for s in starts:
             key = words[s]
-            for j in range(s, stop):
+            matches = []
+            for j in range(s, min(s + max_span_length, len(words))):
                 if j > s and words[j]:
                     key = f"{key} {words[j]}"
                 if key in targets:
-                    spans.append(SpanLabel(paragraph.index, i, j, matched_string=key))
+                    matches.append((j, key))
+            if not matches:
+                continue
+            for i in _begins(words, s, max_span_length):
+                spans.extend(
+                    SpanLabel(paragraph.index, i, j, matched_string=key)
+                    for j, key in matches
+                    if j < i + max_span_length
+                )
     return ConsistentLabelSet.from_spans(
         len(pair.paragraphs), spans, num_answers=len(pair.answers)
     )
+
+
+def _rouge_scores(
+    words: Sequence[str],
+    s: int,
+    stop: int,
+    references: list[tuple[str, list[str], set[str]]],
+) -> list[tuple[float, str]]:
+    """(best similarity, its normalized answer) of each span [s, j], s <= j < stop.
+
+    Carries one LCS row per reference across the ends, stepping it only for
+    words the reference holds (any other word leaves the row as it was).  An
+    empty word adds nothing, so its span repeats the previous entry.
+    """
+    rows = [[0] * (len(reference) + 1) for _, reference, _ in references]
+    out = []
+    length = 0
+    score, matched = 0.0, ""
+    for j in range(s, stop):
+        word = words[j]
+        if word:
+            length += 1
+            score, matched = 0.0, ""
+            for k, (normalized, reference, vocabulary) in enumerate(references):
+                if word in vocabulary:
+                    rows[k] = lcs_row_step(rows[k], word, reference)
+                value = rouge_f(rows[k][-1], length, len(reference))
+                if value > score:
+                    score, matched = value, normalized
+        out.append((score, matched))
+    return out
 
 
 def find_consistent_spans_rouge(
@@ -159,6 +206,12 @@ def find_consistent_spans_rouge(
     even below the threshold.  Ties go to the earliest (begin, end), and
     between answers to the first raw answer string.  Similarity is
     metrics.rouge_l, computed on the span's normalized words.
+
+    Spans are scored per first word: for each position s whose word a
+    normalized text can start with, and that some answer word follows within
+    max_span_length tokens, one pass over the ends j carries an LCS row per
+    answer (metrics.lcs_row_step).  Every begin that walks up to s over empty
+    words and articles reads its spans' scores from that pass.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -167,34 +220,37 @@ def find_consistent_spans_rouge(
     references = []
     for answer in pair.answers.raw:
         normalized = normalize_string(answer)
-        references.append((normalized, normalized.split()))
+        reference = normalized.split()
+        references.append((normalized, reference, set(reference)))
+    answer_words = set().union(*(vocabulary for _, _, vocabulary in references))
     spans = []
     for paragraph in pair.paragraphs:
         words = normalized_words(paragraph.tokens)
+        n = len(words)
+        # The first position at or after each j whose word some answer holds.
+        next_shared = [n] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            next_shared[j] = j if words[j] in answer_words else next_shared[j + 1]
         kept = []
         best = None
         best_score = 0.0
-        for i in range(len(words)):
-            stop = min(i + max_span_length, len(words))
-            span_words: list[str] = []
-            for j in range(_first_word(words, i, stop), stop):
-                if words[j]:
-                    span_words.append(words[j])
-                    score = 0.0
-                    matched = ""
-                    for normalized, reference in references:
-                        value = rouge_l_words(span_words, reference)
-                        if value > score:
-                            score = value
-                            matched = normalized
-                if score <= 0.0:
-                    continue
-                label = SpanLabel(paragraph.index, i, j, matched_string=matched)
-                if score > best_score:
-                    best_score = score
-                    best = label
-                if score >= threshold:
-                    kept.append(label)
+        for s, word in enumerate(words):
+            stop = min(s + max_span_length, n)
+            # Spans sharing no word with any answer score 0 and are never kept.
+            if word in _NEVER_FIRST or next_shared[s] >= stop:
+                continue
+            scores = _rouge_scores(words, s, stop, references)
+            for i in _begins(words, s, max_span_length):
+                for j in range(s, min(i + max_span_length, n)):
+                    score, matched = scores[j - s]
+                    if score <= 0.0:
+                        continue
+                    label = SpanLabel(paragraph.index, i, j, matched_string=matched)
+                    if score > best_score:
+                        best_score = score
+                        best = label
+                    if score >= threshold:
+                        kept.append(label)
         if best is not None and best not in kept:
             kept.append(best)
         spans.extend(kept)

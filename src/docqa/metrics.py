@@ -41,30 +41,40 @@ def token_f1(prediction: str, golds: Iterable[str]) -> float:
     return max(scores, default=0.0)
 
 
+def lcs_row_step(row: Sequence[int], word: str, reference: Sequence[str]) -> list[int]:
+    """One step of the longest-common-subsequence dynamic program.
+
+    row[j] is the LCS length of some word sequence against reference[:j];
+    the result is the same row for that sequence with word appended.  Rows
+    never decrease along j, so a word absent from reference returns a row
+    equal to the one given.
+    """
+    out = [0]
+    for j, y in enumerate(reference):
+        out.append(row[j] + 1 if word == y else max(row[j + 1], out[j]))
+    return out
+
+
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Two-row dynamic program over token sequences.
-    previous = [0] * (len(b) + 1)
+    # A fold of lcs_row_step over a, from the row of the empty sequence.
+    row: Sequence[int] = [0] * (len(b) + 1)
     for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+        row = lcs_row_step(row, x, b)
+    return row[-1]
+
+
+def rouge_f(lcs: int, prediction_length: int, reference_length: int) -> float:
+    """The balanced Rouge-L F measure from an LCS length and both lengths."""
+    if lcs == 0:
+        return 0.0
+    precision = lcs / prediction_length
+    recall = lcs / reference_length
+    return 2 * precision * recall / (precision + recall)
 
 
 def rouge_l_words(prediction: Sequence[str], reference: Sequence[str]) -> float:
     """rouge_l on word sequences that are already normalized and split."""
-    if not prediction or not reference:
-        return 0.0
-    lcs = _lcs_length(prediction, reference)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(prediction)
-    recall = lcs / len(reference)
-    return 2 * precision * recall / (precision + recall)
+    return rouge_f(_lcs_length(prediction, reference), len(prediction), len(reference))
 
 
 def rouge_l(prediction: str, reference: str) -> float:

@@ -315,18 +315,31 @@ def decode_corpus(
 ) -> list[tuple[str, float]]:
     """(answer, log score) per pair; ("", -inf) when no candidate decodes,
     as for a pair without paragraphs."""
+    return _decode_specs(checkpoint, pairs, [spec], space)[0]
+
+
+def _decode_specs(
+    checkpoint: Checkpoint,
+    pairs: Sequence[DocumentQuestionPair],
+    specs: Sequence[InferenceSpec],
+    space: SpaceKind,
+) -> list[list[tuple[str, float]]]:
+    """decode_corpus for each spec, scoring and normalizing each pair once."""
     scorer = checkpoint.to_scorer()
-    out = []
+    out: list[list[tuple[str, float]]] = [[] for _ in specs]
+    failed = ("", float("-inf"))
     for pair in pairs:
         if not pair.paragraphs:
-            out.append(("", float("-inf")))
+            for decoded in out:
+                decoded.append(failed)
             continue
         probs = log_partition(scorer.score(pair), space)
-        try:
-            prediction = predict(probs, pair, spec)
-            out.append((prediction.answer, prediction.score))
-        except InferenceError:
-            out.append(("", float("-inf")))
+        for spec, decoded in zip(specs, out):
+            try:
+                prediction = predict(probs, pair, spec)
+                decoded.append((prediction.answer, prediction.score))
+            except InferenceError:
+                decoded.append(failed)
     return out
 
 
@@ -341,7 +354,12 @@ def evaluate_checkpoint(
 
     A pair with no decodable answer scores zero on both.
     """
-    decoded = decode_corpus(checkpoint, pairs, inference, space)
+    return _mean_points(decode_corpus(checkpoint, pairs, inference, space), gold_strings)
+
+
+def _mean_points(
+    decoded: Sequence[tuple[str, float]], gold_strings: Sequence[set[str]]
+) -> dict[str, float]:
     scores = score_answers([answer for answer, _ in decoded], gold_strings)
     n = max(1, len(decoded))
     return {name: 100.0 * sum(values) / n for name, values in scores.items()}
@@ -386,8 +404,9 @@ def _run_cell(args) -> list[dict]:
     space = inference_space(combo)
     values = checkpoint.history.get("objective_values", [])
     rows = []
-    for inf_spec in inference_specs:
-        scores = evaluate_checkpoint(checkpoint, dev_pairs, dev_golds, inf_spec, space)
+    decoded = _decode_specs(checkpoint, dev_pairs, inference_specs, space)
+    for inf_spec, answers in zip(inference_specs, decoded):
+        scores = _mean_points(answers, dev_golds)
         rows.append(
             {
                 "objective": combo,

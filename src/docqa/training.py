@@ -86,19 +86,29 @@ def _usable_examples(
     pairs: Sequence[DocumentQuestionPair],
     labels: Sequence[ConsistentLabelSet],
 ) -> tuple[list[tuple[DocumentQuestionPair, ConsistentLabelSet]], int]:
-    """Drop examples a document-space objective cannot score."""
+    """The examples the objectives can score, and how many were dropped.
+
+    A pair without paragraphs is always dropped; under a document-space
+    objective so is a pair without a single consistent span.
+    """
     needs_spans = any(s.space is SpaceKind.DOCUMENT for s in specs)
     kept = []
-    skipped = 0
+    no_paragraphs = no_spans = 0
     for pair, label_set in zip(pairs, labels):
-        if needs_spans and label_set.total_spans == 0:
-            skipped += 1
-            continue
         if not pair.paragraphs:
-            skipped += 1
-            continue
-        kept.append((pair, label_set))
-    return kept, skipped
+            no_paragraphs += 1
+        elif needs_spans and label_set.total_spans == 0:
+            no_spans += 1
+        else:
+            kept.append((pair, label_set))
+    if no_paragraphs or no_spans:
+        logger.info(
+            "skipping %d examples: %d without paragraphs, %d with no consistent span",
+            no_paragraphs + no_spans,
+            no_paragraphs,
+            no_spans,
+        )
+    return kept, no_paragraphs + no_spans
 
 
 def _ramp_temperature(step: int, total_steps: int) -> float:
@@ -174,15 +184,13 @@ def train(
     Batches are whole documents, shuffled once per epoch from the config seed;
     within a batch, gradients reduce in document-id order, so runs with one
     seed are bit-for-bit reproducible.  When any objective lives in the
-    document space, examples without a single consistent span are skipped and
-    counted in the returned history.
+    document space, examples without a single consistent span are skipped;
+    so are pairs without paragraphs.  Both are counted in the returned history.
     """
     if len(pairs) != len(labels):
         raise ValueError("pairs and labels must align")
     specs = config.parsed_objectives()
     examples, skipped = _usable_examples(specs, pairs, labels)
-    if skipped:
-        logger.info("skipping %d examples with no consistent span", skipped)
     if init is not None:
         scorer = init.to_scorer()
     else:
@@ -223,7 +231,7 @@ def pretrain_clean(
             if len(spans) > 1:
                 raise LabelError("clean pretraining expects at most one span per paragraph")
     spec = ObjectiveSpec.parse(PRETRAIN_OBJECTIVE)
-    examples, _ = _usable_examples([spec], pairs, labels)
+    examples, skipped = _usable_examples([spec], pairs, labels)
     scorer = ToyScorer.initialize(
         vocab if vocab is not None else Vocabulary.from_pairs(pairs),
         dim=config.embedding_dim,
@@ -235,7 +243,7 @@ def pretrain_clean(
     )
     history = {
         "objective_values": values,
-        "skipped_examples": 0,
+        "skipped_examples": skipped,
         "trained_examples": len(examples),
         "pretraining": True,
     }

@@ -179,10 +179,69 @@ class TestExactMatcher:
                     assert span.matched_string == normalize_string(text)
 
 
+# Tokens that never start a span's normalized text: articles in any case and
+# punctuation-only tokens, which normalize to "".
+SKIPPED_TOKENS = ["the", ",", "A", "--", "an", "'", "THE", "..."]
+
+
+class TestExactScanEdges:
+    """The scan walks back from answer words over articles and empty words."""
+
+    @pytest.mark.parametrize("run_length", [0, 1, 6, 7, 8, 9, 12])
+    @pytest.mark.parametrize("lead", [[], ["dog"], ["cat", "the", "dog"]])
+    def test_skipped_run_before_answer_word(self, run_length, lead):
+        run = [SKIPPED_TOKENS[k % len(SKIPPED_TOKENS)] for k in range(run_length)]
+        tokens = lead + run + ["Cat", "dog", ",", "the", "cat"]
+        answers = ["The cat", "cat dog", "a, cat the cat", "dog the cat"]
+        pair = make_pair("e", "q", [tokens], answers)
+        cat = len(lead) + run_length
+        for max_span_length in range(1, 11):
+            labels = find_consistent_spans_exact(pair, max_span_length)
+            triples = sorted(s.triple() for s in labels.all_spans())
+            assert triples == oracle_exact(pair, max_span_length)
+            # Every begin in the run that can still reach "Cat" labels it.
+            first = max(len(lead), cat - max_span_length + 1)
+            begins = {
+                s.begin
+                for s in labels.all_spans()
+                if s.end == cat and s.matched_string == "cat"
+            }
+            assert begins == set(range(first, cat + 1))
+
+    def test_empty_words_inside_an_answer_count_toward_the_cap(self):
+        run = [",", "--", "'", "...", ",", "--", "'"]
+        pair = make_pair("e", "q", [["the", "cat", *run, "dog"]], ["cat dog"])
+        longest = len(run) + 3
+        for max_span_length in range(1, longest + 2):
+            labels = find_consistent_spans_exact(pair, max_span_length)
+            triples = [s.triple() for s in labels.all_spans()]
+            assert triples == oracle_exact(pair, max_span_length)
+            expected = [(0, 0, longest - 1)] if max_span_length >= longest else []
+            if max_span_length >= longest - 1:
+                expected.append((0, 1, longest - 1))
+            assert triples == expected
+
+    def test_matches_oracle_on_article_heavy_paragraphs(self):
+        rng = np.random.default_rng(18)
+        pool = SKIPPED_TOKENS + ["cat", "Dog", "cat,"]
+        answers = ["The cat", "the the dog", "cat the dog", "A", "dog, cat", ","]
+        for max_span_length in range(1, 11):
+            for _ in range(60):
+                paragraphs = [
+                    [pool[k] for k in rng.integers(0, len(pool), int(rng.integers(1, 20)))]
+                    for _ in range(int(rng.integers(1, 3)))
+                ]
+                chosen = [answers[k] for k in rng.choice(len(answers), 2, replace=False)]
+                pair = make_pair("e", "q", paragraphs, chosen)
+                labels = find_consistent_spans_exact(pair, max_span_length)
+                triples = sorted(s.triple() for s in labels.all_spans())
+                assert triples == oracle_exact(pair, max_span_length)
+
+
 class TestRougeMatcher:
     def test_matches_oracle_on_raw_tokens(self):
         rng = np.random.default_rng(17)
-        for max_span_length in (1, 3, 8):
+        for max_span_length in range(1, 10):
             for threshold in (0.3, 0.6, 1.0):
                 for _ in range(25):
                     pair = random_raw_pair(rng, n_paragraphs=2, max_tokens=12)

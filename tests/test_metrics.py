@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from docqa.metrics import (
+    _lcs_length,
     exact_match,
+    lcs_row_step,
     partition_analysis,
     rouge_l,
     summarize,
@@ -84,6 +86,39 @@ class TestRougeL:
             left = " ".join(words[i] for i in rng.integers(0, 5, int(rng.integers(1, 7))))
             right = " ".join(words[i] for i in rng.integers(0, 5, int(rng.integers(1, 7))))
             assert 0.0 <= rouge_l(left, right) <= 1.0
+
+
+def full_table_lcs(a, b):
+    """Textbook LCS: the whole (len(a)+1) x (len(b)+1) table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table
+
+
+class TestLcsFold:
+    def test_fold_matches_full_table(self):
+        rng = np.random.default_rng(12)
+        words = ["p", "q", "r", "s"]
+        for _ in range(500):
+            a = [words[i] for i in rng.integers(0, 4, int(rng.integers(0, 9)))]
+            b = [words[i] for i in rng.integers(0, 4, int(rng.integers(0, 9)))]
+            table = full_table_lcs(a, b)
+            assert _lcs_length(a, b) == table[-1][-1]
+            # Each step of the fold is one row of the table.
+            row = [0] * (len(b) + 1)
+            for i, x in enumerate(a, start=1):
+                row = lcs_row_step(row, x, b)
+                assert row == table[i]
+
+    def test_absent_word_keeps_the_row(self):
+        row = lcs_row_step([0] * 4, "q", ["p", "q", "q"])
+        assert row == [0, 0, 1, 1]
+        assert lcs_row_step(row, "z", ["p", "q", "q"]) == row
 
 
 class TestSummarize:

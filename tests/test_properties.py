@@ -1,4 +1,5 @@
-"""Property-based round trips of the JSONL file formats."""
+"""Property-based checks: per-token normalization, and round trips of the
+JSONL file formats and the noise profile."""
 
 import string
 import tempfile
@@ -7,8 +8,22 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from docqa.corpus import load_dataset, make_pair, normalize_string, save_dataset
+from docqa.corpus import (
+    Token,
+    load_dataset,
+    make_pair,
+    normalize_string,
+    normalized_words,
+    save_dataset,
+)
 from docqa.labeling import ConsistentLabelSet, SpanLabel, load_labels, save_labels
+from docqa.synthlab import (
+    CUES_PER_TOPIC,
+    NoiseProfile,
+    SyntheticTruth,
+    load_truth,
+    save_truth,
+)
 
 # Deterministic: the same examples on every run, and no example database.
 PROPERTY_SETTINGS = settings(
@@ -44,6 +59,27 @@ def documents(draw, max_pairs=4):
     ]
 
 
+def drawn_spans(data, pair):
+    """Up to three distinct spans per paragraph, each with its normalized text."""
+    spans = []
+    for k, paragraph in enumerate(pair.paragraphs):
+        bounds = st.integers(0, len(paragraph) - 1)
+        for i, j in data.draw(st.lists(st.tuples(bounds, bounds), max_size=3, unique=True)):
+            i, j = min(i, j), max(i, j)
+            spans.append(SpanLabel(k, i, j, normalize_string(paragraph.text(i, j))))
+    return list(dict.fromkeys(spans))
+
+
+@given(st.lists(TEXT, max_size=6))
+@PROPERTY_SETTINGS
+def test_normalized_words_strip_each_token(texts):
+    """The word table gives each token exactly its own normalization."""
+    tokens = [Token(word) for word in " ".join(texts + texts[:2]).split()]
+    punctuation = str.maketrans("", "", string.punctuation)
+    expected = [t.text.lower().translate(punctuation) for t in tokens]
+    assert normalized_words(tokens) == expected
+
+
 @given(documents())
 @PROPERTY_SETTINGS
 def test_dataset_round_trip(pairs):
@@ -56,17 +92,62 @@ def test_dataset_round_trip(pairs):
 @given(documents(), st.data())
 @PROPERTY_SETTINGS
 def test_labels_round_trip(pairs, data):
-    labels = []
-    for pair in pairs:
-        spans = []
-        for k, paragraph in enumerate(pair.paragraphs):
-            bounds = st.integers(0, len(paragraph) - 1)
-            for i, j in data.draw(st.lists(st.tuples(bounds, bounds), max_size=3, unique=True)):
-                i, j = min(i, j), max(i, j)
-                spans.append(SpanLabel(k, i, j, normalize_string(paragraph.text(i, j))))
-        spans = list(dict.fromkeys(spans))
-        labels.append(ConsistentLabelSet.from_spans(len(pair.paragraphs), spans, len(pair.answers)))
+    labels = [
+        ConsistentLabelSet.from_spans(len(pair.paragraphs), drawn_spans(data, pair), len(pair.answers))
+        for pair in pairs
+    ]
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "labels.jsonl"
         save_labels(pairs, labels, path)
         assert load_labels(pairs, path) == labels
+
+
+@given(documents(), st.data())
+@PROPERTY_SETTINGS
+def test_truth_round_trip(pairs, data):
+    truths = [
+        SyntheticTruth(gold_answer=data.draw(TEXT), correct_spans=tuple(drawn_spans(data, pair)))
+        for pair in pairs
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "truth.jsonl"
+        save_truth(pairs, truths, path)
+        assert load_truth(pairs, path) == truths
+
+
+RATES = st.floats(0.0, 1.0)
+
+
+@st.composite
+def profiles(draw):
+    """Any NoiseProfile the constructor accepts."""
+    mention_counts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 99),
+                st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    longest = 4 * max(count for count, _ in mention_counts)
+    return NoiseProfile(
+        vocab_size=draw(st.integers(60, 10**6)),
+        documents=draw(st.integers(1, 10**6)),
+        dev_documents=draw(st.integers(0, 10**6)),
+        paragraphs_per_document=draw(st.integers(1, 8)),
+        tokens_per_paragraph=draw(st.integers(longest + 4, 400)),
+        question_length=draw(st.integers(1, CUES_PER_TOPIC)),
+        alias_rate=draw(RATES),
+        distractor_rate=draw(RATES),
+        multi_answer_rate=draw(RATES),
+        mention_counts=tuple(mention_counts),
+        seed=draw(st.integers(-(2**70), 2**70)),
+    )
+
+
+@given(profiles())
+@PROPERTY_SETTINGS
+def test_profile_round_trip(profile):
+    assert NoiseProfile.from_json(profile.to_json()) == profile

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from docqa.corpus import make_pair
 from docqa.inference import AnswerAggregation, InferenceSpec
 from docqa.labeling import find_consistent_spans_exact
+from docqa.model import ToyScorer
 from docqa.probability import SpaceKind
 from docqa.synthlab import (
     NoiseProfile,
@@ -281,6 +283,49 @@ class TestGrid:
         serial = run_grid(pairs, labels, truths, **kwargs)
         parallel = run_grid(pairs, labels, truths, jobs=2, **kwargs)
         assert serial == parallel
+
+    def test_each_dev_document_scored_once_per_cell(self, monkeypatch):
+        profile = small_profile(documents=20, dev_documents=10, seed=13)
+        pairs, labels, truths = generate(profile)
+        dev_pairs, _, dev_truths = generate(dev_profile(profile), id_prefix="dev")
+        specs = [
+            InferenceSpec(aggregation=AnswerAggregation.SUM),
+            InferenceSpec(aggregation=AnswerAggregation.MAX),
+        ]
+        config = TrainConfig(epochs=1)
+        calls = []
+        score = ToyScorer.score
+        monkeypatch.setattr(
+            ToyScorer, "score", lambda self, pair: calls.append(1) or score(self, pair)
+        )
+        rows = run_grid(
+            pairs,
+            labels,
+            truths,
+            objective_combos=["H2-P-span-mml"],
+            inference_specs=specs,
+            seeds=[0],
+            dev_pairs=dev_pairs,
+            dev_truths=dev_truths,
+            config=config,
+        )
+        assert len(calls) == 20 + 10
+        # The rows equal decoding each spec on its own.
+        checkpoint = train(
+            replace(config, objectives=("H2-P-span-mml",), weights=(1.0,), seed=0),
+            pairs,
+            labels,
+        )
+        golds = [t.gold_strings() for t in dev_truths]
+        for spec, row in zip(specs, rows):
+            alone = evaluate_checkpoint(
+                checkpoint, dev_pairs, golds, spec, SpaceKind.PARAGRAPH
+            )
+            assert (row["inference"], row["em"], row["f1"]) == (
+                spec.aggregation.value,
+                alone["em"],
+                alone["f1"],
+            )
 
     def test_dev_split_used_when_given(self):
         profile = small_profile(documents=30, seed=12)

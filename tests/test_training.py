@@ -121,6 +121,22 @@ class TestSkipping:
         )
         assert combo.history["skipped_examples"] == 1
 
+    def test_pair_without_paragraphs_counted_and_logged(self, caplog):
+        labeled = make_pair("c0", "which metal", ["iron sample"], ["iron"])
+        empty = make_pair("c1", "which metal", [], ["iron"])
+        pairs = [labeled, empty]
+        labels = [find_consistent_spans_exact(p) for p in pairs]
+        with caplog.at_level("INFO", logger="docqa.training"):
+            for ckpt in (
+                train(TrainConfig(epochs=1), pairs, labels),
+                pretrain_clean(TrainConfig(pretrain_epochs=1), pairs, labels),
+            ):
+                assert ckpt.history["skipped_examples"] == 1
+                assert ckpt.history["trained_examples"] == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping 1 examples: 1 without paragraphs, 0 with no consistent span"
+        ] * 2
+
 
 class TestDivergence:
     def test_parameter_overflow_aborts(self):
