@@ -29,7 +29,6 @@ from .labeling import (
     find_consistent_spans_exact,
     find_consistent_spans_rouge,
     load_labels,
-    read_json_lines,
     save_labels,
 )
 from .metrics import partition_analysis, summarize
@@ -42,8 +41,10 @@ from .synthlab import (
     dev_profile,
     generate,
     inference_space,
+    load_predictions,
     load_truth,
     run_grid,
+    save_predictions,
     save_table,
     save_truth,
     score_answers,
@@ -70,18 +71,6 @@ def _job_count(text: str) -> int:
     return jobs
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    # A string default goes through _job_count at parse time, so a bad
-    # DOCQA_JOBS is reported as a usage error like a bad --jobs.
-    parser.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=os.environ.get("DOCQA_JOBS", "1"),
-        help="worker processes for grid cells (env DOCQA_JOBS)",
-    )
-
-
 def _add_loader_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-paragraphs", type=int, default=DEFAULT_MAX_PARAGRAPHS)
     parser.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
@@ -104,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_label.add_argument("--max-span-length", type=int, default=DEFAULT_MAX_SPAN_LENGTH)
     _add_loader_flags(p_label)
-    _add_common(p_label)
     p_label.set_defaults(func=cmd_label)
 
     p_train = sub.add_parser("train", help="train a scorer under an objective mix")
@@ -131,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--pretrain-labels", help="labels for the warm-start dataset")
     p_train.add_argument("--pretrain-epochs", type=int, default=2)
     p_train.add_argument("--max-span-length", type=int, default=DEFAULT_MAX_SPAN_LENGTH)
+    p_train.add_argument("--seed", type=int, default=0, help="random seed")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     _add_loader_flags(p_train)
-    _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="decode answers and score them")
@@ -158,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--answer-threshold", type=int, default=1)
     p_eval.add_argument("--span-threshold", type=int, default=5)
     _add_loader_flags(p_eval)
-    _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", help="train and score a grid of objectives")
@@ -173,20 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--epochs", type=int, default=3)
     p_grid.add_argument("--batch-size", type=int, default=8)
     p_grid.add_argument("--dim", type=int, default=32)
+    # A string default goes through _job_count at parse time, so a bad
+    # DOCQA_JOBS is reported as a usage error like a bad --jobs.
+    p_grid.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=os.environ.get("DOCQA_JOBS", "1"),
+        help="worker processes for grid cells (env DOCQA_JOBS)",
+    )
     p_grid.add_argument("--out", required=True, help="table path (.json or .csv)")
-    _add_common(p_grid)
     p_grid.set_defaults(func=cmd_grid)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic corpus")
     p_sim.add_argument("--profile", help="noise profile JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
-    _add_common(p_sim)
-    # No --seed keeps the profile's own seed; any given value, 0 included, overrides it.
-    p_sim.set_defaults(func=cmd_simulate, seed=None)
+    p_sim.add_argument("--seed", type=int, help="random seed (default: the profile's)")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the randomized self-check suite")
     p_check.add_argument("--trials", type=int, default=100)
-    _add_common(p_check)
+    p_check.add_argument("--seed", type=int, default=0, help="random seed")
     p_check.set_defaults(func=cmd_check)
 
     return parser
@@ -287,17 +280,6 @@ def _eval_space(args, checkpoint) -> SpaceKind:
     return SpaceKind.PARAGRAPH
 
 
-def _read_predictions(path) -> dict[str, tuple[str, float]]:
-    """{id: (answer, score)} from a --pred-out file; bad lines fail with <path>:<line>."""
-    predictions = {}
-    for where, record in read_json_lines(path, ("id", "answer", "score"), ("id", "answer")):
-        score = record["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ValueError(f"{where}: 'score' must be a number")
-        predictions[record["id"]] = (record["answer"], score)
-    return predictions
-
-
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.pred):
         raise UsageError("exactly one of --ckpt and --pred is required")
@@ -316,18 +298,14 @@ def cmd_eval(args) -> int:
             max_answer_length=args.max_answer_length,
         )
         decoded = decode_corpus(checkpoint, pairs, spec, space)
-        predictions = {pair.id: p for pair, p in zip(pairs, decoded)}
+        found = {pair.id: p for pair, p in zip(pairs, decoded)}
         logger.info("decoded %d pairs in space %s", len(pairs), space.value)
     else:
-        predictions = _read_predictions(args.pred)
+        found = load_predictions(args.pred)
+    predictions = {pair.id: found.get(pair.id, ("", float("-inf"))) for pair in pairs}
     if args.pred_out:
-        with open(args.pred_out, "w", encoding="utf-8") as handle:
-            for pair in pairs:
-                answer, score = predictions.get(pair.id, ("", float("-inf")))
-                handle.write(
-                    json.dumps({"id": pair.id, "answer": answer, "score": score}) + "\n"
-                )
-    answers = [predictions.get(pair.id, ("", float("-inf")))[0] for pair in pairs]
+        save_predictions(predictions, args.pred_out)
+    answers = [answer for answer, _ in predictions.values()]
     per_example = score_answers(answers, golds)
     if args.partition:
         labels = _labels_for(pairs, args.labels, DEFAULT_MAX_SPAN_LENGTH)
@@ -493,10 +471,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ObjectiveSpecError as exc:
+    except (UsageError, ObjectiveSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

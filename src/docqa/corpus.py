@@ -1,4 +1,4 @@
-"""Documents, questions, answer sets, and the JSONL dataset format."""
+"""Documents, questions, answer sets, and the JSONL reader and writer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import string
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_PARAGRAPHS = 8
 DEFAULT_MAX_TOKENS = 400
@@ -16,20 +16,20 @@ ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-class DatasetParseError(ValueError):
-    """A dataset line is not valid JSON."""
+class _JsonLineError(ValueError):
+    """A fault in one line of a JSONL file, reported as "<path>:<line>: <fault>"."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path: str | Path, line_number: int, message: str):
+        super().__init__(f"{path}:{line_number}: {message}")
         self.line_number = line_number
 
 
-class DatasetSchemaError(ValueError):
-    """A dataset record is valid JSON but missing or mistyping a field."""
+class DatasetParseError(_JsonLineError):
+    """A JSONL line is not valid UTF-8 or not valid JSON."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+
+class DatasetSchemaError(_JsonLineError):
+    """A JSONL line is valid JSON but not a record its file can hold."""
 
 
 def normalize_string(text: str) -> str:
@@ -187,16 +187,43 @@ def make_pair(
     )
 
 
-def _require(record: dict, field: str, kind, line_number: int):
-    if field not in record:
-        raise DatasetSchemaError(f"missing field {field!r}", line_number)
-    value = record[field]
-    if not isinstance(value, kind):
-        raise DatasetSchemaError(
-            f"field {field!r} must be {kind.__name__}, got {type(value).__name__}",
-            line_number,
-        )
-    return value
+def read_json_lines(
+    path: str | Path, keys: tuple[str, ...], string_keys: tuple[str, ...]
+) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of a JSONL file as (line number, record).
+
+    A line that is not UTF-8 or not JSON raises DatasetParseError.  One that
+    is not an object, lacks one of keys, or holds a non-string under one of
+    string_keys raises DatasetSchemaError.  Only a line feed ends a line.
+    """
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise DatasetParseError(path, number, "not valid UTF-8") from None
+            except (ValueError, RecursionError) as exc:
+                # Too-long integers and too-deep nesting fail outside JSONDecodeError.
+                fault = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise DatasetParseError(path, number, f"not valid JSON: {fault}") from None
+            if not isinstance(record, dict):
+                raise DatasetSchemaError(path, number, "record must be a JSON object")
+            for key in keys:
+                if key not in record:
+                    raise DatasetSchemaError(path, number, f"missing key {key!r}")
+            for key in string_keys:
+                if not isinstance(record[key], str):
+                    raise DatasetSchemaError(path, number, f"{key!r} must be a string")
+            yield number, record
+
+
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one line of JSON, in the form read_json_lines reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
 
 
 def load_dataset(
@@ -206,52 +233,38 @@ def load_dataset(
 ) -> list[DocumentQuestionPair]:
     """Read line-delimited JSON records into pairs.
 
-    Each record holds id, question, paragraphs (list of strings), and answers
-    (list of strings).  Malformed JSON or a bad schema raises an error that
-    carries the offending line number.
+    Each record holds a unique string id, a string question, and lists of
+    strings under paragraphs and answers.  A bad line fails as read_json_lines
+    describes; a repeated id raises DatasetSchemaError.
     """
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(str(exc), line_number) from exc
-            if not isinstance(record, dict):
-                raise DatasetSchemaError("record must be a JSON object", line_number)
-            doc_id = _require(record, "id", str, line_number)
-            question = _require(record, "question", str, line_number)
-            paragraphs = _require(record, "paragraphs", list, line_number)
-            answers = _require(record, "answers", list, line_number)
-            for item in paragraphs:
-                if not isinstance(item, str):
-                    raise DatasetSchemaError("paragraphs must be strings", line_number)
-            for item in answers:
-                if not isinstance(item, str):
-                    raise DatasetSchemaError("answers must be strings", line_number)
-            pairs.append(
-                make_pair(
-                    id=doc_id,
-                    question=question,
-                    paragraphs=paragraphs,
-                    answers=answers,
-                    max_paragraphs=max_paragraphs,
-                    max_tokens=max_tokens,
-                )
+    first_line: dict[str, int] = {}
+    keys = ("id", "question", "paragraphs", "answers")  # make_pair's parameters
+    for number, record in read_json_lines(path, keys, ("id", "question")):
+        for key in ("paragraphs", "answers"):
+            value = record[key]
+            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+                raise DatasetSchemaError(path, number, f"{key!r} must be a list of strings")
+        doc_id = record["id"]
+        if doc_id in first_line:
+            raise DatasetSchemaError(
+                path, number, f"id {doc_id!r} repeats the id of line {first_line[doc_id]}"
             )
+        first_line[doc_id] = number
+        fields = {key: record[key] for key in keys}
+        pairs.append(make_pair(**fields, max_paragraphs=max_paragraphs, max_tokens=max_tokens))
     return pairs
 
 
 def save_dataset(pairs: Iterable[DocumentQuestionPair], path: str | Path) -> None:
     """Write pairs back out as line-delimited JSON of tokenized content."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            record = {
-                "id": pair.id,
-                "question": " ".join(t.text for t in pair.question),
-                "paragraphs": [p.text() for p in pair.paragraphs],
-                "answers": list(pair.answers.raw),
-            }
-            handle.write(json.dumps(record) + "\n")
+    records = (
+        {
+            "id": pair.id,
+            "question": " ".join(t.text for t in pair.question),
+            "paragraphs": [p.text() for p in pair.paragraphs],
+            "answers": list(pair.answers.raw),
+        }
+        for pair in pairs
+    )
+    write_json_lines(path, records)

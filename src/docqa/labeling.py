@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .corpus import ARTICLES, DocumentQuestionPair, normalize_string, normalized_words
+from .corpus import (
+    ARTICLES,
+    DatasetSchemaError,
+    DocumentQuestionPair,
+    normalize_string,
+    normalized_words,
+    read_json_lines,
+    write_json_lines,
+)
 from .metrics import lcs_row_step, rouge_f
 
 DEFAULT_MAX_SPAN_LENGTH = 8
@@ -267,41 +274,11 @@ def save_labels(
     """Write one {"id", "spans": [[paragraph, begin, end], ...]} record per pair."""
     if len(pairs) != len(labels):
         raise ValueError("pairs and labels must align")
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair, label_set in zip(pairs, labels):
-            record = {
-                "id": pair.id,
-                "spans": [list(s.triple()) for s in label_set.all_spans()],
-            }
-            handle.write(json.dumps(record) + "\n")
-
-
-def read_json_lines(
-    path: str | Path, keys: tuple[str, ...], string_keys: tuple[str, ...]
-) -> Iterator[tuple[str, dict]]:
-    """Each non-blank line of a JSONL file as ("<path>:<line>", record).
-
-    A line that is not JSON or not an object, lacks one of keys, or holds a
-    non-string under one of string_keys raises ValueError("<path>:<line>: ...").
-    """
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{number}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: not valid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: record must be a JSON object")
-            for key in keys:
-                if key not in record:
-                    raise ValueError(f"{where}: missing key {key!r}")
-            for key in string_keys:
-                if not isinstance(record[key], str):
-                    raise ValueError(f"{where}: {key!r} must be a string")
-            yield where, record
+    records = (
+        {"id": pair.id, "spans": [list(s.triple()) for s in label_set.all_spans()]}
+        for pair, label_set in zip(pairs, labels)
+    )
+    write_json_lines(path, records)
 
 
 def read_span_records(
@@ -316,39 +293,45 @@ def read_span_records(
     [paragraph, begin, end] integer triples under spans_key, and a string
     under each of text_keys.  Each span must lie inside the loaded (possibly
     truncated) paragraph; its matched string is rebuilt from the paragraph
-    text.  A bad line raises ValueError("<path>:<line>: ..."); a pair without
-    a record raises KeyError.  When an id repeats, its last record wins.
+    text.  A bad line fails as read_json_lines describes, and a bad span
+    raises DatasetSchemaError; a pair without a record raises KeyError.  When
+    an id repeats, its last record wins.
     """
-    by_id: dict[str, tuple[str, dict]] = {}
+    by_id: dict[str, tuple[int, dict]] = {}
     keys = ("id", spans_key, *text_keys)
-    for where, record in read_json_lines(path, keys, ("id", *text_keys)):
+    for number, record in read_json_lines(path, keys, ("id", *text_keys)):
         triples = record[spans_key]
         if not isinstance(triples, list) or not all(
             isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
             for t in triples
         ):
-            raise ValueError(
-                f"{where}: {spans_key!r} must be a list of"
-                " [paragraph, begin, end] integer triples"
+            raise DatasetSchemaError(
+                path,
+                number,
+                f"{spans_key!r} must be a list of [paragraph, begin, end] integer triples",
             )
-        by_id[record["id"]] = (where, record)
+        by_id[record["id"]] = (number, record)
     out = []
     for pair in pairs:
         if pair.id not in by_id:
             raise KeyError(f"no record for pair {pair.id!r} in {path}")
-        where, record = by_id[pair.id]
+        number, record = by_id[pair.id]
         spans = []
         for k, i, j in record[spans_key]:
             if not 0 <= k < len(pair.paragraphs):
-                raise ValueError(
-                    f"{where}: paragraph {k} is outside document {pair.id!r}"
-                    f" of {len(pair.paragraphs)} paragraphs"
+                raise DatasetSchemaError(
+                    path,
+                    number,
+                    f"paragraph {k} is outside document {pair.id!r}"
+                    f" of {len(pair.paragraphs)} paragraphs",
                 )
             paragraph = pair.paragraphs[k]
             if not 0 <= i <= j < len(paragraph):
-                raise ValueError(
-                    f"{where}: span [{k}, {i}, {j}] is not inside paragraph {k}"
-                    f" of {len(paragraph)} tokens"
+                raise DatasetSchemaError(
+                    path,
+                    number,
+                    f"span [{k}, {i}, {j}] is not inside paragraph {k}"
+                    f" of {len(paragraph)} tokens",
                 )
             text = normalize_string(paragraph.text(i, j))
             spans.append(SpanLabel(k, i, j, matched_string=text))

@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, make_pair, normalize_string
+from .corpus import (
+    DatasetSchemaError,
+    DocumentQuestionPair,
+    make_pair,
+    normalize_string,
+    read_json_lines,
+    write_json_lines,
+)
 from .inference import InferenceError, InferenceSpec, predict
 from .labeling import (
     ConsistentLabelSet,
@@ -274,14 +281,15 @@ def save_truth(
     truths: Sequence[SyntheticTruth],
     path: str | Path,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair, truth in zip(pairs, truths):
-            record = {
-                "id": pair.id,
-                "gold": truth.gold_answer,
-                "correct_spans": [list(s.triple()) for s in truth.correct_spans],
-            }
-            handle.write(json.dumps(record) + "\n")
+    records = (
+        {
+            "id": pair.id,
+            "gold": truth.gold_answer,
+            "correct_spans": [list(s.triple()) for s in truth.correct_spans],
+        }
+        for pair, truth in zip(pairs, truths)
+    )
+    write_json_lines(path, records)
 
 
 def load_truth(
@@ -293,6 +301,26 @@ def load_truth(
         SyntheticTruth(gold_answer=record["gold"], correct_spans=tuple(spans))
         for record, spans in records
     ]
+
+
+def save_predictions(predictions: dict[str, tuple[str, float]], path: str | Path) -> None:
+    """Write one {"id", "answer", "score"} record per id, in insertion order."""
+    records = ({"id": i, "answer": a, "score": s} for i, (a, s) in predictions.items())
+    write_json_lines(path, records)
+
+
+def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
+    """{id: (answer, score)} from a save_predictions file.
+
+    A bad line fails as read_json_lines describes, and a score that is not a
+    number raises DatasetSchemaError.  When an id repeats, its last record wins.
+    """
+    predictions = {}
+    for number, record in read_json_lines(path, ("id", "answer", "score"), ("id", "answer")):
+        if not _is_number(record["score"], float):
+            raise DatasetSchemaError(path, number, "'score' must be a number")
+        predictions[record["id"]] = (record["answer"], record["score"])
+    return predictions
 
 
 def inference_space(combo: str) -> SpaceKind:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,23 +61,7 @@ class TrainConfig:
         return [ObjectiveSpec.parse(s) for s in self.objectives]
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "objectives": list(self.objectives),
-                "weights": list(self.weights),
-                "learning_rate": self.learning_rate,
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-                "embedding_dim": self.embedding_dim,
-                "init_scale": self.init_scale,
-                "momentum": self.momentum,
-                "hardem_temperature_ramp": self.hardem_temperature_ramp,
-                "pretrain_path": self.pretrain_path,
-                "pretrain_epochs": self.pretrain_epochs,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

@@ -84,22 +84,31 @@ class TestSimulate:
 
 
 class TestJobs:
+    GRID = ["grid", "--specs", "H2-P-span-mml", "--out", "table.json"]
+
     def test_zero_jobs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["check", "--trials", "1", "--jobs", "0"])
+            main([*self.GRID, "--jobs", "0"])
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_env_jobs_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("DOCQA_JOBS", "x")
         with pytest.raises(SystemExit) as exit_info:
-            main(["check", "--trials", "1"])
+            main(self.GRID)
         assert exit_info.value.code == 2
         assert "DOCQA_JOBS" in capsys.readouterr().err
 
     def test_env_jobs_is_read(self, monkeypatch):
         monkeypatch.setenv("DOCQA_JOBS", "3")
-        assert build_parser().parse_args(["check"]).jobs == 3
+        assert build_parser().parse_args(self.GRID).jobs == 3
+
+    def test_check_ignores_env_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv("DOCQA_JOBS", "x")
+        assert main(["check", "--trials", "1"]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--jobs", "2"])
+        assert exit_info.value.code == 2
 
 
 class TestLabel:
@@ -374,6 +383,18 @@ class TestBadRecordFiles:
         err = capsys.readouterr().err
         assert f"error: {labels}:" in err
         assert "of 3 tokens" in err
+
+    def test_invalid_utf8_dataset_and_labels(self, workspace, tmp_path, capsys):
+        data = workspace["data"] / "train.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["label", str(bad), "--out", str(tmp_path / "labels.jsonl")]) == 1
+        assert f"error: {bad}:2: not valid UTF-8" in capsys.readouterr().err
+        labels = workspace["data"] / "labels_train.jsonl"
+        bad.write_bytes(labels.read_bytes().replace(b"\n", b"\n\xff", 1))
+        status = main(["train", str(data), "--labels", str(bad), "--out", str(tmp_path / "x.ckpt")])
+        assert status == 1
+        assert f"error: {bad}:2: not valid UTF-8" in capsys.readouterr().err
 
     def test_truth_line_not_json(self, workspace, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"

@@ -187,7 +187,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError) as err:
             load_dataset(path)
         assert err.value.line_number == 2
-        assert "line 2" in str(err.value)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps(self.record()).encode() + b'\n{"id": "\xff"}\n')
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(path)
+        assert err.value.line_number == 2
+        assert str(err.value) == f"{path}:2: not valid UTF-8"
+
+    def test_repeated_id_is_schema_error(self, tmp_path):
+        records = [self.record(), self.record(paragraphs=["alpha"]), self.record()]
+        path = self.write(tmp_path, records)
+        with pytest.raises(DatasetSchemaError) as err:
+            load_dataset(path)
+        assert err.value.line_number == 2
+        assert str(err.value).startswith(f"{path}:2: id 'd0' repeats")
 
     def test_schema_error_on_missing_field(self, tmp_path):
         record = self.record()

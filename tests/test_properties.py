@@ -5,10 +5,13 @@ import string
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from docqa.corpus import (
+    DatasetParseError,
+    DatasetSchemaError,
     Token,
     load_dataset,
     make_pair,
@@ -21,7 +24,9 @@ from docqa.synthlab import (
     CUES_PER_TOPIC,
     NoiseProfile,
     SyntheticTruth,
+    load_predictions,
     load_truth,
+    save_predictions,
     save_truth,
 )
 
@@ -113,6 +118,64 @@ def test_truth_round_trip(pairs, data):
         path = Path(root) / "truth.jsonl"
         save_truth(pairs, truths, path)
         assert load_truth(pairs, path) == truths
+
+
+@given(
+    st.dictionaries(
+        st.text(),
+        st.tuples(
+            st.text(CHARACTERS),
+            st.one_of(st.floats(allow_nan=False), st.just(float("-inf"))),
+        ),
+        max_size=6,
+    )
+)
+@PROPERTY_SETTINGS
+def test_predictions_round_trip(predictions):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "pred.jsonl"
+        save_predictions(predictions, path)
+        loaded = load_predictions(path)
+    assert loaded == predictions
+    assert list(loaded) == list(predictions)
+
+
+# Arbitrary bytes, near-miss records and the JSON lines of both formats, so
+# that reads reach every check past parsing.
+LINES = st.one_of(
+    st.binary(max_size=30),
+    st.text(CHARACTERS, max_size=30).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.sampled_from(
+        [
+            b'{"id": "a", "answer": "x", "score": -Infinity}',
+            b'{"id": "a", "answer": "x", "score": NaN}',
+            b'{"id": "a", "answer": "x", "score": true}',
+            b'{"id": "a", "question": "q", "paragraphs": ["p q"], "answers": ["p"]}',
+            b'{"id": "a", "question": "q", "paragraphs": "p", "answers": []}',
+            b'{"id": "b", "question": 1, "paragraphs": [], "answers": [2]}',
+            b"[]",
+        ]
+    ),
+)
+
+
+@pytest.mark.parametrize("read", [load_dataset, load_predictions])
+@given(lines=st.lists(LINES, max_size=5))
+@example(lines=[b'{"id": "\xff"}'])
+@example(lines=[b"1" * 5000])  # past the integer digit limit
+@example(lines=[b"[" * 100000])  # past the recursion limit
+@PROPERTY_SETTINGS
+def test_readers_fail_only_with_line_errors(read, lines):
+    """Any file reads to records or fails with a "<path>:<line>: " message."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "any.jsonl"
+        content = b"\n".join(lines)
+        path.write_bytes(content)
+        try:
+            read(path)
+        except (DatasetParseError, DatasetSchemaError) as exc:
+            assert 1 <= exc.line_number <= content.count(b"\n") + 1
+            assert str(exc).startswith(f"{path}:{exc.line_number}: ")
 
 
 RATES = st.floats(0.0, 1.0)
