@@ -58,17 +58,19 @@ class UsageError(ValueError):
     """Bad flags or flag combinations; maps to exit status 2."""
 
 
-def _job_count(text: str) -> int:
-    """A positive worker count, from --jobs or from DOCQA_JOBS."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count (--jobs or DOCQA_JOBS) must be a positive integer, got {text!r}"
-        )
-    return jobs
+def _positive_int(what: str):
+    """An argparse type for an integer of at least 1; errors name what it counts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be a positive integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_loader_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--epochs", type=int, default=3)
     p_grid.add_argument("--batch-size", type=int, default=8)
     p_grid.add_argument("--dim", type=int, default=32)
-    # A string default goes through _job_count at parse time, so a bad
+    # A string default goes through its type at parse time, so a bad
     # DOCQA_JOBS is reported as a usage error like a bad --jobs.
     p_grid.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_positive_int("worker count (--jobs or DOCQA_JOBS)"),
         default=os.environ.get("DOCQA_JOBS", "1"),
         help="worker processes for grid cells (env DOCQA_JOBS)",
     )
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the randomized self-check suite")
-    p_check.add_argument("--trials", type=int, default=100)
+    p_check.add_argument("--trials", type=_positive_int("trial count"), default=100)
     p_check.add_argument("--seed", type=int, default=0, help="random seed")
     p_check.set_defaults(func=cmd_check)
 

@@ -67,6 +67,17 @@ def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     return [table[text] for text in texts]
 
 
+def span_strings(words: Sequence[str]) -> list[str]:
+    """Normalized text of words[:1], words[:2], ... for normalized_words output:
+    empty words are skipped, and so are ARTICLES until the first kept word."""
+    strings, text = [], ""
+    for word in words:
+        if word and (text or word not in ARTICLES):
+            text = f"{text} {word}" if text else word
+        strings.append(text)
+    return strings
+
+
 def tokenize(text: str) -> list["Token"]:
     """Split text into lowercased, punctuation-stripped tokens.
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, product
 from typing import Callable
 
 import numpy as np
@@ -16,30 +17,24 @@ from .objectives import (
     Granularity,
     Hypothesis,
     ObjectiveSpec,
+    ObjectiveSpecError,
     evaluate,
     grad_check,
 )
 from .probability import ScoreGrid, SpaceKind, log_partition
 
-ALL_CELLS = tuple(
-    ObjectiveSpec.parse(text)
-    for text in (
-        "H1-P-span-mml",
-        "H1-P-pos-mml",
-        "H1-D-span-mml",
-        "H1-D-pos-mml",
-        "H2-P-span-mml",
-        "H2-P-pos-mml",
-        "H2-D-span-mml",
-        "H2-D-pos-mml",
-        "H3-D-span-mml",
-        "H3-D-pos-mml",
-    )
-)
 
-LATENT_CELLS = tuple(
-    spec for spec in ALL_CELLS if spec.hypothesis is not Hypothesis.ALL_MENTIONS
-)
+def _valid_cells():
+    """Every valid marginal cell, in enum order: H1-P-span-mml, H1-P-pos-mml, ..."""
+    for fields in product(Hypothesis, SpaceKind, Granularity):
+        try:
+            yield ObjectiveSpec(*fields, Aggregation.MML)
+        except ObjectiveSpecError:
+            pass
+
+
+ALL_CELLS = tuple(_valid_cells())
+LATENT_CELLS = tuple(c for c in ALL_CELLS if c.hypothesis is not Hypothesis.ALL_MENTIONS)
 
 
 def random_instance(
@@ -115,71 +110,46 @@ def _check_normalization(rng, trials) -> CheckResult:
     return CheckResult("normalization sums to one", worst < 1e-9, f"worst {worst:.2e}")
 
 
-def _check_h1_granularity(rng, trials) -> CheckResult:
-    worst = 0.0
+def _trial_values(rng, trials, specs):
+    """Each trial's objective values of specs, on one fresh random instance."""
     for _ in range(trials):
         grid, labels = random_instance(rng)
-        for space in SpaceKind:
-            for agg in Aggregation:
-                span = evaluate(
-                    ObjectiveSpec(Hypothesis.ALL_MENTIONS, space, Granularity.SPAN, agg),
-                    grid,
-                    labels,
-                )
-                pos = evaluate(
-                    ObjectiveSpec(
-                        Hypothesis.ALL_MENTIONS, space, Granularity.POSITION, agg
-                    ),
-                    grid,
-                    labels,
-                )
-                worst = max(worst, abs(span.value - pos.value))
+        yield [evaluate(spec, grid, labels).value for spec in specs]
+
+
+def _pair_gaps(rng, trials, pairs):
+    """value(a) - value(b) for each spec pair (a, b), on each trial's instance."""
+    specs = [spec for pair in pairs for spec in pair]
+    for values in _trial_values(rng, trials, specs):
+        yield from (a - b for a, b in zip(values[::2], values[1::2]))
+
+
+def _check_h1_granularity(rng, trials) -> CheckResult:
+    spans = [
+        replace(cell, aggregation=agg)
+        for cell in ALL_CELLS
+        if cell.hypothesis is Hypothesis.ALL_MENTIONS and cell.granularity is Granularity.SPAN
+        for agg in Aggregation
+    ]
+    pairs = [(span, replace(span, granularity=Granularity.POSITION)) for span in spans]
+    worst = max([0.0, *map(abs, _pair_gaps(rng, trials, pairs))])
     return CheckResult(
         "all-mentions span and position variants coincide", worst < 1e-9, f"worst {worst:.2e}"
     )
 
 
 def _check_position_bound(rng, trials) -> CheckResult:
-    worst = 0.0
-    cells = [
-        ("H2", SpaceKind.PARAGRAPH),
-        ("H2", SpaceKind.DOCUMENT),
-        ("H3", SpaceKind.DOCUMENT),
-    ]
-    for _ in range(trials):
-        grid, labels = random_instance(rng)
-        for hyp_key, space in cells:
-            hyp = Hypothesis(hyp_key)
-            span = evaluate(
-                ObjectiveSpec(hyp, space, Granularity.SPAN, Aggregation.MML),
-                grid,
-                labels,
-            )
-            pos = evaluate(
-                ObjectiveSpec(hyp, space, Granularity.POSITION, Aggregation.MML),
-                grid,
-                labels,
-            )
-            worst = min(worst, pos.value - span.value)
+    spans = [cell for cell in LATENT_CELLS if cell.granularity is Granularity.SPAN]
+    pairs = [(replace(span, granularity=Granularity.POSITION), span) for span in spans]
+    worst = min([0.0, *_pair_gaps(rng, trials, pairs)])
     return CheckResult(
         "position marginal upper-bounds span marginal", worst > -1e-9, f"worst gap {worst:.2e}"
     )
 
 
 def _check_mml_bound(rng, trials) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        grid, labels = random_instance(rng)
-        for spec in LATENT_CELLS:
-            soft = evaluate(spec, grid, labels)
-            hard = evaluate(
-                ObjectiveSpec(
-                    spec.hypothesis, spec.space, spec.granularity, Aggregation.HARD_EM
-                ),
-                grid,
-                labels,
-            )
-            worst = min(worst, soft.value - hard.value)
+    pairs = [(cell, replace(cell, aggregation=Aggregation.HARD_EM)) for cell in LATENT_CELLS]
+    worst = min([0.0, *_pair_gaps(rng, trials, pairs)])
     return CheckResult(
         "marginalizing dominates maximizing", worst > -1e-9, f"worst gap {worst:.2e}"
     )
@@ -232,11 +202,7 @@ def _check_metric_fixtures(rng, trials) -> CheckResult:
 
 
 def _check_values_nonpositive(rng, trials) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        grid, labels = random_instance(rng)
-        for spec in ALL_CELLS:
-            worst = max(worst, evaluate(spec, grid, labels).value)
+    worst = max([0.0, *chain.from_iterable(_trial_values(rng, trials, ALL_CELLS))])
     return CheckResult("log likelihoods are non-positive", worst < 1e-9, f"max {worst:.2e}")
 
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import ARTICLES, DocumentQuestionPair, normalized_words
+from .corpus import DocumentQuestionPair, normalized_words, span_strings
 from .labeling import SpanLabel
 from .probability import LogProbGrid, logsumexp
 
@@ -62,17 +62,6 @@ def _top_positions(log_probs: np.ndarray, limit: int | None) -> np.ndarray:
     return np.argsort(-log_probs, kind="stable")[:limit]
 
 
-def _span_strings(words: list[str]) -> list[str]:
-    """Normalized text of words[:1], words[:2], ... for per-token normalized words:
-    empty words are skipped, and so are ARTICLES until the first kept word."""
-    strings, text = [], ""
-    for word in words:
-        if word and (text or word not in ARTICLES):
-            text = f"{text} {word}" if text else word
-        strings.append(text)
-    return strings
-
-
 def _pool(probs, pair, aggregation, top_k, max_answer_length):
     """Pool the candidate spans of every paragraph by normalized string.
 
@@ -98,7 +87,7 @@ def _pool(probs, pair, aggregation, top_k, max_answer_length):
         covered = np.flatnonzero(depth).tolist()
         words = dict(zip(covered, normalized_words([paragraph.tokens[j] for j in covered])))
         runs = zip(starts.tolist(), stops.tolist())
-        strings = {i: _span_strings([words[j] for j in range(i, stop)]) for i, stop in runs}
+        strings = {i: span_strings([words[j] for j in range(i, stop)]) for i, stop in runs}
         texts += [strings[i][d] for i, d in zip(b.tolist(), (e - b).tolist())]
         log_ps.append(probs.log_begin[k][b] + probs.log_end[k][e])
         triples.append(np.stack([np.full_like(b, k), b, e], axis=1))

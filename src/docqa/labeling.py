@@ -13,6 +13,7 @@ from .corpus import (
     normalize_string,
     normalized_words,
     read_json_lines,
+    span_strings,
     write_json_lines,
 )
 from .metrics import lcs_row_step, rouge_f
@@ -137,9 +138,10 @@ def find_consistent_spans_exact(
     (corpus.normalized_words): a span [i, j] normalizes to the non-empty words
     of [s, j] joined by spaces, where s is the first non-empty, non-article
     word at or after i.  The scan stops only at positions s whose word is the
-    first word of some answer.  From s it grows keys one word at a time,
-    noting the ends j whose key is an answer, and then walks back over the
-    empty words and articles before s to the other begins that share them.
+    first word of some answer.  From s, corpus.span_strings gives the key of
+    each end j; the scan notes the ends whose key is an answer, and then walks
+    back over the empty words and articles before s to the other begins that
+    share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -150,13 +152,8 @@ def find_consistent_spans_exact(
         words = normalized_words(paragraph.tokens)
         starts = [s for s, word in enumerate(words) if word in first_words]
         for s in starts:
-            key = words[s]
-            matches = []
-            for j in range(s, min(s + max_span_length, len(words))):
-                if j > s and words[j]:
-                    key = f"{key} {words[j]}"
-                if key in targets:
-                    matches.append((j, key))
+            keys = span_strings(words[s : s + max_span_length])
+            matches = [(s + d, key) for d, key in enumerate(keys) if key in targets]
             if not matches:
                 continue
             for i in _begins(words, s, max_span_length):
@@ -294,8 +291,8 @@ def read_span_records(
     under each of text_keys.  Each span must lie inside the loaded (possibly
     truncated) paragraph; its matched string is rebuilt from the paragraph
     text.  A bad line fails as read_json_lines describes, and a bad span
-    raises DatasetSchemaError; a pair without a record raises KeyError.  When
-    an id repeats, its last record wins.
+    raises DatasetSchemaError; a pair without a record raises a ValueError
+    that starts with the path.  When an id repeats, its last record wins.
     """
     by_id: dict[str, tuple[int, dict]] = {}
     keys = ("id", spans_key, *text_keys)
@@ -314,7 +311,7 @@ def read_span_records(
     out = []
     for pair in pairs:
         if pair.id not in by_id:
-            raise KeyError(f"no record for pair {pair.id!r} in {path}")
+            raise ValueError(f"{path}: no record for pair {pair.id!r}")
         number, record = by_id[pair.id]
         spans = []
         for k, i, j in record[spans_key]:

@@ -72,11 +72,6 @@ def rouge_f(lcs: int, prediction_length: int, reference_length: int) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def rouge_l_words(prediction: Sequence[str], reference: Sequence[str]) -> float:
-    """rouge_l on word sequences that are already normalized and split."""
-    return rouge_f(_lcs_length(prediction, reference), len(prediction), len(reference))
-
-
 def rouge_l(prediction: str, reference: str) -> float:
     """Longest-common-subsequence F measure over normalized tokens.
 
@@ -84,9 +79,8 @@ def rouge_l(prediction: str, reference: str) -> float:
     symmetric in its arguments.  Returns 0 when either side normalizes to
     nothing.
     """
-    return rouge_l_words(
-        normalize_string(prediction).split(), normalize_string(reference).split()
-    )
+    a, b = normalize_string(prediction).split(), normalize_string(reference).split()
+    return rouge_f(_lcs_length(a, b), len(a), len(b))
 
 
 @dataclass

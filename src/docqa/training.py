@@ -157,6 +157,39 @@ def _run_epochs(
     return history
 
 
+def _fit(
+    config: TrainConfig,
+    specs: Sequence[ObjectiveSpec],
+    weights: Sequence[float],
+    epochs: int,
+    pairs: Sequence[DocumentQuestionPair],
+    labels: Sequence[ConsistentLabelSet],
+    last_entry: dict,
+    init: Checkpoint | None = None,
+    vocab: Vocabulary | None = None,
+) -> Checkpoint:
+    """The body of train and pretrain_clean: starts from init's parameters, else from a
+    fresh scorer over vocab or the pairs' own; the history ends with last_entry."""
+    if len(pairs) != len(labels):
+        raise ValueError("pairs and labels must align")
+    examples, skipped = _usable_examples(specs, pairs, labels)
+    if init is not None:
+        scorer = init.to_scorer()
+    else:
+        vocab = vocab if vocab is not None else Vocabulary.from_pairs(pairs)
+        scorer = ToyScorer.initialize(
+            vocab, dim=config.embedding_dim, seed=config.seed, init_scale=config.init_scale
+        )
+    values = _run_epochs(scorer, specs, weights, examples, config, epochs)
+    history = {
+        "objective_values": values,
+        "skipped_examples": skipped,
+        "trained_examples": len(examples),
+        **last_entry,
+    }
+    return Checkpoint.from_scorer(scorer, config.fingerprint(), history)
+
+
 def train(
     config: TrainConfig,
     pairs: Sequence[DocumentQuestionPair],
@@ -171,27 +204,9 @@ def train(
     document space, examples without a single consistent span are skipped;
     so are pairs without paragraphs.  Both are counted in the returned history.
     """
-    if len(pairs) != len(labels):
-        raise ValueError("pairs and labels must align")
     specs = config.parsed_objectives()
-    examples, skipped = _usable_examples(specs, pairs, labels)
-    if init is not None:
-        scorer = init.to_scorer()
-    else:
-        scorer = ToyScorer.initialize(
-            Vocabulary.from_pairs(pairs),
-            dim=config.embedding_dim,
-            seed=config.seed,
-            init_scale=config.init_scale,
-        )
-    values = _run_epochs(scorer, specs, config.weights, examples, config, config.epochs)
-    history = {
-        "objective_values": values,
-        "skipped_examples": skipped,
-        "trained_examples": len(examples),
-        "initialized_from": init.fingerprint if init is not None else None,
-    }
-    return Checkpoint.from_scorer(scorer, config.fingerprint(), history)
+    entry = {"initialized_from": init.fingerprint if init is not None else None}
+    return _fit(config, specs, config.weights, config.epochs, pairs, labels, entry, init=init)
 
 
 def pretrain_clean(
@@ -208,27 +223,10 @@ def pretrain_clean(
     vocabulary lets the warm start share token ids with later fine-tuning.
     Empty data returns the untouched initialization.
     """
-    if len(pairs) != len(labels):
-        raise ValueError("pairs and labels must align")
     for label_set in labels:
         for spans in label_set.spans_by_paragraph:
             if len(spans) > 1:
                 raise LabelError("clean pretraining expects at most one span per paragraph")
-    spec = ObjectiveSpec.parse(PRETRAIN_OBJECTIVE)
-    examples, skipped = _usable_examples([spec], pairs, labels)
-    scorer = ToyScorer.initialize(
-        vocab if vocab is not None else Vocabulary.from_pairs(pairs),
-        dim=config.embedding_dim,
-        seed=config.seed,
-        init_scale=config.init_scale,
-    )
-    values = _run_epochs(
-        scorer, [spec], [1.0], examples, config, config.pretrain_epochs
-    )
-    history = {
-        "objective_values": values,
-        "skipped_examples": skipped,
-        "trained_examples": len(examples),
-        "pretraining": True,
-    }
-    return Checkpoint.from_scorer(scorer, config.fingerprint(), history)
+    specs = [ObjectiveSpec.parse(PRETRAIN_OBJECTIVE)]
+    entry = {"pretraining": True}
+    return _fit(config, specs, [1.0], config.pretrain_epochs, pairs, labels, entry, vocab=vocab)

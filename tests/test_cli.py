@@ -412,6 +412,35 @@ class TestBadRecordFiles:
         assert status == 1
         assert f"error: {truth}:1: not valid JSON" in capsys.readouterr().err
 
+    def test_labels_without_a_pair(self, workspace, tmp_path, capsys):
+        labels = workspace["data"] / "labels_train.jsonl"
+        status = main(
+            [
+                "train",
+                str(workspace["data"] / "dev.jsonl"),
+                "--labels",
+                str(labels),
+                "--out",
+                str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert status == 1
+        assert f"error: {labels}: no record for pair 'dev00000'\n" in capsys.readouterr().err
+
+    def test_truth_without_a_pair(self, workspace, capsys):
+        truth = workspace["data"] / "truth_train.jsonl"
+        status = main(
+            [
+                "eval",
+                str(workspace["data"] / "dev.jsonl"),
+                "--ckpt",
+                str(workspace["ckpt"]),
+                "--truth",
+                str(truth),
+            ]
+        )
+        assert status == 1
+        assert f"error: {truth}: no record for pair 'dev00000'\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, message",
@@ -589,6 +618,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "all 8 checks passed" in out
         assert out.count("ok  ") == 8
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--trials", trials])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --trials:" in err
+        assert f"trial count must be a positive integer, got '{trials}'" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -369,11 +369,12 @@ class TestLabelFiles:
         (labels,) = load_labels([joan_pair()], path)
         assert labels.all_spans()[0].matched_string == "joan rivers left"
 
-    def test_missing_pair_is_key_error(self, tmp_path):
+    def test_missing_pair_names_the_file(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"id": "other", "spans": []}\n')
-        with pytest.raises(KeyError, match="doc9"):
+        with pytest.raises(ValueError, match="doc9") as error:
             load_labels([joan_pair()], path)
+        assert str(error.value) == f"{path}: no record for pair 'doc9'"
 
     def test_spans_checked_against_truncated_paragraphs(self, tmp_path):
         pair = joan_pair()

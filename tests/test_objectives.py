@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from docqa.diagnostics import random_instance
+from docqa.diagnostics import ALL_CELLS, LATENT_CELLS, random_instance
 from docqa.labeling import ConsistentLabelSet, SpanLabel
 from docqa.objectives import (
     Aggregation,
@@ -457,6 +457,28 @@ class TestSpecParsing:
         for bad in ("H2-P-span", "H4-P-span-mml", "H2-X-span-mml", "H2-P-word-mml", "H2-P-span-avg", ""):
             with pytest.raises(ObjectiveSpecError):
                 ObjectiveSpec.parse(bad)
+
+    def test_diagnostic_cells_in_enum_order(self):
+        assert [str(s) for s in ALL_CELLS] == [
+            "H1-P-span-mml",
+            "H1-P-pos-mml",
+            "H1-D-span-mml",
+            "H1-D-pos-mml",
+            "H2-P-span-mml",
+            "H2-P-pos-mml",
+            "H2-D-span-mml",
+            "H2-D-pos-mml",
+            "H3-D-span-mml",
+            "H3-D-pos-mml",
+        ]
+        assert [str(s) for s in LATENT_CELLS] == [
+            "H2-P-span-mml",
+            "H2-P-pos-mml",
+            "H2-D-span-mml",
+            "H2-D-pos-mml",
+            "H3-D-span-mml",
+            "H3-D-pos-mml",
+        ]
 
     def test_combo_parsing(self):
         specs = parse_combo("H2-P-span-mml+H3-D-span-mml")
