@@ -59,7 +59,6 @@ from .probability import (
     ScoreGrid,
     SpaceKind,
     log_partition,
-    log_span_prob,
 )
 from .synthlab import (
     NoiseProfile,

@@ -58,19 +58,34 @@ class UsageError(ValueError):
     """Bad flags or flag combinations; maps to exit status 2."""
 
 
-def _positive_int(what: str):
-    """An argparse type for an integer of at least 1; errors name what it counts."""
+def _int_at_least(low: int, kind: str, what: str):
+    """An argparse type for an integer of at least low; errors name what it counts."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be a positive integer, got {text!r}")
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be a {kind} integer, got {text!r}")
         return value
 
     return parse
+
+
+def _positive_int(what: str):
+    return _int_at_least(1, "positive", what)
+
+
+_seed = _int_at_least(0, "non-negative", "seed")
+
+
+def _seed_list(text: str) -> list[int]:
+    """An argparse type for comma-separated seeds, at least one."""
+    seeds = [_seed(s) for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"need at least one seed, got {text!r}")
+    return seeds
 
 
 def _add_loader_flags(parser: argparse.ArgumentParser) -> None:
@@ -121,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--pretrain-labels", help="labels for the warm-start dataset")
     p_train.add_argument("--pretrain-epochs", type=int, default=2)
     p_train.add_argument("--max-span-length", type=int, default=DEFAULT_MAX_SPAN_LENGTH)
-    p_train.add_argument("--seed", type=int, default=0, help="random seed")
+    p_train.add_argument("--seed", type=_seed, default=0, help="random seed")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     _add_loader_flags(p_train)
     p_train.set_defaults(func=cmd_train)
@@ -156,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument(
         "--specs", required=True, help="comma-separated objective combos"
     )
-    p_grid.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_grid.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds")
     p_grid.add_argument("--infer", choices=("both", "sum", "max"), default="both")
     p_grid.add_argument("--lr", type=float, default=0.5)
     p_grid.add_argument("--epochs", type=int, default=3)
@@ -176,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a synthetic corpus")
     p_sim.add_argument("--profile", help="noise profile JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, help="random seed (default: the profile's)")
+    p_sim.add_argument("--seed", type=_seed, help="random seed (default: the profile's)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the randomized self-check suite")
     p_check.add_argument("--trials", type=_positive_int("trial count"), default=100)
-    p_check.add_argument("--seed", type=int, default=0, help="random seed")
+    p_check.add_argument("--seed", type=_seed, default=0, help="random seed")
     p_check.set_defaults(func=cmd_check)
 
     return parser
@@ -346,15 +361,11 @@ def _load_profile(path) -> NoiseProfile:
 def cmd_grid(args) -> int:
     if bool(args.data) == bool(args.profile):
         raise UsageError("exactly one of --data and --profile is required")
-    try:
-        combos = [c.strip() for c in args.specs.split(",") if c.strip()]
-        for combo in combos:
-            parse_combo(combo)
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not combos or not seeds:
-            raise ValueError("need at least one spec and one seed")
-    except (ObjectiveSpecError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    combos = [c.strip() for c in args.specs.split(",") if c.strip()]
+    if not combos:
+        raise UsageError("need at least one spec")
+    for combo in combos:
+        parse_combo(combo)  # an ObjectiveSpecError is a usage error
     if args.data:
         root = Path(args.data)
         train_pairs = load_dataset(root / "train.jsonl")
@@ -382,7 +393,7 @@ def cmd_grid(args) -> int:
     logger.info(
         "grid: %d combos x %d seeds, fingerprint %s",
         len(combos),
-        len(seeds),
+        len(args.seeds),
         config.fingerprint(),
     )
     rows = run_grid(
@@ -391,7 +402,7 @@ def cmd_grid(args) -> int:
         train_truth,
         combos,
         inference,
-        seeds,
+        args.seeds,
         dev_pairs=dev_pairs,
         dev_truths=dev_truth,
         config=config,

@@ -81,17 +81,33 @@ def span_strings(words: Sequence[str]) -> list[str]:
 def tokenize(text: str) -> list["Token"]:
     """Split text into lowercased, punctuation-stripped tokens.
 
-    Articles are kept; only normalize_string removes them.
+    Articles are kept; only normalize_string removes them.  Equal words share
+    one Token.
     """
-    return [Token(w) for w in text.lower().translate(_PUNCT_TABLE).split()]
+    return _shared_tokens(_words(text), {})
+
+
+def _words(text: str) -> list[str]:
+    return text.lower().translate(_PUNCT_TABLE).split()
+
+
+def _shared_tokens(words: Sequence[str], table: dict[str, "Token"]) -> list["Token"]:
+    """One Token per distinct word, kept in table: a word already in the table
+    reuses its instance, so each new word is checked once, in order of first
+    occurrence."""
+    for word in dict.fromkeys(words):
+        if word not in table:
+            table[word] = Token(word)
+    return [table[word] for word in words]
 
 
 @dataclass(frozen=True, slots=True)
 class Token:
     """One whitespace-delimited unit of text.
 
-    Tokens of one word share one interned string, and slots keep each token
-    to a single reference: a corpus holds many tokens of few distinct words.
+    make_pair builds one instance per distinct word per document, shared by
+    the question and every paragraph, so the text is checked once per word.
+    Texts are interned, and slots keep each instance to a single reference.
     """
 
     text: str
@@ -174,21 +190,22 @@ def make_pair(
 
     Paragraphs beyond max_paragraphs are dropped in order, each survivor is cut
     to its first max_tokens tokens, and paragraphs left empty are removed.
+    Equal words anywhere in the pair share one Token.
     """
     if max_paragraphs < 1 or max_tokens < 1:
         raise ValueError("max_paragraphs and max_tokens must be at least 1")
-    if isinstance(question, str):
-        q_tokens = tuple(tokenize(question))
-    else:
-        q_tokens = tuple(Token(w) for w in question)
+    table: dict[str, Token] = {}
+
+    def shared(raw: str | Sequence[str], cap: int | None = None) -> tuple[Token, ...]:
+        words = _words(raw) if isinstance(raw, str) else list(raw)
+        return tuple(_shared_tokens(words[:cap], table))
+
+    q_tokens = shared(question)
     kept = []
     for raw in list(paragraphs)[:max_paragraphs]:
-        if isinstance(raw, str):
-            toks = tokenize(raw)[:max_tokens]
-        else:
-            toks = [Token(w) for w in list(raw)[:max_tokens]]
+        toks = shared(raw, max_tokens)
         if toks:
-            kept.append(tuple(toks))
+            kept.append(toks)
     built = tuple(Paragraph(index=k, tokens=toks) for k, toks in enumerate(kept))
     return DocumentQuestionPair(
         id=id,

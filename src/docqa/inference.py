@@ -159,5 +159,10 @@ def exhaustive_predict(
     aggregation: AnswerAggregation,
     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
 ) -> Prediction:
-    """Decode with every legal span considered; the top-k path must match this."""
+    """Decode with every legal span considered.
+
+    predict gives the same answer and score once top_k covers every position
+    (top_k at least the longest paragraph).  With a smaller top_k its
+    candidates are a subset of these, so its score never exceeds this one.
+    """
     return _best(*_pool(probs, pair, aggregation, None, max_answer_length))

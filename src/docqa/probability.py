@@ -158,17 +158,3 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     else:
         raise ValueError(f"unknown space {space!r}")
     return LogProbGrid(space, ScoreGrid.from_vector(log, grid.sizes), zb, ze)
-
-
-def log_span_prob(probs: LogProbGrid, k: int, begin: int, end: int) -> float:
-    """Log probability of the span [begin, end] in paragraph k.
-
-    Span probability factorizes as begin times end.  The null slot may be
-    addressed as (null_index, null_index).
-    """
-    if not 0 <= k < probs.n_paragraphs:
-        raise ValueError(f"paragraph index {k} out of range")
-    size = probs.log_begin[k].shape[0]
-    if not 0 <= begin <= end < size:
-        raise ValueError(f"invalid span ({begin}, {end}) for paragraph of {size - 1} tokens")
-    return float(probs.log_begin[k][begin] + probs.log_end[k][end])

@@ -111,6 +111,45 @@ class TestJobs:
         assert exit_info.value.code == 2
 
 
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--seed", "-1", "--trials", "1"],
+            ["simulate", "--seed", "-1", "--out", "never"],
+            ["train", "data.jsonl", "--seed", "-1", "--out", "never"],
+            ["check", "--seed", "x"],
+        ],
+    )
+    def test_bad_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        bad = argv[argv.index("--seed") + 1]
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: seed must be a non-negative integer, got '{bad}'" in err
+
+    @pytest.mark.parametrize(
+        "seeds, fault",
+        [
+            ("0,-1", "seed must be a non-negative integer, got '-1'"),
+            ("1,x", "seed must be a non-negative integer, got 'x'"),
+            (" , ", "need at least one seed, got ' , '"),
+        ],
+    )
+    def test_bad_grid_seeds_are_usage_errors(self, seeds, fault, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*TestJobs.GRID, "--seeds", seeds])
+        assert exit_info.value.code == 2
+        assert f"error: argument --seeds: {fault}" in capsys.readouterr().err
+
+    def test_seeds_parse(self):
+        assert build_parser().parse_args(TestJobs.GRID).seeds == [0]
+        args = build_parser().parse_args([*TestJobs.GRID, "--seeds", "3, 0,"])
+        assert args.seeds == [3, 0]
+        assert build_parser().parse_args(["check", "--seed", "0"]).seed == 0
+
+
 class TestLabel:
     def test_exact_matcher_round_trip(self, workspace, tmp_path):
         out = tmp_path / "labels.jsonl"

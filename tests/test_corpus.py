@@ -8,6 +8,7 @@ from docqa.corpus import (
     AnswerStringSet,
     DatasetParseError,
     DatasetSchemaError,
+    DocumentQuestionPair,
     Paragraph,
     Token,
     load_dataset,
@@ -87,6 +88,105 @@ class TestTokenize:
         for token in tokenize("Some-Text, with;  Punctuation!"):
             assert token.text
             assert not any(c.isspace() for c in token.text)
+
+
+def unshared_pair(id, question, paragraphs, answers, max_paragraphs=8, max_tokens=400):
+    """make_pair with one fresh Token per position: the form shared tokens
+    must be indistinguishable from."""
+
+    def words(raw):
+        return [t.text for t in tokenize(raw)] if isinstance(raw, str) else list(raw)
+
+    kept = [words(raw)[:max_tokens] for raw in paragraphs[:max_paragraphs]]
+    return DocumentQuestionPair(
+        id=id,
+        question=tuple(Token(w) for w in words(question)),
+        paragraphs=tuple(
+            Paragraph(k, tuple(Token(w) for w in toks))
+            for k, toks in enumerate(t for t in kept if t)
+        ),
+        answers=AnswerStringSet.from_strings(answers),
+    )
+
+
+def assert_one_token_per_word(tokens):
+    by_text = {}
+    for token in tokens:
+        assert by_text.setdefault(token.text, token) is token
+    assert len({id(t) for t in tokens}) == len(by_text)
+
+
+class TestSharedTokens:
+    def test_string_path_shares_across_question_and_paragraphs(self):
+        pair = make_pair(
+            "s", "The cat?", ["the cat, the MAT", "Cat and the mat."], ["cat"]
+        )
+        tokens = [*pair.question, *(t for p in pair.paragraphs for t in p.tokens)]
+        assert_one_token_per_word(tokens)
+        assert pair.question[1] is pair.paragraphs[1].tokens[0]
+        assert pair.paragraphs[0].tokens[3] is pair.paragraphs[1].tokens[3]
+
+    def test_pretokenized_path_shares_across_question_and_paragraphs(self):
+        pair = make_pair(
+            "p", ["cat", "The"], [["The", "cat", "The"], "the cat", ["cat", "the"]], ["cat"]
+        )
+        tokens = [*pair.question, *(t for p in pair.paragraphs for t in p.tokens)]
+        assert_one_token_per_word(tokens)
+        first, second, third = (p.tokens for p in pair.paragraphs)
+        assert first[0] is first[2] is pair.question[1]
+        assert first[1] is second[1] is third[0] is pair.question[0]
+        assert second[0] is third[1]
+        assert second[0] is not first[0]  # "the" and "The" are different words
+
+    def test_no_sharing_between_calls(self):
+        # the table lives for one call: nothing is cached between pairs
+        first, second = tokenize("a A")
+        assert first is second
+        assert tokenize("a")[0] is not tokenize("a")[0]
+        one = make_pair("1", "q", ["word"], [])
+        two = make_pair("2", "q", ["word"], [])
+        assert one.paragraphs[0].tokens[0] is not two.paragraphs[0].tokens[0]
+
+    @pytest.mark.parametrize("bad, message", [("", "non-empty"), ("a b", "whitespace")])
+    def test_bad_pretokenized_word_raises(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            make_pair("b", "q", [[bad]], [])
+        with pytest.raises(ValueError, match=message):
+            make_pair("b", "q", [["a", "b", "a", bad]], [])
+        with pytest.raises(ValueError, match=message):
+            make_pair("b", "q", [["a", "b"], ["b", "a", bad, "c"]], [])
+        with pytest.raises(ValueError, match=message):
+            make_pair("b", ["a", bad], [["a"]], [])
+        # words past the token cap are dropped before they are checked
+        assert make_pair("b", "q", [["a", bad]], [], max_tokens=1).paragraphs[0].text() == "a"
+
+    def test_tokenize_matches_one_token_per_position(self):
+        rng = np.random.default_rng(17)
+        alphabet = list("aAbB ,.-'\t\nΣς")
+        for _ in range(300):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+            words = text.lower().translate(str.maketrans("", "", ",.-'")).split()
+            assert tokenize(text) == [Token(w) for w in words]
+
+    def test_pairs_and_saved_bytes_match_unshared_tokens(self, tmp_path):
+        rng = np.random.default_rng(18)
+        words = ["the", "The", "cat", "Cat.", "a", "mat", "ΣΑΣ"]
+        shared, unshared = [], []
+        for i in range(100):
+            paragraphs = []
+            for _ in range(int(rng.integers(0, 5))):
+                drawn = [str(w) for w in rng.choice(words, size=int(rng.integers(0, 12)))]
+                paragraphs.append(" ".join(drawn) if rng.random() < 0.5 else drawn)
+            question = " ".join(rng.choice(words, size=3))
+            caps = dict(max_paragraphs=int(rng.integers(1, 5)), max_tokens=int(rng.integers(1, 9)))
+            args = (f"d{i}", question, paragraphs, ["cat"])
+            shared.append(make_pair(*args, **caps))
+            unshared.append(unshared_pair(*args, **caps))
+        assert shared == unshared
+        save_dataset(shared, tmp_path / "shared.jsonl")
+        save_dataset(unshared, tmp_path / "unshared.jsonl")
+        saved = (tmp_path / "shared.jsonl").read_bytes()
+        assert saved == (tmp_path / "unshared.jsonl").read_bytes()
 
 
 class TestTypes:

@@ -299,6 +299,35 @@ class TestTopKAgainstExhaustive:
                 assert score >= last - 1e-12
                 last = score
 
+    def test_truncated_top_k_never_outscores_exhaustive(self):
+        # paragraphs of 10-40 tokens from 6 words, so strings pool several
+        # mentions, and top_k below every paragraph's length
+        rng = np.random.default_rng(54)
+        lower = 0
+        for _ in range(60):
+            counts = [int(rng.integers(10, 41)) for _ in range(int(rng.integers(1, 4)))]
+            texts = [" ".join(f"w{int(rng.integers(0, 6))}" for _ in range(n)) for n in counts]
+            pair = make_pair("t", "q", texts, ["w0"])
+            grid = ScoreGrid.zeros(counts)
+            for arr in grid.begin + grid.end:
+                arr[:] = rng.normal(0.0, 2.0, arr.shape)
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                for aggregation in AnswerAggregation:
+                    best = exhaustive_predict(probs, pair, aggregation, max_answer_length=4)
+                    for top_k in (1, 2, 5, min(counts) - 1):
+                        spec = InferenceSpec(
+                            aggregation=aggregation, top_k=top_k, max_answer_length=4
+                        )
+                        try:
+                            score = predict(probs, pair, spec).score
+                        except InferenceError:
+                            score = -np.inf
+                        assert score <= best.score + 1e-12
+                        lower += score < best.score - 1e-12
+        # truncation must actually lose mass in a good share of the cases
+        assert lower > 400
+
     def test_exhaustive_is_top_k_fixed_point(self):
         rng = np.random.default_rng(53)
         pair, grid = self.random_pair(rng)

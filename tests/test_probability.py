@@ -5,7 +5,20 @@ import pytest
 from scipy.special import logsumexp
 
 from docqa import probability
-from docqa.probability import ScoreGrid, SpaceKind, log_partition, log_span_prob
+from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition
+
+
+def log_span_prob(probs: LogProbGrid, k: int, begin: int, end: int) -> float:
+    """Log probability of the span [begin, end] in paragraph k: begin times end.
+
+    The null slot may be addressed as (null_index, null_index).
+    """
+    if not 0 <= k < probs.n_paragraphs:
+        raise ValueError(f"paragraph index {k} out of range")
+    size = probs.log_begin[k].shape[0]
+    if not 0 <= begin <= end < size:
+        raise ValueError(f"invalid span ({begin}, {end}) for paragraph of {size - 1} tokens")
+    return float(probs.log_begin[k][begin] + probs.log_end[k][end])
 
 
 def fixture_grid():
