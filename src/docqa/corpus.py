@@ -59,12 +59,19 @@ def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     stripping act on each token as they act on it inside the joined span.
     """
     texts = [t.text for t in tokens]
+    table = word_table(texts)
+    return [table[text] for text in texts]
+
+
+def word_table(texts: Iterable[str]) -> dict[str, str]:
+    """Each distinct token text, in order of first sight, mapped to its
+    normalized_words word."""
     table = dict.fromkeys(texts)
     for text in table:
         word = text.lower()
         # No punctuation character is alphanumeric: skip the slower translate.
         table[text] = word if word.isalnum() else word.translate(_PUNCT_TABLE)
-    return [table[text] for text in texts]
+    return table
 
 
 def span_strings(words: Sequence[str]) -> list[str]:

@@ -7,9 +7,9 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, normalized_words, span_strings
+from .corpus import ARTICLES, DocumentQuestionPair, word_table
 from .labeling import SpanLabel
-from .probability import LogProbGrid, logsumexp
+from .probability import LogProbGrid, logsumexp_runs
 
 DEFAULT_TOP_K = 20
 DEFAULT_MAX_ANSWER_LENGTH = 8
@@ -57,59 +57,137 @@ class Prediction:
     support: tuple[SpanLabel, ...]
 
 
-def _top_positions(log_probs: np.ndarray, limit: int | None) -> np.ndarray:
-    """Indices of the largest entries, ranked stably so smaller prefixes nest."""
-    return np.argsort(-log_probs, kind="stable")[:limit]
+@dataclass(frozen=True)
+class Candidates:
+    """The candidate spans of one document, grouped by normalized string.
 
-
-def _pool(probs, pair, aggregation, top_k, max_answer_length):
-    """Pool the candidate spans of every paragraph by normalized string.
-
-    Returns the strings in order of first sight, their pooled log scores, and
-    each candidate's string index and (paragraph, begin, end) row.
+    Groups are numbered in order of first sight.  Candidates are stored
+    sorted stably by group, so each group's mentions form one run
+    log_p[heads[g] : heads[g] + sizes[g]] in candidate order, and triples
+    holds their (paragraph, begin, end) rows in the same order.  keys[g] is
+    group g's string as word ids into words, zero padded; id 0 is "".
     """
-    if probs.n_paragraphs != len(pair.paragraphs):
+
+    words: tuple[str, ...]
+    keys: np.ndarray
+    log_p: np.ndarray
+    triples: np.ndarray
+    heads: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def text(self, g: int) -> str:
+        return " ".join(self.words[i] for i in self.keys[g].tolist() if i)
+
+    def scores(self, aggregation: AnswerAggregation) -> np.ndarray:
+        """Each group's pooled log score: the maximum of its mentions, or
+        probability.logsumexp over them in candidate order."""
+        if not len(self):
+            return np.empty(0)
+        if aggregation is AnswerAggregation.MAX:
+            return np.maximum.reduceat(self.log_p, self.heads)
+        return logsumexp_runs(self.log_p, self.heads)
+
+    def best(self, aggregation: AnswerAggregation) -> Prediction:
+        """The top-scoring string, ties to the smallest, with its spans in order."""
+        scores = self.scores(aggregation)
+        if not scores.size:
+            raise InferenceError("no candidate answer string")
+        tied = {g: self.text(g) for g in np.flatnonzero(scores == scores.max()).tolist()}
+        winner = min(tied, key=tied.__getitem__)
+        head = self.heads[winner]
+        mentions = self.triples[head : head + self.sizes[winner]].tolist()
+        support = tuple(
+            SpanLabel(k, b, e, matched_string=tied[winner]) for k, b, e in sorted(map(tuple, mentions))
+        )
+        return Prediction(answer=tied[winner], score=float(scores[winner]), support=support)
+
+
+def candidates(
+    probs: LogProbGrid,
+    pair: DocumentQuestionPair,
+    top_k: int | None = DEFAULT_TOP_K,
+    max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
+) -> Candidates:
+    """Every paragraph's candidate spans at once, grouped by normalized string.
+
+    Rank: one stable argsort ranks the begins and the ends of every paragraph,
+    ties to the earlier position.  Pair: each of the top_k ranked begins of a
+    paragraph takes the top_k ranked ends among its next max_answer_length
+    positions, in end rank order, so candidates run by paragraph, then begin
+    rank, then end rank.  Key: each candidate's string is its row of word ids,
+    with empty words and leading ARTICLES dropped; spans left with no word
+    are skipped, and equal rows form one group.  top_k=None takes every
+    position.
+    """
+    counts = probs.log.token_counts()
+    if counts != pair.paragraph_lengths():
         raise InferenceError("probability grid does not match the document")
-    texts, log_ps, triples = [], [], []
-    for k, paragraph in enumerate(pair.paragraphs):
-        begins = _top_positions(probs.log_begin[k][:-1], top_k)
-        ends = _top_positions(probs.log_end[k][:-1], top_k)
-        # row-major over ranked begins x ranked ends: the order SUM pools in
-        offsets = ends[None, :] - begins[:, None]
-        rows, cols = np.nonzero((offsets >= 0) & (offsets < max_answer_length))
-        b, e = begins[rows], ends[cols]
-        # Each distinct begin's strings run to the furthest end it pairs with;
-        # every token those runs cover is normalized once.
-        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-        starts, stops = b[firsts], np.maximum.reduceat(e, firsts) + 1
-        n = len(paragraph) + 1
-        depth = np.cumsum(np.bincount(starts, minlength=n) - np.bincount(stops, minlength=n))
-        covered = np.flatnonzero(depth).tolist()
-        words = dict(zip(covered, normalized_words([paragraph.tokens[j] for j in covered])))
-        runs = zip(starts.tolist(), stops.tolist())
-        strings = {i: span_strings([words[j] for j in range(i, stop)]) for i, stop in runs}
-        texts += [strings[i][d] for i, d in zip(b.tolist(), (e - b).tolist())]
-        log_ps.append(probs.log_begin[k][b] + probs.log_end[k][e])
-        triples.append(np.stack([np.full_like(b, k), b, e], axis=1))
-    found = list(dict.fromkeys(filter(None, texts)))
-    if not found:
-        return found, np.empty(0), np.empty(0, np.intp), np.empty((0, 3), np.intp)
-    ids = {text: g for g, text in enumerate(found)} | {"": -1}
-    group = np.fromiter(map(ids.__getitem__, texts), np.intp, len(texts))
-    keep = group >= 0
-    group, log_p, triple = group[keep], np.concatenate(log_ps)[keep], np.concatenate(triples)[keep]
-    # A stable sort keeps each string's mentions in candidate order.
-    sizes = np.bincount(group)
-    heads = np.cumsum(sizes) - sizes
-    pooled = log_p[np.argsort(group, kind="stable")]
-    if aggregation is AnswerAggregation.MAX:
-        scores = np.maximum.reduceat(pooled, heads)
-    else:
-        # logsumexp of one entry is exactly that entry + 0.0
-        scores = pooled[heads] + 0.0
-        for g in np.flatnonzero(sizes > 1).tolist():
-            scores[g] = logsumexp(pooled[heads[g] : heads[g] + sizes[g]])
-    return found, scores, group, triple
+    n, longest = len(counts), max(counts)
+    top = longest if top_k is None else min(top_k, longest)
+    span = min(max_answer_length, longest)
+    width = longest + span  # room in a row for a window from any position
+    lengths = np.array(counts)[:, None]
+    # Rank: begin and end log probabilities padded to (2, n, longest).  The
+    # pads read the null slot and become NaN, which sorts after every position.
+    at = np.minimum(np.arange(longest), lengths)
+    table = probs.log.vector[np.reshape(probs.log.offsets[: 2 * n], (2, n, 1)) + at]
+    table[:, at == lengths] = np.nan
+    ranked = np.argsort(-table, axis=-1, kind="stable")[..., :top]
+    begins = ranked[0]
+    # Pair: the end ranks over each begin's window of span positions.  A pad,
+    # a position past its row and one outside the top rank at or after the
+    # row's limit.
+    end_rank = np.full((n, width), longest)
+    end_rank[np.arange(n)[:, None], ranked[1]] = np.arange(top)
+    windows = (np.arange(n) * width)[:, None, None] + begins[:, :, None] + np.arange(span)
+    rank = end_rank.ravel()[windows]
+    is_end = rank < np.minimum(lengths, top)[:, :, None]
+    # Key: word ids of every position up to the window's furthest end.
+    reach = np.logical_or.accumulate(is_end[..., ::-1], axis=-1)[..., ::-1]
+    covered = np.zeros(n * width, bool)
+    covered[windows[reach]] = True
+    covered = np.flatnonzero(covered)
+    tokens = [p.tokens for p in pair.paragraphs]
+    rows, cols = np.divmod(covered, width)
+    texts = [tokens[k][j].text for k, j in zip(rows.tolist(), cols.tolist())]
+    vocab = {"": 0}
+    ids = {text: vocab.setdefault(word, len(vocab)) for text, word in word_table(texts).items()}
+    word_at = np.zeros(n * width, np.min_scalar_type(len(vocab)))
+    word_at[covered] = np.fromiter(map(ids.__getitem__, texts), word_at.dtype, len(texts))
+    words = word_at[windows]
+    nonempty = words != 0
+    article = np.array([word in ARTICLES for word in vocab])
+    kept = nonempty & np.logical_or.accumulate(nonempty & ~article[words], axis=-1)
+    n_words = np.cumsum(kept, axis=-1)
+    compact = np.zeros_like(words)  # each window's kept words, moved to its front
+    k, i, d = np.nonzero(kept)
+    compact[k, i, n_words[k, i, d] - 1] = words[k, i, d]
+    # Pair each begin with its ends in rank order, skipping spans with no word.
+    rank[~(is_end & (n_words > 0))] = longest
+    rank.sort(axis=-1)
+    k, i, d = np.nonzero(rank < longest)
+    b = begins[k, i]
+    e = ranked[1, k, rank[k, i, d]]
+    keys = np.where(np.arange(span) < n_words[k, i, e - b][:, None], compact[k, i], 0)
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.strides[0]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    group = np.argsort(np.argsort(first))[inverse]  # numbered in order of first sight
+    by_group = np.argsort(group, kind="stable")
+    sizes = np.bincount(group, minlength=len(first))
+    return Candidates(
+        words=tuple(vocab),
+        keys=keys[np.sort(first)],
+        log_p=(table[0, k, b] + table[1, k, e])[by_group],
+        triples=np.stack([k, b, e], axis=1)[by_group],
+        heads=np.cumsum(sizes) - sizes,
+        sizes=sizes,
+    )
 
 
 def score_strings(
@@ -119,25 +197,13 @@ def score_strings(
     top_k: int | None = DEFAULT_TOP_K,
     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
 ) -> dict[str, float]:
-    """Aggregate log score per candidate answer string.
+    """Aggregate log score per candidate answer string, in order of first sight.
 
     top_k=None scores every span up to the length cap.
     """
-    texts, scores, _, _ = _pool(probs, pair, aggregation, top_k, max_answer_length)
-    return dict(zip(texts, scores.tolist()))
-
-
-def _best(texts, scores, group, triple) -> Prediction:
-    """The top-scoring string, ties to the smallest, with its spans in order."""
-    if not texts:
-        raise InferenceError("no candidate answer string")
-    best = np.flatnonzero(scores == scores.max()).tolist()
-    winner = min(best, key=texts.__getitem__)
-    support = tuple(
-        SpanLabel(k, b, e, matched_string=texts[winner])
-        for k, b, e in sorted(map(tuple, triple[group == winner].tolist()))
-    )
-    return Prediction(answer=texts[winner], score=float(scores[winner]), support=support)
+    found = candidates(probs, pair, top_k, max_answer_length)
+    texts = [found.text(g) for g in range(len(found))]
+    return dict(zip(texts, found.scores(aggregation).tolist()))
 
 
 def predict(
@@ -150,7 +216,8 @@ def predict(
     and pool document-wide by normalized string.  Score ties break toward the
     lexicographically smallest string.
     """
-    return _best(*_pool(probs, pair, spec.aggregation, spec.top_k, spec.max_answer_length))
+    found = candidates(probs, pair, spec.top_k, spec.max_answer_length)
+    return found.best(spec.aggregation)
 
 
 def exhaustive_predict(
@@ -165,4 +232,4 @@ def exhaustive_predict(
     (top_k at least the longest paragraph).  With a smaller top_k its
     candidates are a subset of these, so its score never exceeds this one.
     """
-    return _best(*_pool(probs, pair, aggregation, None, max_answer_length))
+    return candidates(probs, pair, None, max_answer_length).best(aggregation)

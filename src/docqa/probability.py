@@ -136,6 +136,37 @@ def logsumexp(a: np.ndarray) -> np.float64:
     return np.log1p(rest / count) + np.log(count) + top
 
 
+def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """logsumexp of each run a[heads[g] : heads[g + 1]], the last run ending
+    with a, bit-identical to calling logsumexp on each run.
+
+    The maxima, counts and exponentials are those logsumexp computes, taken
+    for every run at once.  numpy sums fewer than eight floats left to right,
+    so the rest of every run that short is one cumulative sum across a table
+    of seven columns; each longer run is summed on its own, as logsumexp sums
+    it.  A run with a non-finite maximum goes through logsumexp itself.
+    """
+    sizes = np.diff(heads, append=len(a))
+    run = np.repeat(np.arange(len(heads)), sizes)
+    top = np.maximum.reduceat(a, heads)
+    mask = a == top[run]
+    count = np.bincount(run, weights=mask, minlength=len(heads))
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(np.where(mask, -np.inf, a) - top[run])
+    short = sizes < 8
+    table = np.zeros((len(heads), 7))
+    at = short[run]
+    table[run[at], (np.arange(len(a)) - heads[run])[at]] = terms[at]
+    rest = table.cumsum(axis=1)[:, -1]
+    for g in np.flatnonzero(~short).tolist():
+        rest[g] = terms[heads[g] : heads[g] + sizes[g]].sum()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.log1p(rest / count) + np.log(count) + top
+    for g in np.flatnonzero(~np.isfinite(top)).tolist():
+        out[g] = logsumexp(a[heads[g] : heads[g] + sizes[g]])
+    return out
+
+
 def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     """Normalize a score grid into log probabilities.
 

@@ -27,7 +27,8 @@ from .corpus import (
     read_json_lines,
     write_json_lines,
 )
-from .inference import InferenceError, InferenceSpec, predict
+# predict stays importable here: the benchmark's tracer wraps synthlab.predict.
+from .inference import InferenceError, InferenceSpec, candidates, predict  # noqa: F401
 from .labeling import (
     ConsistentLabelSet,
     SpanLabel,
@@ -179,12 +180,18 @@ def _draw_roles(rng, profile: NoiseProfile) -> list[str]:
     return roles
 
 
+def _draw(rng, pool: Sequence[str], n: int) -> list[str]:
+    """n uniform draws with replacement from pool, consuming the same random
+    numbers as rng.choice(pool, size=n)."""
+    return [pool[i] for i in rng.integers(0, len(pool), size=n).tolist()]
+
+
 def _assemble(rng, filler_pool, segments: list[list[str]], length: int) -> list[str]:
     used = sum(len(s) for s in segments)
     n_filler = length - used
     if n_filler < 0:
         raise ValueError("paragraph too short for its mentions")
-    backbone = [str(t) for t in rng.choice(filler_pool, size=n_filler, replace=True)]
+    backbone = _draw(rng, filler_pool, n_filler)
     gaps = sorted(
         (int(rng.integers(n_filler + 1)), order) for order, _ in enumerate(segments)
     )
@@ -239,8 +246,8 @@ def generate(
                     mention = [base]
                     if multi and rng.random() < 0.5:
                         mention = [universe.prefixes[topic], base]
-                    cue_pair = rng.choice(universe.cues[topic], size=2, replace=True)
-                    segments.append([str(cue_pair[0]), *mention, str(cue_pair[1])])
+                    before, after = _draw(rng, universe.cues[topic], 2)
+                    segments.append([before, *mention, after])
             elif role == "alias":
                 segments.append([alias_token])
             paragraphs.append(
@@ -352,19 +359,23 @@ def _decode_specs(
     specs: Sequence[InferenceSpec],
     space: SpaceKind,
 ) -> list[list[tuple[str, float]]]:
-    """decode_corpus for each spec, scoring and normalizing each pair once."""
+    """decode_corpus for each spec.  Each pair is scored and normalized once,
+    its candidates are built once per distinct (top_k, max_answer_length), and
+    each spec only pools them with its aggregation."""
     scorer = checkpoint.to_scorer()
     out: list[list[tuple[str, float]]] = [[] for _ in specs]
     failed = ("", float("-inf"))
+    shapes = {(s.top_k, s.max_answer_length) for s in specs}
     for pair in pairs:
         if not pair.paragraphs:
             for decoded in out:
                 decoded.append(failed)
             continue
         probs = log_partition(scorer.score(pair), space)
+        found = {shape: candidates(probs, pair, *shape) for shape in shapes}
         for spec, decoded in zip(specs, out):
             try:
-                prediction = predict(probs, pair, spec)
+                prediction = found[spec.top_k, spec.max_answer_length].best(spec.aggregation)
                 decoded.append((prediction.answer, prediction.score))
             except InferenceError:
                 decoded.append(failed)

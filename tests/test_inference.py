@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ def oracle_predict(probs, pair, aggregation, top_k, max_answer_length):
 
 
 RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]
+EMPTY_TOKENS = [",", "--", "The", "an", "a"]
 
 
 def raw_scored_pair(rng, max_tokens=12):
@@ -145,6 +147,35 @@ class TestDecoderAgainstOracle:
                 probs = log_partition(grid, space)
                 for top_k in (3, 5, None):
                     self.check(probs, pair, AnswerAggregation.SUM, top_k, 1)
+
+    def test_shape_limits_match_oracle(self):
+        # up to 8 paragraphs of 1 to 40 tokens, top_k above some paragraph
+        # lengths and below others, one paragraph whose every span normalizes
+        # to "", and integer scores that tie across paragraphs
+        rng = np.random.default_rng(63)
+        above = below = 0
+        for _ in range(24):
+            counts = [int(rng.integers(1, 41)) for _ in range(int(rng.integers(2, 9)))]
+            paragraphs = [
+                [RAW_TOKENS[i] for i in rng.integers(0, len(RAW_TOKENS), n)] for n in counts
+            ]
+            silent = int(rng.integers(len(counts)))
+            paragraphs[silent] = [
+                EMPTY_TOKENS[i] for i in rng.integers(0, len(EMPTY_TOKENS), counts[silent])
+            ]
+            pair = make_pair("s", "q", paragraphs, ["rome"])
+            grid = ScoreGrid.zeros(counts)
+            grid.vector[:] = rng.integers(-2, 3, grid.vector.shape)
+            middle = sorted(counts)[len(counts) // 2]
+            max_answer_length = int(rng.integers(1, 9))
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                for aggregation in AnswerAggregation:
+                    for top_k in (1, middle, None):
+                        self.check(probs, pair, aggregation, top_k, max_answer_length)
+                    above += sum(n < middle for n in counts)
+                    below += sum(n > middle for n in counts)
+        assert above > 100 and below > 100
 
     def test_no_candidate_raises(self):
         pair = make_pair("e", "q", [["The", ",", "--", "an"], [","]], ["rome"])
@@ -240,11 +271,14 @@ class TestWinnerSelection:
             predict(probs, pair, InferenceSpec())
 
     def test_mismatched_grid_raises(self):
-        pair, _ = scored_pair(["a b"], [[0.0, 0.0]], [[0.0, 0.0]])
-        other_grid = ScoreGrid.zeros([2, 2])
-        probs = log_partition(other_grid, SpaceKind.PARAGRAPH)
-        with pytest.raises(InferenceError):
-            predict(probs, pair, InferenceSpec())
+        # more paragraphs, and a paragraph shorter or longer than the pair's
+        pair, _ = scored_pair(["rome pisa lake"], [[0.0] * 3], [[0.0] * 3])
+        for counts in ([3, 2], [2], [4]):
+            probs = log_partition(ScoreGrid.zeros(counts), SpaceKind.PARAGRAPH)
+            with pytest.raises(InferenceError):
+                predict(probs, pair, InferenceSpec())
+            with pytest.raises(InferenceError):
+                score_strings(probs, pair, AnswerAggregation.SUM)
 
 
 class TestTopKAgainstExhaustive:
@@ -340,6 +374,28 @@ class TestTopKAgainstExhaustive:
         slow = exhaustive_predict(probs, pair, AnswerAggregation.SUM, max_answer_length=8)
         assert big.answer == slow.answer
         np.testing.assert_allclose(big.score, slow.score, atol=1e-12)
+
+
+class TestMemory:
+    def test_exhaustive_peak_on_largest_document(self):
+        # 8 x 400 tokens, the loader's largest document.  Pairing every begin
+        # with its window of ends instead of every ranked end keeps the traced
+        # peak below the 7,175,313 bytes that the k x k pairing reached here.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(60)] + ["the", ",", "a"]
+        texts = [[words[i] for i in rng.integers(0, len(words), 400)] for _ in range(8)]
+        pair = make_pair("x", "q", texts, ["w0"])
+        grid = ScoreGrid.zeros([400] * 8)
+        grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
+        probs = log_partition(grid, SpaceKind.DOCUMENT)
+        exhaustive_predict(probs, pair, AnswerAggregation.SUM)
+        tracemalloc.start()
+        try:
+            exhaustive_predict(probs, pair, AnswerAggregation.SUM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7_175_313
 
 
 class TestLengthCap:

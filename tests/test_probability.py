@@ -183,6 +183,24 @@ class TestLogSumExp:
             np.testing.assert_array_equal(got, logsumexp(arr), err_msg=repr(arr))
         assert probability.logsumexp(np.full(4, -np.inf)) == -np.inf
 
+    def test_runs_bit_identical_to_logsumexp_per_run(self):
+        # runs of 1 to 150 entries cross numpy's 8-entry and 128-entry
+        # summation blocks; ties at the maximum, -inf and +inf entries too
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            sizes = rng.integers(1, rng.choice([4, 12, 150]), int(rng.integers(1, 12)))
+            a = rng.normal(0.0, float(rng.choice([0.1, 3.0, 40.0])), int(sizes.sum()))
+            if rng.random() < 0.3:
+                a = np.round(a)
+            if rng.random() < 0.2:
+                a[rng.random(a.size) < 0.3] = -np.inf
+            if rng.random() < 0.05:
+                a[rng.integers(a.size)] = np.inf
+            heads = np.cumsum(sizes) - sizes
+            got = probability.logsumexp_runs(a, heads)
+            want = [probability.logsumexp(run) for run in np.split(a, heads[1:])]
+            np.testing.assert_array_equal(got, want, err_msg=repr((a, heads)))
+
 
 class TestSpanProb:
     def test_factorizes(self):
