@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import string
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 DEFAULT_MAX_PARAGRAPHS = 8
 DEFAULT_MAX_TOKENS = 400
@@ -48,8 +51,6 @@ def normalize_string(text: str) -> str:
 def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     """Each token's text lowercased and stripped of punctuation.
 
-    Each distinct token text is normalized once per call, into a table that
-    every token is then mapped through: a paragraph holds few distinct words.
     A punctuation-only token such as "," gives "".  For every span
     tokens[i..j], joining the non-empty words of [i..j] with single spaces and
     dropping leading ARTICLES gives exactly
@@ -58,20 +59,14 @@ def normalized_words(tokens: Sequence["Token"]) -> list[str]:
     case-ignorable: lowercasing (final sigma included) and punctuation
     stripping act on each token as they act on it inside the joined span.
     """
-    texts = [t.text for t in tokens]
-    table = word_table(texts)
-    return [table[text] for text in texts]
+    return _normalized([t.text for t in tokens])
 
 
-def word_table(texts: Iterable[str]) -> dict[str, str]:
-    """Each distinct token text, in order of first sight, mapped to its
-    normalized_words word."""
-    table = dict.fromkeys(texts)
-    for text in table:
-        word = text.lower()
-        # No punctuation character is alphanumeric: skip the slower translate.
-        table[text] = word if word.isalnum() else word.translate(_PUNCT_TABLE)
-    return table
+def _normalized(texts: Sequence[str]) -> list[str]:
+    """The normalized_words word of each token text.  The texts are joined by
+    spaces and normalized at once, which acts on each text as on it alone
+    (see normalized_words)."""
+    return " ".join(texts).lower().translate(_PUNCT_TABLE).split(" ") if texts else []
 
 
 def span_strings(words: Sequence[str]) -> list[str]:
@@ -91,21 +86,13 @@ def tokenize(text: str) -> list["Token"]:
     Articles are kept; only normalize_string removes them.  Equal words share
     one Token.
     """
-    return _shared_tokens(_words(text), {})
+    words = _words(text)
+    shared = {word: Token(word) for word in dict.fromkeys(words)}
+    return [shared[word] for word in words]
 
 
 def _words(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
-
-
-def _shared_tokens(words: Sequence[str], table: dict[str, "Token"]) -> list["Token"]:
-    """One Token per distinct word, kept in table: a word already in the table
-    reuses its instance, so each new word is checked once, in order of first
-    occurrence."""
-    for word in dict.fromkeys(words):
-        if word not in table:
-            table[word] = Token(word)
-    return [table[word] for word in words]
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,14 +159,69 @@ class AnswerStringSet:
         return normalized_string in self.normalized
 
 
+@dataclass(frozen=True, eq=False)
+class WordTable:
+    """A pair's words, indexed once when the pair is built.
+
+    words holds the pair's distinct token texts in order of first sight,
+    question first, and normalized each one's normalized_words word (the
+    words tuple itself when normalizing changes none).  question holds the
+    id into words of every question position, and ids that of every
+    paragraph position, paragraphs concatenated: paragraph k's positions are
+    ids[starts[k] : starts[k + 1]].  Ids take the narrowest unsigned dtype
+    that holds len(words).
+    """
+
+    words: tuple[str, ...]
+    normalized: tuple[str, ...]
+    question: np.ndarray
+    ids: np.ndarray
+    starts: tuple[int, ...]
+
+    def paragraph(self, k: int) -> np.ndarray:
+        return self.ids[self.starts[k] : self.starts[k + 1]]
+
+
+def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:
+    """The WordTable of a pair whose question and paragraphs hold these token
+    texts; its words are interned."""
+    positions = list(chain(question, *paragraphs))
+    index = dict(zip(dict.fromkeys(positions), count()))
+    words = tuple(map(sys.intern, index))
+    normalized = tuple(_normalized(words))
+    dtype = np.min_scalar_type(len(words))
+    ids = np.fromiter(map(index.__getitem__, positions), dtype, len(positions))
+    return WordTable(
+        words=words,
+        normalized=words if normalized == words else normalized,
+        question=ids[: len(question)],
+        ids=ids[len(question) :],
+        starts=tuple(accumulate(map(len, paragraphs), initial=0)),
+    )
+
+
 @dataclass(frozen=True)
 class DocumentQuestionPair:
-    """One question paired with the paragraphs of one document."""
+    """One question paired with the paragraphs of one document.
+
+    table is the pair's WordTable.  It is derived from the tokens unless
+    make_pair passes in the one it built; equality and repr ignore it.
+    """
 
     id: str
     question: tuple[Token, ...]
     paragraphs: tuple[Paragraph, ...]
     answers: AnswerStringSet
+    word_table: InitVar[WordTable | None] = None
+    table: WordTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, word_table: WordTable | None):
+        if word_table is None:
+            word_table = _word_table(
+                [t.text for t in self.question],
+                [[t.text for t in p.tokens] for p in self.paragraphs],
+            )
+        object.__setattr__(self, "table", word_table)
 
     def paragraph_lengths(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.paragraphs)
@@ -197,28 +239,32 @@ def make_pair(
 
     Paragraphs beyond max_paragraphs are dropped in order, each survivor is cut
     to its first max_tokens tokens, and paragraphs left empty are removed.
-    Equal words anywhere in the pair share one Token.
+    The pair's WordTable is built first, and its words give one Token each,
+    so equal words anywhere in the pair share one Token.
     """
     if max_paragraphs < 1 or max_tokens < 1:
         raise ValueError("max_paragraphs and max_tokens must be at least 1")
-    table: dict[str, Token] = {}
 
-    def shared(raw: str | Sequence[str], cap: int | None = None) -> tuple[Token, ...]:
-        words = _words(raw) if isinstance(raw, str) else list(raw)
-        return tuple(_shared_tokens(words[:cap], table))
+    def split(raw: str | Sequence[str]) -> list[str]:
+        return _words(raw) if isinstance(raw, str) else list(raw)
 
-    q_tokens = shared(question)
-    kept = []
-    for raw in list(paragraphs)[:max_paragraphs]:
-        toks = shared(raw, max_tokens)
-        if toks:
-            kept.append(toks)
-    built = tuple(Paragraph(index=k, tokens=toks) for k, toks in enumerate(kept))
+    q_words = split(question)
+    kept = [w for w in (split(raw)[:max_tokens] for raw in list(paragraphs)[:max_paragraphs]) if w]
+    table = _word_table(q_words, kept)
+    # One Token per word, each checked once, in order of first sight.
+    shared = np.fromiter(map(Token, table.words), object, len(table.words))
+
+    def tokens(ids: np.ndarray) -> tuple[Token, ...]:
+        return tuple(shared[ids].tolist())
+
     return DocumentQuestionPair(
         id=id,
-        question=q_tokens,
-        paragraphs=built,
+        question=tokens(table.question),
+        paragraphs=tuple(
+            Paragraph(index=k, tokens=tokens(table.paragraph(k))) for k in range(len(kept))
+        ),
         answers=AnswerStringSet.from_strings(answers),
+        word_table=table,
     )
 
 

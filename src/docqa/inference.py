@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import ARTICLES, DocumentQuestionPair, word_table
+from .corpus import ARTICLES, DocumentQuestionPair
 from .labeling import SpanLabel
 from .probability import LogProbGrid, logsumexp_runs
 
@@ -117,10 +117,10 @@ def candidates(
     ties to the earlier position.  Pair: each of the top_k ranked begins of a
     paragraph takes the top_k ranked ends among its next max_answer_length
     positions, in end rank order, so candidates run by paragraph, then begin
-    rank, then end rank.  Key: each candidate's string is its row of word ids,
-    with empty words and leading ARTICLES dropped; spans left with no word
-    are skipped, and equal rows form one group.  top_k=None takes every
-    position.
+    rank, then end rank.  Key: each candidate's string is its row of
+    normalized word ids, gathered through the pair's WordTable, with empty
+    words and leading ARTICLES dropped; spans left with no word are skipped,
+    and equal rows form one group.  top_k=None takes every position.
     """
     counts = probs.log.token_counts()
     if counts != pair.paragraph_lengths():
@@ -145,18 +145,12 @@ def candidates(
     windows = (np.arange(n) * width)[:, None, None] + begins[:, :, None] + np.arange(span)
     rank = end_rank.ravel()[windows]
     is_end = rank < np.minimum(lengths, top)[:, :, None]
-    # Key: word ids of every position up to the window's furthest end.
-    reach = np.logical_or.accumulate(is_end[..., ::-1], axis=-1)[..., ::-1]
-    covered = np.zeros(n * width, bool)
-    covered[windows[reach]] = True
-    covered = np.flatnonzero(covered)
-    tokens = [p.tokens for p in pair.paragraphs]
-    rows, cols = np.divmod(covered, width)
-    texts = [tokens[k][j].text for k, j in zip(rows.tolist(), cols.tolist())]
+    # Key: every position's normalized word as an id into the document's
+    # distinct normalized words, read from the pair's word table.
     vocab = {"": 0}
-    ids = {text: vocab.setdefault(word, len(vocab)) for text, word in word_table(texts).items()}
+    key_of = [vocab.setdefault(word, len(vocab)) for word in pair.table.normalized]
     word_at = np.zeros(n * width, np.min_scalar_type(len(vocab)))
-    word_at[covered] = np.fromiter(map(ids.__getitem__, texts), word_at.dtype, len(texts))
+    word_at.reshape(n, width)[np.arange(width) < lengths] = np.take(key_of, pair.table.ids)
     words = word_at[windows]
     nonempty = words != 0
     article = np.array([word in ARTICLES for word in vocab])

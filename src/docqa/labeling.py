@@ -6,12 +6,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import (
     ARTICLES,
     DatasetSchemaError,
     DocumentQuestionPair,
     normalize_string,
-    normalized_words,
     read_json_lines,
     span_strings,
     write_json_lines,
@@ -134,34 +135,41 @@ def find_consistent_spans_exact(
     Spans longer than max_span_length tokens are never considered.  Spans that
     normalize to the empty string never match.
 
-    One scan per paragraph over its table of normalized words
-    (corpus.normalized_words): a span [i, j] normalizes to the non-empty words
-    of [s, j] joined by spaces, where s is the first non-empty, non-article
-    word at or after i.  The scan stops only at positions s whose word is the
-    first word of some answer.  From s, corpus.span_strings gives the key of
-    each end j; the scan notes the ends whose key is an answer, and then walks
-    back over the empty words and articles before s to the other begins that
-    share them.
+    The document's normalized words come from its WordTable: a span [i, j]
+    normalizes to the non-empty words of [s, j] joined by spaces, where s is
+    the first non-empty, non-article word at or after i.  One gather over the
+    document's word ids finds the positions s whose word is the first word of
+    some answer, and only the words around them are read.  From s,
+    corpus.span_strings gives the key of each end j; the scan notes the ends
+    whose key is an answer, and then walks back over the empty words and
+    articles before s to the other begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
     targets = {s for s in pair.answers.normalized if s}
     first_words = {t.split(" ", 1)[0] for t in targets}
+    table = pair.table
+    normalized = table.normalized
+    is_first = np.array([word in first_words for word in normalized], bool)
+    hits = np.flatnonzero(is_first[table.ids])
+    starts = table.starts
     spans = []
-    for paragraph in pair.paragraphs:
-        words = normalized_words(paragraph.tokens)
-        starts = [s for s, word in enumerate(words) if word in first_words]
-        for s in starts:
-            keys = span_strings(words[s : s + max_span_length])
-            matches = [(s + d, key) for d, key in enumerate(keys) if key in targets]
-            if not matches:
-                continue
-            for i in _begins(words, s, max_span_length):
-                spans.extend(
-                    SpanLabel(paragraph.index, i, j, matched_string=key)
-                    for j, key in matches
-                    if j < i + max_span_length
-                )
+    for s, k in zip(hits.tolist(), (np.searchsorted(starts, hits, "right") - 1).tolist()):
+        # The words of paragraph k from the furthest begin to the furthest end.
+        lo = max(starts[k], s - max_span_length + 1)
+        stop = min(starts[k + 1], s + max_span_length)
+        words = [normalized[w] for w in table.ids[lo:stop].tolist()]
+        keys = span_strings(words[s - lo :])
+        matches = [(s + d, key) for d, key in enumerate(keys) if key in targets]
+        if not matches:
+            continue
+        base, index = starts[k], pair.paragraphs[k].index
+        for i in _begins(words, s - lo, max_span_length):
+            spans.extend(
+                SpanLabel(index, lo + i - base, j - base, matched_string=key)
+                for j, key in matches
+                if j < lo + i + max_span_length
+            )
     return ConsistentLabelSet.from_spans(
         len(pair.paragraphs), spans, num_answers=len(pair.answers)
     )
@@ -214,8 +222,9 @@ def find_consistent_spans_rouge(
     Spans are scored per first word: for each position s whose word a
     normalized text can start with, and that some answer word follows within
     max_span_length tokens, one pass over the ends j carries an LCS row per
-    answer (metrics.lcs_row_step).  Every begin that walks up to s over empty
-    words and articles reads its spans' scores from that pass.
+    answer (metrics.lcs_row_step).  One pass over the document's word ids
+    (corpus.WordTable) finds those positions.  Every begin that walks up to s
+    over empty words and articles reads its spans' scores from that pass.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -223,26 +232,32 @@ def find_consistent_spans_rouge(
         raise ValueError("threshold must lie in [0, 1]")
     references = []
     for answer in pair.answers.raw:
-        normalized = normalize_string(answer)
-        reference = normalized.split()
-        references.append((normalized, reference, set(reference)))
+        target = normalize_string(answer)
+        reference = target.split()
+        references.append((target, reference, set(reference)))
     answer_words = set().union(*(vocabulary for _, _, vocabulary in references))
+    table = pair.table
+    normalized = table.normalized
+    # Spans sharing no word with any answer score 0 and are never kept, so a
+    # first word s needs a word some answer holds before its stop.
+    held = np.flatnonzero(np.array([w in answer_words for w in normalized], bool)[table.ids])
+    positions = np.arange(len(table.ids))
+    next_held = np.append(held, len(positions))[np.searchsorted(held, positions)]
+    ends = np.repeat(table.starts[1:], np.diff(table.starts))
+    can_start = np.array([w not in _NEVER_FIRST for w in normalized], bool)[table.ids]
+    firsts = np.flatnonzero(can_start & (next_held < np.minimum(positions + max_span_length, ends)))
+    cuts = np.searchsorted(firsts, table.starts).tolist()
     spans = []
-    for paragraph in pair.paragraphs:
-        words = normalized_words(paragraph.tokens)
+    for k, paragraph in enumerate(pair.paragraphs):
+        if cuts[k] == cuts[k + 1]:
+            continue
+        words = [normalized[w] for w in table.paragraph(k).tolist()]
         n = len(words)
-        # The first position at or after each j whose word some answer holds.
-        next_shared = [n] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            next_shared[j] = j if words[j] in answer_words else next_shared[j + 1]
         kept = []
         best = None
         best_score = 0.0
-        for s, word in enumerate(words):
+        for s in (firsts[cuts[k] : cuts[k + 1]] - table.starts[k]).tolist():
             stop = min(s + max_span_length, n)
-            # Spans sharing no word with any answer score 0 and are never kept.
-            if word in _NEVER_FIRST or next_shared[s] >= stop:
-                continue
             scores = _rouge_scores(words, s, stop, references)
             for i in _begins(words, s, max_span_length):
                 for j in range(s, min(i + max_span_length, n)):

@@ -54,15 +54,21 @@ class Vocabulary:
         return self._index.get(text, 0)
 
     def encode(self, pair: DocumentQuestionPair) -> "EncodedPair":
-        """The pair's token ids under this vocabulary, in the scorer's layout."""
+        """The pair's token ids under this vocabulary, in the scorer's layout.
+
+        Each of the pair's distinct words is looked up once, and its WordTable
+        ids gather the result.
+        """
+        table = pair.table
         get = self._index.get
-        ids = np.array([get(t.text, 0) for p in pair.paragraphs for t in p.tokens], np.int64)
+        lookup = np.fromiter((get(word, 0) for word in table.words), np.int64, len(table.words))
+        ids = lookup[table.ids]
         counts = np.array([len(p) for p in pair.paragraphs], np.int64)
         ends = np.cumsum(counts)
         return EncodedPair(
             vocab=self,
             ids=ids,
-            question_ids=np.array([get(t.text, 0) for t in pair.question], np.int64),
+            question_ids=lookup[table.question],
             counts=counts,
             sizes=tuple((counts + 1).tolist()),
             starts=ends - counts,
@@ -74,9 +80,7 @@ class Vocabulary:
     def from_pairs(cls, pairs: Iterable[DocumentQuestionPair]) -> "Vocabulary":
         seen = set()
         for pair in pairs:
-            seen.update(t.text for t in pair.question)
-            for paragraph in pair.paragraphs:
-                seen.update(t.text for t in paragraph.tokens)
+            seen.update(pair.table.words)
         seen.discard(UNKNOWN_TOKEN)
         return cls((UNKNOWN_TOKEN, *sorted(seen)))
 

@@ -23,7 +23,7 @@ MIN_RAMP_TEMPERATURE = 0.05
 
 
 class TrainingDivergedError(RuntimeError):
-    """The objective stopped being finite during training."""
+    """The objective or the parameters stopped being finite during training."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,12 @@ def _fit(
         scorer = ToyScorer.initialize(
             vocab, dim=config.embedding_dim, seed=config.seed, init_scale=config.init_scale
         )
-    values = _run_epochs(scorer, specs, weights, examples, config, epochs)
+    # Overflow and invalid values surface as a non-finite objective or
+    # parameter, which raises TrainingDivergedError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _run_epochs(scorer, specs, weights, examples, config, epochs)
+    if not np.all(np.isfinite(scorer.params)):
+        raise TrainingDivergedError("non-finite parameters after the last epoch")
     history = {
         "objective_values": values,
         "skipped_examples": skipped,

@@ -112,6 +112,11 @@ class TestJobs:
 
 
 class TestSeeds:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        # the relative --out paths below must never land in the working directory
+        monkeypatch.chdir(tmp_path)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -239,6 +244,27 @@ class TestTrain:
         # dev labels may hold several spans per paragraph, which the clean
         # warm start rejects; either a clean pass or that rejection is fine
         assert status in (0, 1)
+
+    def test_divergence_prints_the_error_and_no_numpy_warning(self, workspace, tmp_path, capfd):
+        # A fresh process, since pytest would record the warnings in this one.
+        # The learning rate overflows the scores after the first update.
+        argv = [
+            "train",
+            str(workspace["data"] / "train.jsonl"),
+            "--labels",
+            str(workspace["data"] / "labels_train.jsonl"),
+            "--lr",
+            "1e300",
+            "--out",
+            str(tmp_path / "x.ckpt"),
+        ]
+        proc = subprocess.run([sys.executable, "-m", "docqa.cli", *argv], timeout=300)
+        assert proc.returncode == 1
+        err = capfd.readouterr().err
+        assert "Warning" not in err
+        lines = [line for line in err.splitlines() if not line.startswith("INFO ")]
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite objective at epoch 0")
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -18,6 +19,10 @@ from docqa.corpus import (
     save_dataset,
     tokenize,
 )
+from docqa.inference import AnswerAggregation, score_strings
+from docqa.labeling import find_consistent_spans_exact, find_consistent_spans_rouge
+from docqa.model import ToyScorer, Vocabulary
+from docqa.probability import SpaceKind, log_partition
 
 
 class TestNormalizeString:
@@ -187,6 +192,118 @@ class TestSharedTokens:
         save_dataset(unshared, tmp_path / "unshared.jsonl")
         saved = (tmp_path / "shared.jsonl").read_bytes()
         assert saved == (tmp_path / "unshared.jsonl").read_bytes()
+
+
+def assert_same_table(pair, other):
+    mine, theirs = pair.table, other.table
+    assert mine.words == theirs.words
+    assert mine.normalized == theirs.normalized
+    assert mine.starts == theirs.starts
+    for a, b in ((mine.question, theirs.question), (mine.ids, theirs.ids)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def assert_table_describes(pair):
+    """The table holds exactly the pair's tokens, by id, and their words."""
+    table = pair.table
+    question = [t.text for t in pair.question]
+    paragraphs = [[t.text for t in p.tokens] for p in pair.paragraphs]
+    assert table.words == tuple(dict.fromkeys([*question, *(w for p in paragraphs for w in p)]))
+    assert table.ids.dtype == np.min_scalar_type(len(table.words))
+    assert [table.words[i] for i in table.question.tolist()] == question
+    assert len(table.ids) == table.starts[-1] == sum(map(len, paragraphs))
+    for k, texts in enumerate(paragraphs):
+        ids = table.paragraph(k).tolist()
+        assert [table.words[i] for i in ids] == texts
+        assert [table.normalized[i] for i in ids] == normalized_words(pair.paragraphs[k].tokens)
+    if table.normalized == table.words:
+        assert table.normalized is table.words
+
+
+class TestWordTable:
+    CASES = [
+        (("s", "The cat?", ["the cat, the MAT", "Cat and the mat."], ["cat"]), {}),
+        (
+            (
+                "p",
+                ["Which", "CAT", "--"],
+                [["The", "cat", ",", "--", "An"], ["A", "mat.", "THE", "Cat"], ["!!"]],
+                ["cat"],
+            ),
+            {},
+        ),
+        (
+            ("t", "alpha", ["alpha beta gamma", ["Delta", "beta"], "epsilon zeta"], []),
+            {"max_paragraphs": 2, "max_tokens": 2},
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, caps", CASES)
+    def test_make_pair_table_equals_the_derived_one(self, args, caps):
+        pair = make_pair(*args, **caps)
+        assert_table_describes(pair)
+        assert_same_table(pair, unshared_pair(*args, **caps))
+
+    def test_truncated_words_stay_out(self):
+        args, caps = self.CASES[2]
+        table = make_pair(*args, **caps).table
+        assert table.words == ("alpha", "beta", "Delta")
+        assert table.normalized == ("alpha", "beta", "delta")
+        assert table.starts == (0, 2, 4)
+
+    def test_random_pairs_match_direct_pairs(self):
+        rng = np.random.default_rng(23)
+        words = ["the", "The", "cat", "Cat.", "a", "AN", "mat", ",", "--", "ΣΑΣ", "İx"]
+        for i in range(200):
+            paragraphs = []
+            for _ in range(int(rng.integers(0, 5))):
+                drawn = [str(w) for w in rng.choice(words, size=int(rng.integers(0, 12)))]
+                paragraphs.append(" ".join(drawn) if rng.random() < 0.5 else drawn)
+            drawn = [str(w) for w in rng.choice(words, size=int(rng.integers(0, 4)))]
+            question = " ".join(drawn) if rng.random() < 0.5 else drawn
+            caps = dict(max_paragraphs=int(rng.integers(1, 5)), max_tokens=int(rng.integers(1, 9)))
+            args = (f"d{i}", question, paragraphs, ["cat"])
+            pair = make_pair(*args, **caps)
+            assert_table_describes(pair)
+            assert_same_table(pair, unshared_pair(*args, **caps))
+
+    def test_table_is_left_out_of_equality_hash_and_repr(self):
+        pair = make_pair(*self.CASES[0][0])
+        other = make_pair(*self.CASES[0][0])
+        assert pair.table is not other.table
+        assert pair == other and hash(pair) == hash(other)
+        assert "table" not in repr(pair) and "WordTable" not in repr(pair)
+
+    def test_replace_derives_a_new_table(self):
+        pair = make_pair(*self.CASES[1][0])
+        cut = dataclasses.replace(pair, paragraphs=pair.paragraphs[1:2])
+        assert_table_describes(cut)
+        assert "mat." in cut.table.words and "An" not in cut.table.words
+
+    def test_wide_table_round_trips(self, tmp_path):
+        """More distinct words than uint8 holds: ids widen, and labeling,
+        encoding and decoding read them right."""
+        words = [f"w{i}" for i in range(300)]
+        pair = make_pair("wide", "w0 w299", [" ".join(words)], ["w298 w299", "w3"])
+        assert pair.table.ids.dtype == np.uint16
+        assert_table_describes(pair)
+        save_dataset([pair], tmp_path / "wide.jsonl")
+        (loaded,) = load_dataset(tmp_path / "wide.jsonl")
+        assert loaded == pair
+        assert_same_table(loaded, pair)
+        spans = find_consistent_spans_exact(loaded).all_spans()
+        assert [(s.begin, s.end, s.matched_string) for s in spans] == [
+            (3, 3, "w3"),
+            (298, 299, "w298 w299"),
+        ]
+        assert find_consistent_spans_rouge(loaded, threshold=1.0).total_spans == 2
+        vocab = Vocabulary.from_pairs([loaded])
+        assert vocab.encode(loaded).ids.tolist() == [vocab.id_of(w) for w in words]
+        scorer = ToyScorer.initialize(vocab, dim=4, seed=0)
+        probs = log_partition(scorer.score(loaded), SpaceKind.PARAGRAPH)
+        scored = score_strings(probs, loaded, AnswerAggregation.SUM, None, max_answer_length=2)
+        assert set(scored) == {*words, *(" ".join(words[i : i + 2]) for i in range(299))}
 
 
 class TestTypes:

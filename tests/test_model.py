@@ -292,6 +292,32 @@ class TestEncoding:
                 scorer.vocab.id_of(p.tokens[0].text) for p in pair.paragraphs
             ]
 
+    def test_vocabulary_and_encoding_equal_per_token_lookups_on_random_pairs(self):
+        # The vocabulary sees half the pairs, so the other half holds unknown words.
+        rng = np.random.default_rng(29)
+        words = [f"w{i}" for i in range(40)] + ["The", "the", "Cat.", ",", UNKNOWN_TOKEN]
+        pairs = []
+        for i in range(60):
+            paragraphs = [
+                [str(w) for w in rng.choice(words, size=int(rng.integers(1, 30)))]
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            question = [str(w) for w in rng.choice(words, size=int(rng.integers(0, 5)))]
+            pairs.append(make_pair(f"r{i}", question, paragraphs, []))
+        vocab = Vocabulary.from_pairs(pairs[::2])
+        seen = {t.text for pair in pairs[::2] for t in pair.question}
+        seen |= {t.text for pair in pairs[::2] for p in pair.paragraphs for t in p.tokens}
+        assert vocab == Vocabulary((UNKNOWN_TOKEN, *sorted(seen - {UNKNOWN_TOKEN})))
+        unknown = 0
+        for pair in pairs:
+            doc = vocab.encode(pair)
+            expected = [vocab.id_of(t.text) for p in pair.paragraphs for t in p.tokens]
+            assert doc.ids.dtype == doc.question_ids.dtype == np.int64
+            assert doc.ids.tolist() == expected
+            assert doc.question_ids.tolist() == [vocab.id_of(t.text) for t in pair.question]
+            unknown += expected.count(0)
+        assert unknown > 0
+
     def test_scoring_an_encoding_equals_scoring_its_pair_bitwise(self):
         for seed, scorer, pair in oracle_cases():
             doc = scorer.vocab.encode(pair)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,16 @@ class TestDivergence:
                     pairs,
                     labels,
                 )
+
+    def test_overflow_in_the_last_update_aborts_without_warning(self):
+        # One example, one step: the objective is finite, but the update
+        # (gradient entries above 10 at this init scale) overflows.
+        pairs, labels = tiny_dataset()
+        config = TrainConfig(epochs=1, learning_rate=1e308, init_scale=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="non-finite parameters"):
+                train(config, pairs[:1], labels[:1])
 
 
 class TestConfig:
