@@ -11,7 +11,6 @@ from .corpus import (
     make_pair,
     normalize_string,
     save_dataset,
-    tokenize,
 )
 from .inference import (
     AnswerAggregation,

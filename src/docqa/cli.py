@@ -77,6 +77,7 @@ def _positive_int(what: str):
     return _int_at_least(1, "positive", what)
 
 
+_count = _positive_int("value")
 _seed = _int_at_least(0, "non-negative", "seed")
 
 
@@ -88,9 +89,28 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _threshold(text: str) -> float:
+    """An argparse type for a similarity threshold in [0, 1]."""
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text!r}")
+
+
 def _add_loader_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-paragraphs", type=int, default=DEFAULT_MAX_PARAGRAPHS)
-    parser.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
+    parser.add_argument("--max-paragraphs", type=_count, default=DEFAULT_MAX_PARAGRAPHS)
+    parser.add_argument("--max-tokens", type=_count, default=DEFAULT_MAX_TOKENS)
+
+
+def _add_training_flags(parser: argparse.ArgumentParser) -> None:
+    """The options train and grid share, with TrainConfig's defaults."""
+    defaults = TrainConfig()
+    parser.add_argument("--lr", type=float, default=defaults.learning_rate)
+    parser.add_argument("--epochs", type=_count, default=defaults.epochs)
+    parser.add_argument("--batch-size", type=_count, default=defaults.batch_size)
+    parser.add_argument("--dim", type=_count, default=defaults.embedding_dim)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument("--out", required=True, help="label JSONL output path")
     p_label.add_argument("--matcher", choices=("exact", "rouge"), default="exact")
     p_label.add_argument(
-        "--threshold", type=float, default=DEFAULT_ROUGE_THRESHOLD,
+        "--threshold", type=_threshold, default=DEFAULT_ROUGE_THRESHOLD,
         help="similarity threshold for the rouge matcher",
     )
-    p_label.add_argument("--max-span-length", type=int, default=DEFAULT_MAX_SPAN_LENGTH)
+    p_label.add_argument("--max-span-length", type=_count, default=DEFAULT_MAX_SPAN_LENGTH)
     _add_loader_flags(p_label)
     p_label.set_defaults(func=cmd_label)
 
@@ -122,10 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="objective spec such as H2-P-span-mml; repeat or join with +",
     )
     p_train.add_argument("--weights", help="comma-separated objective weights")
-    p_train.add_argument("--lr", type=float, default=0.5)
-    p_train.add_argument("--epochs", type=int, default=3)
-    p_train.add_argument("--batch-size", type=int, default=8)
-    p_train.add_argument("--dim", type=int, default=32)
+    _add_training_flags(p_train)
     p_train.add_argument("--momentum", type=float, default=0.0)
     p_train.add_argument(
         "--hardem-ramp",
@@ -134,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("--pretrain", help="cleanly labeled dataset for a warm start")
     p_train.add_argument("--pretrain-labels", help="labels for the warm-start dataset")
-    p_train.add_argument("--pretrain-epochs", type=int, default=2)
-    p_train.add_argument("--max-span-length", type=int, default=DEFAULT_MAX_SPAN_LENGTH)
+    p_train.add_argument("--pretrain-epochs", type=_count, default=2)
+    p_train.add_argument("--max-span-length", type=_count, default=DEFAULT_MAX_SPAN_LENGTH)
     p_train.add_argument("--seed", type=_seed, default=0, help="random seed")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     _add_loader_flags(p_train)
@@ -147,10 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", help="existing predictions JSONL to score instead")
     p_eval.add_argument("--infer", choices=("sum", "max"), default="sum")
     p_eval.add_argument("--space", choices=("P", "D", "auto"), default="auto")
-    p_eval.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    p_eval.add_argument(
-        "--max-answer-length", type=int, default=DEFAULT_MAX_ANSWER_LENGTH
-    )
+    p_eval.add_argument("--top-k", type=_count, default=DEFAULT_TOP_K)
+    p_eval.add_argument("--max-answer-length", type=_count, default=DEFAULT_MAX_ANSWER_LENGTH)
     p_eval.add_argument("--pred-out", help="write per-example predictions JSONL here")
     p_eval.add_argument("--out", help="metrics report JSON path (default stdout)")
     p_eval.add_argument("--truth", help="synthetic truth JSONL to score against")
@@ -173,10 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_grid.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds")
     p_grid.add_argument("--infer", choices=("both", "sum", "max"), default="both")
-    p_grid.add_argument("--lr", type=float, default=0.5)
-    p_grid.add_argument("--epochs", type=int, default=3)
-    p_grid.add_argument("--batch-size", type=int, default=8)
-    p_grid.add_argument("--dim", type=int, default=32)
+    _add_training_flags(p_grid)
     # A string default goes through its type at parse time, so a bad
     # DOCQA_JOBS is reported as a usage error like a bad --jobs.
     p_grid.add_argument(
@@ -366,6 +378,15 @@ def cmd_grid(args) -> int:
         raise UsageError("need at least one spec")
     for combo in combos:
         parse_combo(combo)  # an ObjectiveSpecError is a usage error
+    try:
+        config = TrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            embedding_dim=args.dim,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.data:
         root = Path(args.data)
         train_pairs = load_dataset(root / "train.jsonl")
@@ -384,12 +405,6 @@ def cmd_grid(args) -> int:
         ]
     else:
         inference = [InferenceSpec(aggregation=AnswerAggregation.parse(args.infer))]
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        embedding_dim=args.dim,
-    )
     logger.info(
         "grid: %d combos x %d seeds, fingerprint %s",
         len(combos),

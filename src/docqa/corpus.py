@@ -48,30 +48,19 @@ def normalize_string(text: str) -> str:
     return " ".join(words[start:])
 
 
-def normalized_words(tokens: Sequence["Token"]) -> list[str]:
-    """Each token's text lowercased and stripped of punctuation.
-
-    A punctuation-only token such as "," gives "".  For every span
-    tokens[i..j], joining the non-empty words of [i..j] with single spaces and
-    dropping leading ARTICLES gives exactly
-    normalize_string(" ".join(t.text for t in tokens[i : j + 1])).  This holds
-    because tokens contain no whitespace, which is neither cased nor
-    case-ignorable: lowercasing (final sigma included) and punctuation
-    stripping act on each token as they act on it inside the joined span.
-    """
-    return _normalized([t.text for t in tokens])
-
-
 def _normalized(texts: Sequence[str]) -> list[str]:
-    """The normalized_words word of each token text.  The texts are joined by
-    spaces and normalized at once, which acts on each text as on it alone
-    (see normalized_words)."""
+    """Each token text lowercased and stripped of punctuation ("" for a
+    punctuation-only text such as ",").  The texts are joined by spaces and
+    normalized at once, which acts on each as on it alone: they hold no
+    whitespace, which is neither cased nor case-ignorable, so lowercasing
+    (final sigma included) and punctuation stripping see the same text."""
     return " ".join(texts).lower().translate(_PUNCT_TABLE).split(" ") if texts else []
 
 
 def span_strings(words: Sequence[str]) -> list[str]:
-    """Normalized text of words[:1], words[:2], ... for normalized_words output:
-    empty words are skipped, and so are ARTICLES until the first kept word."""
+    """Normalized text of words[:1], words[:2], ... for WordTable.normalized
+    words: empty words are skipped, and so are ARTICLES until the first kept
+    word."""
     strings, text = [], ""
     for word in words:
         if word and (text or word not in ARTICLES):
@@ -80,50 +69,25 @@ def span_strings(words: Sequence[str]) -> list[str]:
     return strings
 
 
-def tokenize(text: str) -> list["Token"]:
-    """Split text into lowercased, punctuation-stripped tokens.
-
-    Articles are kept; only normalize_string removes them.  Equal words share
-    one Token.
-    """
-    words = _words(text)
-    shared = {word: Token(word) for word in dict.fromkeys(words)}
-    return [shared[word] for word in words]
-
-
-def _words(text: str) -> list[str]:
-    return text.lower().translate(_PUNCT_TABLE).split()
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
     """One whitespace-delimited unit of text.
 
-    make_pair builds one instance per distinct word per document, shared by
-    the question and every paragraph, so the text is checked once per word.
-    Texts are interned, and slots keep each instance to a single reference.
+    A plain record: the pair's word table checks each distinct text once.
+    make_pair builds one instance per table word, shared by the question and
+    every paragraph, and slots keep each instance to a single reference.
     """
 
     text: str
 
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("token text must be non-empty")
-        if self.text.split() != [self.text]:
-            raise ValueError(f"token text must not contain whitespace: {self.text!r}")
-        object.__setattr__(self, "text", sys.intern(str(self.text)))
-
 
 @dataclass(frozen=True)
 class Paragraph:
-    """A contiguous token sequence with its position in the document."""
+    """A contiguous, non-empty token sequence of one document."""
 
-    index: int
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("paragraph index must be non-negative")
         if len(self.tokens) == 0:
             raise ValueError("paragraph must contain at least one token")
 
@@ -164,8 +128,12 @@ class WordTable:
     """A pair's words, indexed once when the pair is built.
 
     words holds the pair's distinct token texts in order of first sight,
-    question first, and normalized each one's normalized_words word (the
-    words tuple itself when normalizing changes none).  question holds the
+    question first, each non-empty and free of whitespace.  normalized holds
+    each word lowercased and stripped of punctuation (the words tuple itself
+    when that changes none); a punctuation-only word gives "".  For every
+    span of positions, joining its non-empty normalized words with single
+    spaces and dropping leading ARTICLES gives exactly normalize_string of
+    the span's words joined by spaces.  question holds the
     id into words of every question position, and ids that of every
     paragraph position, paragraphs concatenated: paragraph k's positions are
     ids[starts[k] : starts[k + 1]].  Ids take the narrowest unsigned dtype
@@ -184,9 +152,19 @@ class WordTable:
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:
     """The WordTable of a pair whose question and paragraphs hold these token
-    texts; its words are interned."""
+    texts; its words are interned.
+
+    Raises ValueError for the first distinct text, in order of first sight,
+    that is empty or holds whitespace.  All are checked by one split: joined
+    by spaces, valid texts split back into exactly themselves.
+    """
     positions = list(chain(question, *paragraphs))
     index = dict(zip(dict.fromkeys(positions), count()))
+    if " ".join(index).split() != list(index):
+        bad = next(text for text in index if text.split() != [text])
+        if not bad:
+            raise ValueError("token text must be non-empty")
+        raise ValueError(f"token text must not contain whitespace: {bad!r}")
     words = tuple(map(sys.intern, index))
     normalized = tuple(_normalized(words))
     dtype = np.min_scalar_type(len(words))
@@ -237,21 +215,22 @@ def make_pair(
 ) -> DocumentQuestionPair:
     """Build a pair from plain strings, applying truncation rules.
 
-    Paragraphs beyond max_paragraphs are dropped in order, each survivor is cut
-    to its first max_tokens tokens, and paragraphs left empty are removed.
-    The pair's WordTable is built first, and its words give one Token each,
-    so equal words anywhere in the pair share one Token.
+    A string is lowercased, stripped of punctuation and split on whitespace,
+    articles kept; a list of strings gives its words as they are.  Paragraphs
+    beyond max_paragraphs are dropped in order, each survivor is cut to its
+    first max_tokens tokens, and paragraphs left empty are removed.  The
+    pair's WordTable is built first, checking each distinct word once, and
+    its words give one Token each, so equal words share one Token.
     """
     if max_paragraphs < 1 or max_tokens < 1:
         raise ValueError("max_paragraphs and max_tokens must be at least 1")
 
     def split(raw: str | Sequence[str]) -> list[str]:
-        return _words(raw) if isinstance(raw, str) else list(raw)
+        return raw.lower().translate(_PUNCT_TABLE).split() if isinstance(raw, str) else list(raw)
 
     q_words = split(question)
     kept = [w for w in (split(raw)[:max_tokens] for raw in list(paragraphs)[:max_paragraphs]) if w]
     table = _word_table(q_words, kept)
-    # One Token per word, each checked once, in order of first sight.
     shared = np.fromiter(map(Token, table.words), object, len(table.words))
 
     def tokens(ids: np.ndarray) -> tuple[Token, ...]:
@@ -261,7 +240,7 @@ def make_pair(
         id=id,
         question=tokens(table.question),
         paragraphs=tuple(
-            Paragraph(index=k, tokens=tokens(table.paragraph(k))) for k in range(len(kept))
+            Paragraph(tokens(table.paragraph(k))) for k in range(len(kept))
         ),
         answers=AnswerStringSet.from_strings(answers),
         word_table=table,

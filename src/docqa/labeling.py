@@ -163,10 +163,10 @@ def find_consistent_spans_exact(
         matches = [(s + d, key) for d, key in enumerate(keys) if key in targets]
         if not matches:
             continue
-        base, index = starts[k], pair.paragraphs[k].index
+        base = starts[k]
         for i in _begins(words, s - lo, max_span_length):
             spans.extend(
-                SpanLabel(index, lo + i - base, j - base, matched_string=key)
+                SpanLabel(k, lo + i - base, j - base, matched_string=key)
                 for j, key in matches
                 if j < lo + i + max_span_length
             )
@@ -248,7 +248,7 @@ def find_consistent_spans_rouge(
     firsts = np.flatnonzero(can_start & (next_held < np.minimum(positions + max_span_length, ends)))
     cuts = np.searchsorted(firsts, table.starts).tolist()
     spans = []
-    for k, paragraph in enumerate(pair.paragraphs):
+    for k in range(len(pair.paragraphs)):
         if cuts[k] == cuts[k + 1]:
             continue
         words = [normalized[w] for w in table.paragraph(k).tolist()]
@@ -264,7 +264,7 @@ def find_consistent_spans_rouge(
                     score, matched = scores[j - s]
                     if score <= 0.0:
                         continue
-                    label = SpanLabel(paragraph.index, i, j, matched_string=matched)
+                    label = SpanLabel(k, i, j, matched_string=matched)
                     if score > best_score:
                         best_score = score
                         best = label

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -46,12 +47,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.pretrain_epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.embedding_dim < 1:
+            raise ValueError("embedding dimension must be at least 1")
         if len(self.objectives) != len(self.weights):
             raise ValueError("one weight per objective required")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError("weights must be finite and non-negative")
         if not self.objectives:
             raise ValueError("need at least one objective")
         if not 0.0 <= self.momentum < 1.0:

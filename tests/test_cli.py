@@ -9,6 +9,7 @@ import pytest
 from docqa.cli import build_parser, main
 from docqa.model import Checkpoint
 from docqa.synthlab import NoiseProfile
+from docqa.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,86 @@ class TestSeeds:
         args = build_parser().parse_args([*TestJobs.GRID, "--seeds", "3, 0,"])
         assert args.seeds == [3, 0]
         assert build_parser().parse_args(["check", "--seed", "0"]).seed == 0
+
+
+def run(argv):
+    """main's exit status, whether argparse exits or main returns."""
+    try:
+        return main(argv)
+    except SystemExit as exit_info:
+        return exit_info.code
+
+
+class TestOptionRanges:
+    """Out-of-range options are usage errors that name the option, reported
+    before the missing data files every case below points at."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    LABEL = ["label", "missing.jsonl", "--out", "labels.jsonl"]
+    TRAIN = ["train", "missing.jsonl", "--out", "model.ckpt"]
+    EVAL = ["eval", "missing.jsonl", "--ckpt", "missing.ckpt"]
+    GRID = ["grid", "--specs", "H2-P-span-mml", "--profile", "missing.json", "--out", "t.json"]
+
+    @pytest.mark.parametrize(
+        "argv, option, bad",
+        [
+            (LABEL, "--max-span-length", "0"),
+            (LABEL, "--max-paragraphs", "0"),
+            (LABEL, "--max-tokens", "-1"),
+            (TRAIN, "--max-tokens", "0"),
+            (TRAIN, "--max-paragraphs", "x"),
+            (TRAIN, "--max-span-length", "0"),
+            (TRAIN, "--pretrain-epochs", "0"),
+            (TRAIN, "--epochs", "0"),
+            (TRAIN, "--batch-size", "0"),
+            (TRAIN, "--dim", "0"),
+            (EVAL, "--top-k", "0"),
+            (EVAL, "--max-answer-length", "0"),
+            (EVAL, "--max-tokens", "0"),
+            (GRID, "--epochs", "0"),
+            (GRID, "--batch-size", "0"),
+            (GRID, "--dim", "0"),
+        ],
+    )
+    def test_non_positive_integer(self, argv, option, bad, capsys):
+        assert run([*argv, option, bad]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: value must be a positive integer, got '{bad}'" in err
+
+    @pytest.mark.parametrize("bad", ["2", "-0.1", "nan", "x"])
+    def test_threshold_outside_unit_interval(self, bad, capsys):
+        assert run([*self.LABEL, "--matcher", "rouge", "--threshold", bad]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --threshold: threshold must lie in [0, 1], got '{bad}'" in err
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            ([*TRAIN, "--lr", "nan"], "learning rate must be positive and finite"),
+            ([*TRAIN, "--lr", "inf"], "learning rate must be positive and finite"),
+            ([*TRAIN, "--weights", "nan"], "weights must be finite and non-negative"),
+            ([*TRAIN, "--weights", "-1"], "weights must be finite and non-negative"),
+            ([*GRID, "--lr", "nan"], "learning rate must be positive and finite"),
+            ([*GRID, "--lr", "0"], "learning rate must be positive and finite"),
+        ],
+    )
+    def test_bad_training_setting(self, argv, fault, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {fault}\n"
+
+    @pytest.mark.parametrize("argv", [TRAIN, GRID])
+    def test_shared_defaults_are_train_configs(self, argv):
+        args = build_parser().parse_args(argv)
+        config = TrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            embedding_dim=args.dim,
+        )
+        assert config.fingerprint() == TrainConfig().fingerprint() == "5f0cae4af6829754"
 
 
 class TestLabel:

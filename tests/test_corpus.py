@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import string
 import sys
 
 import numpy as np
@@ -15,14 +16,19 @@ from docqa.corpus import (
     load_dataset,
     make_pair,
     normalize_string,
-    normalized_words,
     save_dataset,
-    tokenize,
 )
 from docqa.inference import AnswerAggregation, score_strings
 from docqa.labeling import find_consistent_spans_exact, find_consistent_spans_rouge
 from docqa.model import ToyScorer, Vocabulary
 from docqa.probability import SpaceKind, log_partition
+
+PUNCTUATION = str.maketrans("", "", string.punctuation)
+
+
+def words_of(text):
+    """The words make_pair's string path makes of text."""
+    return [t.text for t in make_pair("t", text, [], []).question]
 
 
 class TestNormalizeString:
@@ -68,8 +74,10 @@ class TestNormalizeString:
         rng = np.random.default_rng(11)
         raw = ["Cat.", ",", "--", "THE", "a", "An", "ΟΔΟΣ", "İx", "don't", "dog", "ΣΑΣ"]
         for _ in range(200):
-            tokens = [Token(raw[i]) for i in rng.integers(0, len(raw), int(rng.integers(1, 10)))]
-            words = normalized_words(tokens)
+            drawn = [raw[i] for i in rng.integers(0, len(raw), int(rng.integers(1, 10)))]
+            pair = make_pair("n", [], [drawn], [])
+            tokens = pair.paragraphs[0].tokens
+            words = [pair.table.normalized[w] for w in pair.table.paragraph(0).tolist()]
             for i in range(len(tokens)):
                 for j in range(i, len(tokens)):
                     kept = [w for w in words[i : j + 1] if w]
@@ -80,17 +88,20 @@ class TestNormalizeString:
 
 
 class TestTokenize:
+    """make_pair's string path: lowercase, strip punctuation, split."""
+
     def test_collapses_whitespace(self):
-        assert [t.text for t in tokenize(" a  b ")] == ["a", "b"]
+        assert words_of(" a  b ") == ["a", "b"]
 
     def test_keeps_articles(self):
-        assert [t.text for t in tokenize("The Cat")] == ["the", "cat"]
+        assert words_of("The Cat") == ["the", "cat"]
 
     def test_drops_pure_punctuation(self):
-        assert tokenize("...  !!") == []
+        pair = make_pair("t", "...  !!", ["...  !!"], [])
+        assert pair.question == () and pair.paragraphs == ()
 
     def test_tokens_are_valid(self):
-        for token in tokenize("Some-Text, with;  Punctuation!"):
+        for token in make_pair("t", "Some-Text, with;  Punctuation!", [], []).question:
             assert token.text
             assert not any(c.isspace() for c in token.text)
 
@@ -100,15 +111,14 @@ def unshared_pair(id, question, paragraphs, answers, max_paragraphs=8, max_token
     must be indistinguishable from."""
 
     def words(raw):
-        return [t.text for t in tokenize(raw)] if isinstance(raw, str) else list(raw)
+        return words_of(raw) if isinstance(raw, str) else list(raw)
 
     kept = [words(raw)[:max_tokens] for raw in paragraphs[:max_paragraphs]]
     return DocumentQuestionPair(
         id=id,
         question=tuple(Token(w) for w in words(question)),
         paragraphs=tuple(
-            Paragraph(k, tuple(Token(w) for w in toks))
-            for k, toks in enumerate(t for t in kept if t)
+            Paragraph(tuple(Token(w) for w in toks)) for toks in kept if toks
         ),
         answers=AnswerStringSet.from_strings(answers),
     )
@@ -145,9 +155,6 @@ class TestSharedTokens:
 
     def test_no_sharing_between_calls(self):
         # the table lives for one call: nothing is cached between pairs
-        first, second = tokenize("a A")
-        assert first is second
-        assert tokenize("a")[0] is not tokenize("a")[0]
         one = make_pair("1", "q", ["word"], [])
         two = make_pair("2", "q", ["word"], [])
         assert one.paragraphs[0].tokens[0] is not two.paragraphs[0].tokens[0]
@@ -171,7 +178,7 @@ class TestSharedTokens:
         for _ in range(300):
             text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
             words = text.lower().translate(str.maketrans("", "", ",.-'")).split()
-            assert tokenize(text) == [Token(w) for w in words]
+            assert make_pair("t", text, [], []).question == tuple(map(Token, words))
 
     def test_pairs_and_saved_bytes_match_unshared_tokens(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -216,7 +223,8 @@ def assert_table_describes(pair):
     for k, texts in enumerate(paragraphs):
         ids = table.paragraph(k).tolist()
         assert [table.words[i] for i in ids] == texts
-        assert [table.normalized[i] for i in ids] == normalized_words(pair.paragraphs[k].tokens)
+        expected = [t.text.lower().translate(PUNCTUATION) for t in pair.paragraphs[k].tokens]
+        assert [table.normalized[i] for i in ids] == expected
     if table.normalized == table.words:
         assert table.normalized is table.words
 
@@ -306,12 +314,32 @@ class TestWordTable:
         assert set(scored) == {*words, *(" ".join(words[i : i + 2]) for i in range(299))}
 
 
+def pairs_holding(*words):
+    """Each way to build a pair from words it does not split itself: make_pair
+    on pre-tokenized input, a pair built from Token tuples, and replace."""
+    base = make_pair("w", ["q"], [["a"]], [])
+    yield lambda: make_pair("w", ["q"], [["a", *words]], [])
+    tokens = (Paragraph((Token("a"), *map(Token, words))),)
+    yield lambda: DocumentQuestionPair("w", (Token("q"),), tokens, base.answers)
+    yield lambda: dataclasses.replace(base, question=tuple(map(Token, words)))
+
+
+def assert_rejected(message, *words):
+    for build in pairs_holding(*words):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestTypes:
     def test_token_rejects_whitespace(self):
-        with pytest.raises(ValueError):
-            Token("a b")
-        with pytest.raises(ValueError):
-            Token("")
+        assert_rejected("token text must not contain whitespace: 'a b'", "a b")
+        assert_rejected("token text must be non-empty", "")
+
+    def test_first_bad_word_in_first_sight_order_is_reported(self):
+        # an empty word and one holding whitespace split to as many words as they are
+        assert_rejected("token text must be non-empty", "b", "", "a b", "")
+        assert_rejected("token text must not contain whitespace: 'a b'", "b", "a b", "")
+        assert_rejected(r"whitespace: 'c\\td'", "c\td", "a b")
 
     def test_whitespace_check_agrees_with_isspace_on_every_code_point(self):
         characters = [chr(c) for c in range(sys.maxunicode + 1)]
@@ -319,17 +347,16 @@ class TestTypes:
         assert len(spaces) > 20
         for ch in spaces:
             for text in (ch, f"a{ch}", f"{ch}a", f"a{ch}b"):
-                with pytest.raises(ValueError, match="must not contain whitespace"):
-                    Token(text)
+                assert_rejected("must not contain whitespace", text)
         # every other code point is accepted: all of them in one token
         others = "".join(ch for ch in characters if not ch.isspace())
-        assert Token(others).text == others
-        with pytest.raises(ValueError, match="must be non-empty"):
-            Token("")
+        for build in pairs_holding(others):
+            assert others in build().table.words
+        assert_rejected("must be non-empty", "")
 
     def test_paragraph_needs_tokens(self):
         with pytest.raises(ValueError):
-            Paragraph(index=0, tokens=())
+            Paragraph(tokens=())
 
     def test_answer_set_normalizes_and_dedupes(self):
         answers = AnswerStringSet.from_strings(["The Beatles", "beatles!", "Queen"])
@@ -389,8 +416,7 @@ class TestLoadDataset:
     def test_empty_paragraphs_removed_and_reindexed(self, tmp_path):
         record = self.record(paragraphs=["one", "...", "three"])
         pairs = load_dataset(self.write(tmp_path, [record]))
-        assert [p.index for p in pairs[0].paragraphs] == [0, 1]
-        assert pairs[0].paragraphs[1].text() == "three"
+        assert [p.text() for p in pairs[0].paragraphs] == ["one", "three"]
 
     def test_cap_applies_before_empty_removal(self, tmp_path):
         paragraphs = ["..."] * 8 + ["real content"]

@@ -20,21 +20,21 @@ def oracle_exact(pair, max_span_length=8):
     targets = {normalize_string(a) for a in pair.answers.raw}
     targets.discard("")
     found = []
-    for paragraph in pair.paragraphs:
+    for k, paragraph in enumerate(pair.paragraphs):
         words = [t.text for t in paragraph.tokens]
         for i in range(len(words)):
             for j in range(i, len(words)):
                 if j - i + 1 > max_span_length:
                     continue
                 if normalize_string(" ".join(words[i : j + 1])) in targets:
-                    found.append((paragraph.index, i, j))
+                    found.append((k, i, j))
     return sorted(found)
 
 
 def oracle_rouge(pair, max_span_length=8, threshold=0.5):
     """Independent rouge matcher: score every span's surface text with rouge_l."""
     found = []
-    for paragraph in pair.paragraphs:
+    for k, paragraph in enumerate(pair.paragraphs):
         words = [t.text for t in paragraph.tokens]
         kept, best, best_score = [], None, 0.0
         for i in range(len(words)):
@@ -47,7 +47,7 @@ def oracle_rouge(pair, max_span_length=8, threshold=0.5):
                         score, matched = value, normalize_string(answer)
                 if score <= 0.0:
                     continue
-                label = (paragraph.index, i, j, matched)
+                label = (k, i, j, matched)
                 if score > best_score:
                     best_score, best = score, label
                 if score >= threshold:

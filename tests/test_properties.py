@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from docqa.corpus import (
     DatasetParseError,
     DatasetSchemaError,
-    Token,
     load_dataset,
     make_pair,
     normalize_string,
-    normalized_words,
     save_dataset,
 )
 from docqa.labeling import ConsistentLabelSet, SpanLabel, load_labels, save_labels
@@ -79,10 +77,12 @@ def drawn_spans(data, pair):
 @PROPERTY_SETTINGS
 def test_normalized_words_strip_each_token(texts):
     """The word table gives each token exactly its own normalization."""
-    tokens = [Token(word) for word in " ".join(texts + texts[:2]).split()]
+    words = " ".join(texts + texts[:2]).split()
+    table = make_pair("n", words, [words] if words else [], []).table
     punctuation = str.maketrans("", "", string.punctuation)
-    expected = [t.text.lower().translate(punctuation) for t in tokens]
-    assert normalized_words(tokens) == expected
+    expected = [word.lower().translate(punctuation) for word in words]
+    assert [table.normalized[i] for i in table.question.tolist()] == expected
+    assert [table.normalized[i] for i in table.ids.tolist()] == expected
 
 
 @given(documents())

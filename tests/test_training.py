@@ -179,6 +179,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
 
+    @pytest.mark.parametrize(
+        "fields, fault",
+        [
+            ({"embedding_dim": 0}, "embedding dimension must be at least 1"),
+            ({"learning_rate": float("nan")}, "learning rate must be positive and finite"),
+            ({"learning_rate": float("inf")}, "learning rate must be positive and finite"),
+            ({"weights": (float("nan"),)}, "weights must be finite and non-negative"),
+            ({"weights": (float("inf"),)}, "weights must be finite and non-negative"),
+            ({"weights": (-0.5,)}, "weights must be finite and non-negative"),
+        ],
+    )
+    def test_rejects_values_training_cannot_use(self, fields, fault):
+        with pytest.raises(ValueError, match=fault):
+            TrainConfig(**fields)
+        # the edges that stay valid
+        assert TrainConfig(embedding_dim=1, learning_rate=1e308, weights=(0.0,)).epochs == 3
+
     def test_fingerprint_tracks_settings(self):
         a = TrainConfig(seed=0)
         b = TrainConfig(seed=1)
