@@ -229,7 +229,7 @@ def _labels_for(pairs, path, max_span_length):
 def cmd_label(args) -> int:
     pairs = _load_pairs(args)
     if args.matcher == "exact":
-        labels = [find_consistent_spans_exact(p, args.max_span_length) for p in pairs]
+        labels = _labels_for(pairs, None, args.max_span_length)
     else:
         labels = [
             find_consistent_spans_rouge(p, args.max_span_length, args.threshold)

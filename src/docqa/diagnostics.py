@@ -53,10 +53,9 @@ def random_instance(
     """
     n_paragraphs = int(rng.integers(1, max_paragraphs + 1))
     token_counts = [int(rng.integers(1, max_tokens + 1)) for _ in range(n_paragraphs)]
-    grid = ScoreGrid(
-        begin=[rng.normal(0.0, score_scale, n + 1) for n in token_counts],
-        end=[rng.normal(0.0, score_scale, n + 1) for n in token_counts],
-    )
+    grid = ScoreGrid.zeros(token_counts)
+    for a in grid.begin + grid.end:
+        a[:] = rng.normal(0.0, score_scale, a.shape[0])
     chosen = set()
     for k, n in enumerate(token_counts):
         for _ in range(int(rng.integers(0, 4))):
@@ -79,10 +78,9 @@ def random_scored_pair(rng: np.random.Generator, vocab: int = 6):
     pair = make_pair(
         id="diag", question="q", paragraphs=paragraphs, answers=["t0"]
     )
-    grid = ScoreGrid(
-        begin=[rng.normal(0.0, 2.0, n + 1) for n in token_counts],
-        end=[rng.normal(0.0, 2.0, n + 1) for n in token_counts],
-    )
+    grid = ScoreGrid.zeros(token_counts)
+    for a in grid.begin + grid.end:
+        a[:] = rng.normal(0.0, 2.0, a.shape[0])
     return pair, grid
 
 
@@ -100,12 +98,11 @@ def _check_normalization(rng, trials) -> CheckResult:
         for space in SpaceKind:
             probs = log_partition(grid, space)
             if space is SpaceKind.PARAGRAPH:
-                for k in range(grid.n_paragraphs):
-                    worst = max(worst, abs(np.exp(probs.log_begin[k]).sum() - 1.0))
-                    worst = max(worst, abs(np.exp(probs.log_end[k]).sum() - 1.0))
+                for a in probs.begin + probs.end:
+                    worst = max(worst, abs(np.exp(a).sum() - 1.0))
             else:
-                total_b = sum(np.exp(a[:-1]).sum() for a in probs.log_begin)
-                total_e = sum(np.exp(a[:-1]).sum() for a in probs.log_end)
+                total_b = sum(np.exp(a[:-1]).sum() for a in probs.begin)
+                total_e = sum(np.exp(a[:-1]).sum() for a in probs.end)
                 worst = max(worst, abs(total_b - 1.0), abs(total_e - 1.0))
     return CheckResult("normalization sums to one", worst < 1e-9, f"worst {worst:.2e}")
 

@@ -122,7 +122,7 @@ def candidates(
     words and leading ARTICLES dropped; spans left with no word are skipped,
     and equal rows form one group.  top_k=None takes every position.
     """
-    counts = probs.log.token_counts()
+    counts = probs.token_counts()
     if counts != pair.paragraph_lengths():
         raise InferenceError("probability grid does not match the document")
     n, longest = len(counts), max(counts)
@@ -133,7 +133,7 @@ def candidates(
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot and become NaN, which sorts after every position.
     at = np.minimum(np.arange(longest), lengths)
-    table = probs.log.vector[np.reshape(probs.log.offsets[: 2 * n], (2, n, 1)) + at]
+    table = probs.vector[np.reshape(probs.offsets[: 2 * n], (2, n, 1)) + at]
     table[:, at == lengths] = np.nan
     ranked = np.argsort(-table, axis=-1, kind="stable")[..., :top]
     begins = ranked[0]

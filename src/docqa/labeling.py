@@ -38,10 +38,6 @@ class SpanLabel:
         if not 0 <= self.begin <= self.end:
             raise ValueError("need 0 <= begin <= end")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.begin + 1
-
     def triple(self) -> tuple[int, int, int]:
         return (self.paragraph, self.begin, self.end)
 

@@ -194,7 +194,7 @@ class ToyScorer:
         A plain pair is encoded on the call.
         """
         doc = self._encoded(pair)
-        grid = ScoreGrid.from_vector(np.empty(2 * sum(doc.sizes)), doc.sizes)
+        grid = ScoreGrid(np.empty(2 * sum(doc.sizes)), doc.sizes)
         _, weights, bias = self._fold(doc)
         x = self.embedding[doc.ids]
         mean = np.add.reduceat(x, doc.starts) / doc.counts[:, None]

@@ -211,7 +211,7 @@ def evaluate(
 
     # In the grid's flat layout position i of paragraph k sits at offset[k] + i
     # on the begin side and at offset[n + k] + i on the end side.
-    log_probs = log_partition(grid, spec.space).log.vector
+    log_probs = log_partition(grid, spec.space).vector
     n = grid.n_paragraphs
     offset = grid.offsets
     groups = list(grouped.values())
@@ -269,7 +269,7 @@ def evaluate(
     hard = exact_max and spec.hypothesis is not Hypothesis.ALL_MENTIONS
     return LossResult(
         float(value),
-        ScoreGrid.from_vector(grad, sizes),
+        ScoreGrid(grad, sizes),
         tuple(selected) if hard else None,
     )
 
@@ -295,7 +295,7 @@ def combine(
         result = evaluate(spec, grid, labels, temperature)
         value += weight * result.value
         grad += weight * result.grad.vector
-    return LossResult(float(value), ScoreGrid.from_vector(grad, grid.sizes))
+    return LossResult(float(value), ScoreGrid(grad, grid.sizes))
 
 
 def grad_check(
@@ -315,9 +315,9 @@ def grad_check(
     for idx in range(base.shape[0]):
         bumped = np.copy(base)
         bumped[idx] = base[idx] + eps
-        high = evaluate(spec, ScoreGrid.from_vector(bumped, grid.sizes), labels, temperature).value
+        high = evaluate(spec, ScoreGrid(bumped, grid.sizes), labels, temperature).value
         bumped[idx] = base[idx] - eps
-        low = evaluate(spec, ScoreGrid.from_vector(bumped, grid.sizes), labels, temperature).value
+        low = evaluate(spec, ScoreGrid(bumped, grid.sizes), labels, temperature).value
         fd = (high - low) / (2.0 * eps)
         err = abs(fd - analytic[idx]) / max(1.0, abs(fd), abs(analytic[idx]))
         worst = max(worst, err)

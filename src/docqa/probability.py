@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Sequence
@@ -38,41 +37,40 @@ class ScoreGrid:
     its null outcome; sizes counts both.  vector holds every paragraph's begin
     entries, then every paragraph's end entries, in paragraph order, so
     paragraph k of n starts at offsets[k] on the begin side and at
-    offsets[n + k] on the end side.  begin[k] and end[k] are views of those
-    stretches: writing through them writes the vector.
+    offsets[n + k] on the end side.  The grid shares the vector's memory when
+    it is already float64.
     """
 
-    def __init__(self, begin: Sequence[np.ndarray], end: Sequence[np.ndarray]):
-        """Copy per-paragraph begin and end arrays into one vector."""
-        if len(begin) != len(end):
-            raise ValueError("begin and end must cover the same paragraphs")
-        arrays = [np.asarray(a, dtype=np.float64) for a in [*begin, *end]]
-        if any(a.ndim != 1 for a in arrays):
-            raise ValueError("score arrays must be one dimensional")
-        sizes = [a.shape[0] for a in arrays[: len(begin)]]
-        if sizes != [a.shape[0] for a in arrays[len(begin) :]]:
-            raise ValueError("begin and end arrays must share a shape")
-        self._lay_out(np.concatenate(arrays) if arrays else np.empty(0), sizes)
-
-    @classmethod
-    def from_vector(cls, vector: np.ndarray, sizes: Sequence[int]) -> "ScoreGrid":
-        """Views over a vector in this layout; the grid shares its memory."""
-        grid = cls.__new__(cls)
-        grid._lay_out(np.asarray(vector, dtype=np.float64), sizes)
-        return grid
-
-    def _lay_out(self, vector: np.ndarray, sizes: Sequence[int]) -> None:
+    def __init__(self, vector: np.ndarray, sizes: Sequence[int]):
         if not sizes:
             raise ValueError("grid must cover at least one paragraph")
         if min(sizes) < 2:
             raise ValueError("each paragraph needs a position and a null slot")
-        if vector.shape != (2 * sum(sizes),):
+        self.vector = np.asarray(vector, dtype=np.float64)
+        if self.vector.shape != (2 * sum(sizes),):
             raise ValueError("vector length does not match grid shape")
-        self.vector = vector
         self.sizes = tuple(int(s) for s in sizes)
         self.offsets = tuple(accumulate(self.sizes * 2, initial=0))
-        pieces = [vector[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
-        self.begin, self.end = pieces[: len(sizes)], pieces[len(sizes) :]
+
+    @classmethod
+    def zeros(cls, token_counts: Sequence[int]) -> "ScoreGrid":
+        sizes = [n + 1 for n in token_counts]
+        return cls(np.zeros(2 * sum(sizes)), sizes)
+
+    def _views(self, first: int) -> list[np.ndarray]:
+        at = self.offsets[first : first + len(self.sizes) + 1]
+        return [self.vector[a:b] for a, b in zip(at, at[1:])]
+
+    @property
+    def begin(self) -> list[np.ndarray]:
+        """Each paragraph's begin entries, made on each read as views of the
+        vector: writing through them writes the vector."""
+        return self._views(0)
+
+    @property
+    def end(self) -> list[np.ndarray]:
+        """Each paragraph's end entries, views of the vector like begin."""
+        return self._views(len(self.sizes))
 
     @property
     def n_paragraphs(self) -> int:
@@ -85,37 +83,31 @@ class ScoreGrid:
     def null_index(self, k: int) -> int:
         return self.sizes[k] - 1
 
-    @classmethod
-    def zeros(cls, token_counts: Sequence[int]) -> "ScoreGrid":
-        sizes = [n + 1 for n in token_counts]
-        return cls.from_vector(np.zeros(2 * sum(sizes)), sizes)
 
-
-@dataclass
-class LogProbGrid:
+class LogProbGrid(ScoreGrid):
     """Log probabilities for begin and end positions under one space.
 
-    log is laid out like the ScoreGrid it normalizes.  Under DOCUMENT the null
-    slots hold -inf.  log_z_begin and log_z_end are per-paragraph arrays under
-    PARAGRAPH and zero-dimensional under DOCUMENT.
+    The grid is laid out like the ScoreGrid it normalizes.  Under DOCUMENT the
+    null slots hold -inf.  log_z_begin and log_z_end are per-paragraph arrays
+    under PARAGRAPH and zero-dimensional under DOCUMENT.
     """
 
-    space: SpaceKind
-    log: ScoreGrid
-    log_z_begin: np.ndarray
-    log_z_end: np.ndarray
+    def __init__(
+        self,
+        vector: np.ndarray,
+        sizes: Sequence[int],
+        space: SpaceKind,
+        log_z_begin: np.ndarray,
+        log_z_end: np.ndarray,
+    ):
+        super().__init__(vector, sizes)
+        self.space = space
+        self.log_z_begin = log_z_begin
+        self.log_z_end = log_z_end
 
-    @property
-    def log_begin(self) -> list[np.ndarray]:
-        return self.log.begin
-
-    @property
-    def log_end(self) -> list[np.ndarray]:
-        return self.log.end
-
-    @property
-    def n_paragraphs(self) -> int:
-        return self.log.n_paragraphs
+    # Aliases of begin and end that the bench still reads.
+    log_begin = ScoreGrid.begin
+    log_end = ScoreGrid.end
 
 
 def logsumexp(a: np.ndarray) -> np.float64:
@@ -188,4 +180,4 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
         log[positions] = scores - np.repeat([zb, ze], scores.shape[0] // 2)
     else:
         raise ValueError(f"unknown space {space!r}")
-    return LogProbGrid(space, ScoreGrid.from_vector(log, grid.sizes), zb, ze)
+    return LogProbGrid(log, grid.sizes, space, zb, ze)

@@ -35,7 +35,7 @@ from .labeling import (
     find_consistent_spans_exact,
     read_span_records,
 )
-from .metrics import exact_match, token_f1
+from .metrics import exact_match, summarize, token_f1
 from .model import Checkpoint
 from .objectives import parse_combo
 from .probability import SpaceKind, log_partition
@@ -400,8 +400,8 @@ def _mean_points(
     decoded: Sequence[tuple[str, float]], gold_strings: Sequence[set[str]]
 ) -> dict[str, float]:
     scores = score_answers([answer for answer, _ in decoded], gold_strings)
-    n = max(1, len(decoded))
-    return {name: 100.0 * sum(values) / n for name, values in scores.items()}
+    means = summarize(scores).aggregates
+    return {name: 100.0 * means.get(name, 0.0) for name in scores}
 
 
 def score_answers(

@@ -128,7 +128,7 @@ def _run_epochs(
     )
     n_batches = (len(examples) + config.batch_size - 1) // config.batch_size
     total_steps = epochs * n_batches
-    velocity = np.zeros_like(scorer.params) if config.momentum else None
+    velocity = np.zeros_like(scorer.params)
     encoded = [scorer.vocab.encode(pair) for pair, _ in examples]
     history = []
     step = 0
@@ -151,12 +151,10 @@ def _run_epochs(
                 epoch_value += loss.value
                 accumulated += scorer.backprop(encoded[i], loss.grad)
             accumulated *= 1.0 / len(batch)
-            if velocity is not None:
-                velocity *= config.momentum
-                velocity += accumulated
-                scorer.params += config.learning_rate * velocity
-            else:
-                scorer.params += config.learning_rate * accumulated
+            # Momentum 0 is the plain step bit for bit, as -0.0 + g == g.
+            velocity *= config.momentum
+            velocity += accumulated
+            scorer.params += config.learning_rate * velocity
             step += 1
         history.append(epoch_value / len(examples))
     return history

@@ -1,14 +1,16 @@
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docqa.cli import build_parser, main
 from docqa.model import Checkpoint
-from docqa.synthlab import NoiseProfile
+from docqa.synthlab import NoiseProfile, _mean_points
 from docqa.training import TrainConfig
 
 
@@ -466,6 +468,24 @@ class TestEval:
         assert main(["eval", str(data), "--pred", str(pred)]) == 0
         assert json.loads(capsys.readouterr().out)["aggregates"] == {"em": points, "f1": points}
 
+    def test_eval_and_grid_mean_points_agree(self, tmp_path, capsys):
+        # 100 * (1 / 3) is 33.33333333333333; 100 * 1 / 3 would be 33.333333333333336
+        data, pred = tmp_path / "data.jsonl", tmp_path / "pred.jsonl"
+        golds, answers = ["rome", "x", "y"], ["rome", "pisa", "lake"]
+        data.write_text("".join(
+            json.dumps({"id": f"q{i}", "question": "where", "paragraphs": ["rome pisa lake"], "answers": [gold]}) + "\n"
+            for i, gold in enumerate(golds)
+        ))
+        pred.write_text("".join(
+            json.dumps({"id": f"q{i}", "answer": answer, "score": 0}) + "\n" for i, answer in enumerate(answers)
+        ))
+        assert main(["eval", str(data), "--pred", str(pred)]) == 0
+        reported = json.loads(capsys.readouterr().out)["aggregates"]
+        decoded = [(answer, 0.0) for answer in answers]
+        assert reported == _mean_points(decoded, [{gold} for gold in golds])
+        assert reported["em"] == 100.0 * (1 / 3)
+        assert _mean_points([], []) == {"em": 0.0, "f1": 0.0}
+
     @pytest.mark.parametrize("paragraphs", [["!!! ,,,"], []], ids=["punctuation", "none"])
     def test_document_without_paragraphs_scores_zero(self, workspace, tmp_path, paragraphs):
         data = tmp_path / "dev.jsonl"
@@ -783,3 +803,12 @@ class TestCheck:
         )
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
+
+
+def test_readme_python_blocks_run():
+    """The README's documented entry points keep importing as the API changes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

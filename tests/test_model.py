@@ -50,7 +50,7 @@ def oracle_score(scorer, pair):
         mean_feature = features.mean(axis=0)
         begin.append([*features @ scorer.begin_head, mean_feature @ scorer.null_begin_head])
         end.append([*features @ scorer.end_head, mean_feature @ scorer.null_end_head])
-    return ScoreGrid(begin, end)
+    return ScoreGrid(np.concatenate([*begin, *end]), [len(a) for a in begin])
 
 
 def oracle_backprop(scorer, pair, grad_begin, grad_end):
@@ -162,7 +162,7 @@ class TestBackprop:
         scorer.params[:] = rng.normal(0, 0.4, scorer.params.shape)
         grid = scorer.score(pair)
         # arbitrary smooth function of the grid: weighted sum of entries
-        weights = ScoreGrid.from_vector(rng.normal(0, 1, grid.vector.shape), grid.sizes)
+        weights = ScoreGrid(rng.normal(0, 1, grid.vector.shape), grid.sizes)
 
         def objective(vec):
             probe = scorer.clone()
@@ -216,7 +216,7 @@ class TestBackprop:
         scorer = ToyScorer.initialize(vocab, dim=4, seed=1)
         scorer.params[:] = np.random.default_rng(1).normal(0, 0.4, scorer.params.shape)
         grid = scorer.score(pair)
-        ones = ScoreGrid.from_vector(np.ones_like(grid.vector), grid.sizes)
+        ones = ScoreGrid(np.ones_like(grid.vector), grid.sizes)
         grads = scorer.backprop(pair, ones)
         assert grads.shape == scorer.params.shape
         named = scorer.views(grads)
@@ -260,7 +260,7 @@ class TestBackpropOracle:
             labels = find_consistent_spans_exact(pair)
             specs = [ObjectiveSpec.parse("H2-P-span-mml"), ObjectiveSpec.parse("H1-P-pos-hardem")]
             grads = [
-                ScoreGrid.from_vector(rng.normal(0, 1, grid.vector.shape), grid.sizes),
+                ScoreGrid(rng.normal(0, 1, grid.vector.shape), grid.sizes),
                 combine(specs, [0.5, 1.0], grid, labels).grad,
             ]
             for grad in grads:
@@ -323,7 +323,7 @@ class TestEncoding:
             doc = scorer.vocab.encode(pair)
             grid = scorer.score(pair)
             np.testing.assert_array_equal(scorer.score(doc).vector, grid.vector)
-            grad = ScoreGrid.from_vector(
+            grad = ScoreGrid(
                 np.random.default_rng(seed).normal(0, 1, grid.vector.shape), grid.sizes
             )
             np.testing.assert_array_equal(scorer.backprop(doc, grad), scorer.backprop(pair, grad))

@@ -270,7 +270,7 @@ class TestNegativeParagraphs:
         null = grid.null_index(1)
         pb = np.exp(grid.begin[1]) / np.exp(grid.begin[1]).sum()
         pe = np.exp(grid.end[1]) / np.exp(grid.end[1]).sum()
-        short = ScoreGrid(begin=[grid.begin[0]], end=[grid.end[0]])
+        short = ScoreGrid(np.concatenate([grid.begin[0], grid.end[0]]), grid.sizes[:1])
         alone = evaluate(
             ObjectiveSpec.parse("H2-P-span-mml"),
             short,
@@ -287,8 +287,8 @@ class TestNegativeParagraphs:
         grid, labels = random_instance(rng, max_tokens=4)
         spans = labels.all_spans()
         wider = ScoreGrid(
-            begin=list(grid.begin) + [np.zeros(4)],
-            end=list(grid.end) + [np.zeros(4)],
+            np.concatenate([*grid.begin, np.zeros(4), *grid.end, np.zeros(4)]),
+            grid.sizes + (4,),
         )
         wider_labels = ConsistentLabelSet.from_spans(
             grid.n_paragraphs + 1, list(spans), 1

@@ -65,7 +65,7 @@ class TestParagraphSpace:
     def test_shift_invariance(self):
         grid = fixture_grid()
         lp = log_partition(grid, SpaceKind.PARAGRAPH)
-        shifted = ScoreGrid(begin=grid.begin, end=grid.end)
+        shifted = ScoreGrid(grid.vector.copy(), grid.sizes)
         for arr in shifted.begin + shifted.end:
             arr += 123.456
         lp2 = log_partition(shifted, SpaceKind.PARAGRAPH)
@@ -131,6 +131,15 @@ def oracle_log_partition(grid, space):
 
 
 class TestFlatLayout:
+    def test_log_partition_returns_a_grid_in_the_same_layout(self):
+        grid = fixture_grid()
+        for space in SpaceKind:
+            lp = log_partition(grid, space)
+            assert isinstance(lp, ScoreGrid)
+            assert (lp.sizes, lp.offsets) == (grid.sizes, grid.offsets)
+            for views in (lp.begin, lp.end, lp.log_begin, lp.log_end):
+                assert all(np.shares_memory(a, lp.vector) for a in views)
+
     def test_matches_per_paragraph_oracle_bitwise(self):
         rng = np.random.default_rng(24)
         for trial in range(400):
@@ -145,7 +154,7 @@ class TestFlatLayout:
                 with np.errstate(invalid="ignore"):
                     lp = log_partition(grid, space)
                     expected = oracle_log_partition(grid, space)
-                assert lp.log.sizes == grid.sizes
+                assert lp.sizes == grid.sizes
                 for got, z, (want, want_z) in zip(
                     (lp.log_begin, lp.log_end), (lp.log_z_begin, lp.log_z_end), expected
                 ):
@@ -233,13 +242,13 @@ class TestScoreGrid:
         np.testing.assert_array_equal(vec, [0.2, -0.3, 0.1, 1.5, -0.7, 0, 0, 0, 0, 0])
         assert grid.sizes == (3, 2)
         assert grid.offsets == (0, 3, 5, 8, 10)
-        back = ScoreGrid.from_vector(vec + 1.0, grid.sizes)
+        back = ScoreGrid(vec + 1.0, grid.sizes)
         np.testing.assert_array_equal(back.vector, vec + 1.0)
         np.testing.assert_array_equal(back.end[1], [1.0, 1.0])
         # original untouched
         np.testing.assert_array_equal(grid.begin[1], [1.5, -0.7])
         with pytest.raises(ValueError):
-            ScoreGrid.from_vector(vec[:-1], grid.sizes)
+            ScoreGrid(vec[:-1], grid.sizes)
 
     def test_paragraphs_are_views_of_the_vector(self):
         grid = fixture_grid()
@@ -248,14 +257,9 @@ class TestScoreGrid:
         grid.vector[0] = -2.0
         assert grid.begin[0][0] == -2.0
         vec = np.arange(10.0)
-        shared = ScoreGrid.from_vector(vec, grid.sizes)
+        shared = ScoreGrid(vec, grid.sizes)
         vec[3] = 7.0
         assert shared.begin[1][0] == 7.0
-        # the list constructor copies its arrays
-        arrays = [np.zeros(2)]
-        copied = ScoreGrid(begin=arrays, end=arrays)
-        arrays[0][0] = 1.0
-        np.testing.assert_array_equal(copied.vector, np.zeros(4))
 
     def test_null_index(self):
         grid = fixture_grid()
@@ -264,17 +268,11 @@ class TestScoreGrid:
         assert grid.token_counts() == (2, 1)
 
     def test_shapes_validated(self):
+        # a paragraph without a position, and a vector that is not flat
         with pytest.raises(ValueError):
-            ScoreGrid(
-                begin=[np.zeros(3)],
-                end=[np.zeros(4)],
-            )
+            ScoreGrid(np.zeros(2), [1])
         with pytest.raises(ValueError):
-            ScoreGrid(begin=[np.zeros(1)], end=[np.zeros(1)])
-        with pytest.raises(ValueError):
-            ScoreGrid(begin=[np.zeros((2, 2))], end=[np.zeros((2, 2))])
-        with pytest.raises(ValueError):
-            ScoreGrid.from_vector(np.zeros(2), [1])
+            ScoreGrid(np.zeros((2, 2)), [2])
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
