@@ -6,6 +6,7 @@ import json
 import string
 import sys
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -123,6 +124,22 @@ class AnswerStringSet:
         return normalized_string in self.normalized
 
 
+@dataclass(frozen=True)
+class KeyTable:
+    """A pair's paragraph positions keyed by normalized word, for decoding.
+
+    words holds the distinct WordTable.normalized words in order of first
+    sight, with "" first as id 0 whether or not it occurs.  ids holds the id
+    into words of every paragraph position, in WordTable.ids order, so an
+    empty word reads 0; its dtype is the narrowest unsigned one that holds
+    len(words).  article[w] is whether words[w] is one of ARTICLES.
+    """
+
+    words: tuple[str, ...]
+    ids: np.ndarray
+    article: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class WordTable:
     """A pair's words, indexed once when the pair is built.
@@ -148,6 +165,17 @@ class WordTable:
 
     def paragraph(self, k: int) -> np.ndarray:
         return self.ids[self.starts[k] : self.starts[k + 1]]
+
+    @cached_property
+    def keys(self) -> KeyTable:
+        """The pair's KeyTable, built on first read and kept with the table."""
+        index = {"": 0}
+        key_of = [index.setdefault(word, len(index)) for word in self.normalized]
+        return KeyTable(
+            words=tuple(index),
+            ids=np.array(key_of, np.min_scalar_type(len(index)))[self.ids],
+            article=np.array([word in ARTICLES for word in index]),
+        )
 
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:

@@ -280,7 +280,8 @@ class Checkpoint:
     def load(cls, path: str | Path) -> "Checkpoint":
         """Read a checkpoint that save wrote.
 
-        Any other file fails with a ValueError that names the path and the fault.
+        Any other file, or one whose parameters hold a NaN or an infinity,
+        fails with a ValueError that names the path and the fault.
         """
         try:
             data = np.load(path, allow_pickle=False)
@@ -302,4 +303,7 @@ class Checkpoint:
                 checkpoint.to_scorer()  # checks every array's shape
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
+        for name, array in checkpoint.params.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         return checkpoint

@@ -168,7 +168,7 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     """
     n = grid.n_paragraphs
     if space is SpaceKind.PARAGRAPH:
-        zs = np.array([logsumexp(a) for a in grid.begin + grid.end])
+        zs = logsumexp_runs(grid.vector, np.array(grid.offsets[:-1]))
         log = grid.vector - np.repeat(zs, grid.sizes * 2)
         zb, ze = zs[:n], zs[n:]
     elif space is SpaceKind.DOCUMENT:

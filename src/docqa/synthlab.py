@@ -365,17 +365,19 @@ def _decode_specs(
     scorer = checkpoint.to_scorer()
     out: list[list[tuple[str, float]]] = [[] for _ in specs]
     failed = ("", float("-inf"))
-    shapes = {(s.top_k, s.max_answer_length) for s in specs}
     for pair in pairs:
         if not pair.paragraphs:
             for decoded in out:
                 decoded.append(failed)
             continue
         probs = log_partition(scorer.score(pair), space)
-        found = {shape: candidates(probs, pair, *shape) for shape in shapes}
+        found = {}
         for spec, decoded in zip(specs, out):
+            shape = (spec.top_k, spec.max_answer_length)
             try:
-                prediction = found[spec.top_k, spec.max_answer_length].best(spec.aggregation)
+                if shape not in found:
+                    found[shape] = candidates(probs, pair, *shape)
+                prediction = found[shape].best(spec.aggregation)
                 decoded.append((prediction.answer, prediction.score))
             except InferenceError:
                 decoded.append(failed)

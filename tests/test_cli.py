@@ -707,6 +707,15 @@ class TestBadCheckpoint:
         rows, dim = embedding.shape
         assert f"error: {ckpt}: embedding must have shape ({rows}, {dim}), got ({rows - 1}, {dim})" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, workspace, tmp_path, capsys, value):
+        ckpt = tmp_path / "model.ckpt"
+        head = Checkpoint.load(workspace["ckpt"]).params["end_head"].copy()
+        head.flat[-1] = value
+        self._rewrite(workspace, ckpt, end_head=head)
+        assert self._eval(workspace, ckpt) == 1
+        assert f"error: {ckpt}: parameter 'end_head' holds a non-finite value" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_profile_driven_grid(self, workspace, tmp_path, capsys):

@@ -276,6 +276,17 @@ class TestWordTable:
             assert_table_describes(pair)
             assert_same_table(pair, unshared_pair(*args, **caps))
 
+    def test_key_table_numbers_normalized_words(self):
+        # "" is id 0; "cat" and "Cat" share an id; paragraph positions only
+        pair = make_pair(*self.CASES[1][0])
+        keys = pair.table.keys
+        assert keys.words == ("", "which", "cat", "the", "an", "a", "mat")
+        normalized = [keys.words[i] for i in keys.ids.tolist()]
+        assert normalized == [pair.table.normalized[i] for i in pair.table.ids.tolist()]
+        assert keys.ids.dtype == np.uint8
+        assert keys.article.tolist() == [False, False, False, True, True, True, False]
+        assert pair.table.keys is keys
+
     def test_table_is_left_out_of_equality_hash_and_repr(self):
         pair = make_pair(*self.CASES[0][0])
         other = make_pair(*self.CASES[0][0])

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from docqa.corpus import make_pair, normalize_string
+from docqa import corpus
+from docqa.corpus import KeyTable, make_pair, normalize_string
 from docqa.inference import (
     AnswerAggregation,
     InferenceError,
@@ -13,7 +14,7 @@ from docqa.inference import (
     predict,
     score_strings,
 )
-from docqa.probability import ScoreGrid, SpaceKind, log_partition, logsumexp
+from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition, logsumexp
 
 
 def scored_pair(texts, scores_begin, scores_end):
@@ -177,6 +178,28 @@ class TestDecoderAgainstOracle:
                     below += sum(n > middle for n in counts)
         assert above > 100 and below > 100
 
+    def test_longest_documents_match_oracle(self):
+        # 8 paragraphs of 400 tokens over about 30 words, the loader's largest
+        # document: rows this long make the stable sort merge runs, and the
+        # top_k cut falls inside long runs of tied integer scores
+        rng = np.random.default_rng(64)
+        words = RAW_TOKENS + [f"w{i}" for i in range(21)]
+        for trial in range(4):
+            paragraphs = [[words[i] for i in rng.integers(0, len(words), 400)] for _ in range(8)]
+            pair = make_pair("l", "q", paragraphs, ["rome"])
+            grid = ScoreGrid.zeros([400] * 8)
+            if trial % 2:
+                grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
+            else:
+                grid.vector[:] = rng.integers(-2, 3, grid.vector.shape)
+            grid.vector[rng.random(grid.vector.size) < 0.02] = -np.inf
+            max_answer_length = (1, 8)[trial // 2]
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                for aggregation in AnswerAggregation:
+                    for top_k in (1, 20, 100):
+                        self.check(probs, pair, aggregation, top_k, max_answer_length)
+
     def test_no_candidate_raises(self):
         pair = make_pair("e", "q", [["The", ",", "--", "an"], [","]], ["rome"])
         grid = ScoreGrid.zeros([4, 1])
@@ -279,6 +302,56 @@ class TestWinnerSelection:
                 predict(probs, pair, InferenceSpec())
             with pytest.raises(InferenceError):
                 score_strings(probs, pair, AnswerAggregation.SUM)
+
+
+class TestKeyTable:
+    def test_built_once_per_pair(self, monkeypatch):
+        built = []
+
+        def counting(**fields):
+            built.append(fields)
+            return KeyTable(**fields)
+
+        monkeypatch.setattr(corpus, "KeyTable", counting)
+        pair, grid = scored_pair(["the rome pisa", "Rome."], [[1.0, 0.0, 2.0]], [[0.0] * 3])
+        assert built == []  # make_pair leaves it to the first decode
+        probs = log_partition(grid, SpaceKind.DOCUMENT)
+        for aggregation in AnswerAggregation:
+            spec = InferenceSpec(aggregation=aggregation, max_answer_length=1)
+            assert predict(probs, pair, spec).answer == "pisa"
+        assert len(built) == 1
+        assert built[0]["words"] == ("", "q", "the", "rome", "pisa")
+
+
+class TestNaNGrid:
+    """A probability grid holding NaN anywhere, null slots included, has no
+    defined ranking, so every decoder raises InferenceError."""
+
+    def grids(self):
+        pair, grid = scored_pair(
+            ["rome pisa lake", "rome"], [[1.0, 0.0, 2.0], [0.5]], [[0.0] * 3, [0.0]]
+        )
+        for space in SpaceKind:
+            probs = log_partition(grid, space)
+            # a begin, a null slot, the last begin and the first end entry
+            for at in (0, probs.offsets[1] - 1, probs.offsets[2] - 2, probs.offsets[2]):
+                vector = probs.vector.copy()
+                vector[at] = np.nan
+                yield pair, LogProbGrid(
+                    vector, probs.sizes, space, probs.log_z_begin, probs.log_z_end
+                )
+        grid.begin[0][1] = np.nan  # spreads through log_partition
+        for space in SpaceKind:
+            yield pair, log_partition(grid, space)
+
+    def test_every_decoder_raises(self):
+        for pair, probs in self.grids():
+            for aggregation in AnswerAggregation:
+                for top_k in (1, 20, None):
+                    with pytest.raises(InferenceError, match="NaN"):
+                        decode(probs, pair, aggregation, top_k, 3)
+                with pytest.raises(InferenceError, match="NaN"):
+                    score_strings(probs, pair, aggregation)
 
 
 class TestTopKAgainstExhaustive:

@@ -164,6 +164,28 @@ class TestFlatLayout:
                     assert np.shape(z) == np.shape(want_z)
 
 
+    def test_paragraph_normalizers_equal_per_paragraph_logsumexp(self):
+        # paragraphs of 1 to 60 positions, integer scores that tie at the
+        # maximum, scattered -inf entries and one all -inf paragraph
+        rng = np.random.default_rng(26)
+        for trial in range(300):
+            sizes = [int(n) for n in rng.integers(1, rng.choice([8, 60]), int(rng.integers(1, 7)))]
+            grid = ScoreGrid.zeros(sizes)
+            grid.vector[:] = rng.normal(0.0, 3.0, grid.vector.shape)
+            if trial % 2:
+                grid.vector[:] = np.round(grid.vector)
+            grid.vector[rng.random(grid.vector.size) < 0.1] = -np.inf
+            side = grid.begin if trial % 3 else grid.end
+            side[int(rng.integers(len(sizes)))][:] = -np.inf
+            with np.errstate(invalid="ignore"):
+                lp = log_partition(grid, SpaceKind.PARAGRAPH)
+            want_begin = [probability.logsumexp(a) for a in grid.begin]
+            want_end = [probability.logsumexp(a) for a in grid.end]
+            np.testing.assert_array_equal(lp.log_z_begin, want_begin)
+            np.testing.assert_array_equal(lp.log_z_end, want_end)
+            assert np.isneginf(np.concatenate([want_begin, want_end])).any()
+
+
 class TestLogSumExp:
     def test_bit_identical_to_scipy(self):
         # exact equality, not a tolerance: checkpoints and acceptance EM rely on it

@@ -1,10 +1,11 @@
-"""Property-based checks: per-token normalization, and round trips of the
-JSONL file formats and the noise profile."""
+"""Property-based checks: per-token normalization, the decoder's top-k
+ranking, and round trips of the JSONL file formats and the noise profile."""
 
 import string
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from docqa.corpus import (
     normalize_string,
     save_dataset,
 )
+from docqa.inference import _rank_top
 from docqa.labeling import ConsistentLabelSet, SpanLabel, load_labels, save_labels
 from docqa.synthlab import (
     CUES_PER_TOPIC,
@@ -83,6 +85,32 @@ def test_normalized_words_strip_each_token(texts):
     expected = [word.lower().translate(punctuation) for word in words]
     assert [table.normalized[i] for i in table.question.tolist()] == expected
     assert [table.normalized[i] for i in table.ids.tolist()] == expected
+
+
+# Few distinct values, so rows tie; both infinities and both zeros.
+KEYS = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1.0, 2.0, np.inf])
+
+
+@st.composite
+def padded_rows(draw):
+    """One to three rows of up to 90 keys, past timsort's shortest run, each
+    ending in a tail of +inf pads as candidates pads its rows."""
+    length = draw(st.integers(1, 90))
+    rows = st.lists(KEYS, min_size=length, max_size=length)
+    order = np.array(draw(st.lists(rows, min_size=1, max_size=3)))
+    for row in order:
+        row[length - draw(st.integers(0, length - 1)) :] = np.inf
+    return order
+
+
+@given(padded_rows())
+@example(np.resize([-1.5, 1.0, 0.0, -0.0, 2.0, np.inf], (2, 90)))
+@PROPERTY_SETTINGS
+def test_rank_top_is_the_stable_argsort_prefix(order):
+    """Every top from 1 to the row length ranks like the full stable sort."""
+    full = np.argsort(order, axis=-1, kind="stable")
+    for top in range(1, order.shape[1] + 1):
+        np.testing.assert_array_equal(_rank_top(order.copy(), top), full[:, :top])
 
 
 @given(documents())

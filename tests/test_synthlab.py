@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from docqa.corpus import make_pair
@@ -236,6 +237,19 @@ class TestEvaluation:
             padded = evaluate_checkpoint(checkpoint, [*pairs, empty], [*golds, {"x"}], spec, space)
             for name in ("em", "f1"):
                 assert padded[name] == pytest.approx(alone[name] * len(pairs) / (len(pairs) + 1))
+
+
+    def test_nan_grid_is_a_failed_decode(self):
+        # finite heads so large that scores overflow to +inf and -inf, which
+        # log_partition turns into NaN: no decoder ranks it
+        pairs, labels, _ = generate(small_profile(documents=6))
+        checkpoint = train(TrainConfig(epochs=1), pairs, labels)
+        signs = np.resize([1.0, -1.0], checkpoint.params["begin_head"].shape)
+        huge = replace(checkpoint, params={**checkpoint.params, "begin_head": 1e308 * signs})
+        spec = InferenceSpec(aggregation=AnswerAggregation.MAX)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for space in SpaceKind:
+                assert decode_corpus(huge, pairs, spec, space) == [("", float("-inf"))] * len(pairs)
 
 
 class TestGrid:
