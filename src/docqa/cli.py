@@ -26,12 +26,18 @@ from .inference import (
 from .labeling import (
     DEFAULT_MAX_SPAN_LENGTH,
     DEFAULT_ROUGE_THRESHOLD,
+    counts,
     find_consistent_spans_exact,
     find_consistent_spans_rouge,
     load_labels,
     save_labels,
 )
-from .metrics import partition_analysis, summarize
+from .metrics import (
+    DEFAULT_ANSWER_THRESHOLD,
+    DEFAULT_SPAN_THRESHOLD,
+    partition_analysis,
+    summarize,
+)
 from .model import Checkpoint, Vocabulary
 from .objectives import ObjectiveSpecError, parse_combo
 from .probability import SpaceKind
@@ -175,8 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="break metrics out by answer-set size and span count",
     )
     p_eval.add_argument("--labels", help="labels for the partition breakdown")
-    p_eval.add_argument("--answer-threshold", type=int, default=1)
-    p_eval.add_argument("--span-threshold", type=int, default=5)
+    p_eval.add_argument(
+        "--answer-threshold",
+        type=_int_at_least(0, "non-negative", "answer threshold"),
+        default=DEFAULT_ANSWER_THRESHOLD,
+    )
+    p_eval.add_argument(
+        "--span-threshold",
+        type=_int_at_least(0, "non-negative", "span threshold"),
+        default=DEFAULT_SPAN_THRESHOLD,
+    )
     _add_loader_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -269,6 +283,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    if args.pretrain_labels and not args.pretrain:
+        raise UsageError("--pretrain-labels needs --pretrain")
     try:
         config = _train_config(args)
     except (ObjectiveSpecError, ValueError) as exc:
@@ -288,7 +304,6 @@ def cmd_train(args) -> int:
         init = pretrain_clean(config, clean_pairs, clean_labels, vocab=vocab)
         logger.info("warm start trained on %d clean pairs", len(clean_pairs))
     checkpoint = train(config, pairs, labels, init=init)
-    checkpoint.history["objectives"] = list(config.objectives)
     checkpoint.save(args.out)
     values = checkpoint.history.get("objective_values", [])
     logger.info(
@@ -301,12 +316,22 @@ def cmd_train(args) -> int:
 
 
 def _eval_space(args, checkpoint) -> SpaceKind:
+    """--space, or under auto the space the checkpoint's objectives decode in.
+
+    A history whose objectives are not a list of valid specs is a fault of
+    the checkpoint file, not a usage error.
+    """
     if args.space != "auto":
         return SpaceKind.parse(args.space)
-    objectives = checkpoint.history.get("objectives") if checkpoint else None
-    if objectives:
+    objectives = checkpoint.history.get("objectives")
+    if not objectives:
+        return SpaceKind.PARAGRAPH
+    if not isinstance(objectives, list):
+        raise ValueError(f"{args.ckpt}: history 'objectives' is not a list")
+    try:
         return inference_space("+".join(objectives))
-    return SpaceKind.PARAGRAPH
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.ckpt}: {exc}") from None
 
 
 def cmd_eval(args) -> int:
@@ -340,7 +365,7 @@ def cmd_eval(args) -> int:
         labels = _labels_for(pairs, args.labels, DEFAULT_MAX_SPAN_LENGTH)
         report = partition_analysis(
             per_example,
-            labels,
+            [counts(l) for l in labels],
             answer_threshold=args.answer_threshold,
             span_threshold=args.span_threshold,
         )

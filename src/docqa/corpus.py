@@ -120,9 +120,6 @@ class AnswerStringSet:
     def __len__(self) -> int:
         return len(self.normalized)
 
-    def __contains__(self, normalized_string: str) -> bool:
-        return normalized_string in self.normalized
-
 
 @dataclass(frozen=True)
 class KeyTable:

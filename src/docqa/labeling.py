@@ -71,14 +71,6 @@ class ConsistentLabelSet:
         """True when paragraph k has no consistent span."""
         return not self.spans_by_paragraph[k]
 
-    def begin_positions(self, k: int) -> tuple[int, ...]:
-        """Distinct begin offsets of paragraph k's spans, ascending."""
-        return tuple(sorted({s.begin for s in self.spans_by_paragraph[k]}))
-
-    def end_positions(self, k: int) -> tuple[int, ...]:
-        """Distinct end offsets of paragraph k's spans, ascending."""
-        return tuple(sorted({s.end for s in self.spans_by_paragraph[k]}))
-
     def all_spans(self) -> list[SpanLabel]:
         return [s for spans in self.spans_by_paragraph for s in spans]
 
@@ -249,7 +241,6 @@ def find_consistent_spans_rouge(
             continue
         words = [normalized[w] for w in table.paragraph(k).tolist()]
         n = len(words)
-        kept = []
         best = None
         best_score = 0.0
         for s in (firsts[cuts[k] : cuts[k + 1]] - table.starts[k]).tolist():
@@ -260,15 +251,14 @@ def find_consistent_spans_rouge(
                     score, matched = scores[j - s]
                     if score <= 0.0:
                         continue
-                    label = SpanLabel(k, i, j, matched_string=matched)
                     if score > best_score:
-                        best_score = score
-                        best = label
+                        best_score, best = score, (i, j, matched)
                     if score >= threshold:
-                        kept.append(label)
-        if best is not None and best not in kept:
-            kept.append(best)
-        spans.extend(kept)
+                        spans.append(SpanLabel(k, i, j, matched_string=matched))
+        # Each (begin, end) is scored once, so the best span is already kept
+        # exactly when it reaches the threshold.
+        if best is not None and best_score < threshold:
+            spans.append(SpanLabel(k, *best))
     return ConsistentLabelSet.from_spans(
         len(pair.paragraphs), spans, num_answers=len(pair.answers)
     )

@@ -136,34 +136,29 @@ def _subset_key(
 
 def partition_analysis(
     per_example: Mapping[str, Sequence[float]],
-    labels: Sequence,
+    labels: Sequence[tuple[int, int]],
     answer_threshold: int = DEFAULT_ANSWER_THRESHOLD,
     span_threshold: int = DEFAULT_SPAN_THRESHOLD,
 ) -> MetricsReport:
     """Slice scores by answer-set size and consistent-span count.
 
     labels supplies one (number of answer strings, number of consistent spans)
-    pair per example, either as plain tuples or as label-set objects exposing
-    num_answers and total_spans.  Subsets are keyed ss, sl, ls, ll where the
+    pair per example.  Subsets are keyed ss, sl, ls, ll where the
     first letter says whether the answer set stayed at or under
     answer_threshold and the second does the same for spans.  With exactly two
     systems each subset also reports the mean difference, second minus first.
     """
-    label_counts = [
-        item if isinstance(item, tuple) else (item.num_answers, item.total_spans)
-        for item in labels
-    ]
     report = summarize(per_example)
     columns = report.per_example
     n = len(next(iter(columns.values()), ()))
-    if len(label_counts) != n:
+    if len(labels) != n:
         raise ValueError("labels must align with the scored examples")
     names = list(columns)
     subsets: dict[str, SubsetReport] = {}
     for key in ("ss", "sl", "ls", "ll"):
         members = [
             i
-            for i, (n_answers, n_spans) in enumerate(label_counts)
+            for i, (n_answers, n_spans) in enumerate(labels)
             if _subset_key(n_answers, n_spans, answer_threshold, span_threshold) == key
         ]
         if not members:

@@ -172,9 +172,6 @@ class ToyScorer:
         embedding = rng.normal(0.0, init_scale, size=(len(vocab), dim))
         return cls(vocab, embedding, *np.zeros((4, 3 * dim)))
 
-    def clone(self) -> "ToyScorer":
-        return ToyScorer(self.vocab, *self.views(self.params).values())
-
     def _encoded(self, pair: DocumentQuestionPair | EncodedPair) -> EncodedPair:
         if not isinstance(pair, EncodedPair):
             return self.vocab.encode(pair)
@@ -280,8 +277,9 @@ class Checkpoint:
     def load(cls, path: str | Path) -> "Checkpoint":
         """Read a checkpoint that save wrote.
 
-        Any other file, or one whose parameters hold a NaN or an infinity,
-        fails with a ValueError that names the path and the fault.
+        Any other file, one whose history is not a JSON object, or one whose
+        parameters hold a NaN or an infinity, fails with a ValueError that
+        names the path and the fault.
         """
         try:
             data = np.load(path, allow_pickle=False)
@@ -300,6 +298,8 @@ class Checkpoint:
                     fingerprint=str(data["fingerprint"]),
                     history=json.loads(str(data["history_json"])),
                 )
+                if not isinstance(checkpoint.history, dict):
+                    raise ValueError("history is not a JSON object")
                 checkpoint.to_scorer()  # checks every array's shape
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: {exc}") from None

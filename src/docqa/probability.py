@@ -80,30 +80,11 @@ class ScoreGrid:
         """Positions per paragraph, excluding the null slot."""
         return tuple(s - 1 for s in self.sizes)
 
-    def null_index(self, k: int) -> int:
-        return self.sizes[k] - 1
-
 
 class LogProbGrid(ScoreGrid):
-    """Log probabilities for begin and end positions under one space.
-
-    The grid is laid out like the ScoreGrid it normalizes.  Under DOCUMENT the
-    null slots hold -inf.  log_z_begin and log_z_end are per-paragraph arrays
-    under PARAGRAPH and zero-dimensional under DOCUMENT.
+    """Log probabilities for begin and end positions under one space, laid out
+    like the ScoreGrid they normalize.  Under DOCUMENT the null slots hold -inf.
     """
-
-    def __init__(
-        self,
-        vector: np.ndarray,
-        sizes: Sequence[int],
-        space: SpaceKind,
-        log_z_begin: np.ndarray,
-        log_z_end: np.ndarray,
-    ):
-        super().__init__(vector, sizes)
-        self.space = space
-        self.log_z_begin = log_z_begin
-        self.log_z_end = log_z_end
 
     # Aliases of begin and end that the bench still reads.
     log_begin = ScoreGrid.begin
@@ -166,18 +147,16 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     DOCUMENT: all positions across paragraphs sum to one; null is excluded.
     All work happens in the log domain so extreme scores stay finite.
     """
-    n = grid.n_paragraphs
     if space is SpaceKind.PARAGRAPH:
         zs = logsumexp_runs(grid.vector, np.array(grid.offsets[:-1]))
         log = grid.vector - np.repeat(zs, grid.sizes * 2)
-        zb, ze = zs[:n], zs[n:]
     elif space is SpaceKind.DOCUMENT:
         positions = np.ones(grid.vector.shape, dtype=bool)
         positions[np.subtract(grid.offsets[1:], 1)] = False  # the null slots
         scores = grid.vector[positions]
-        zb, ze = (np.asarray(logsumexp(side)) for side in np.split(scores, 2))
+        zb, ze = (logsumexp(side) for side in np.split(scores, 2))
         log = np.full(grid.vector.shape, -np.inf)
         log[positions] = scores - np.repeat([zb, ze], scores.shape[0] // 2)
     else:
         raise ValueError(f"unknown space {space!r}")
-    return LogProbGrid(log, grid.sizes, space, zb, ze)
+    return LogProbGrid(log, grid.sizes)

@@ -194,6 +194,7 @@ def _fit(
         "skipped_examples": skipped,
         "trained_examples": len(examples),
         **last_entry,
+        "objectives": [str(s) for s in specs],
     }
     return Checkpoint.from_scorer(scorer, config.fingerprint(), history)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -9,9 +10,13 @@ import numpy as np
 import pytest
 
 from docqa.cli import build_parser, main
+from docqa.corpus import load_dataset
+from docqa.diagnostics import CheckResult
+from docqa.labeling import load_labels
+from docqa.metrics import DEFAULT_ANSWER_THRESHOLD, DEFAULT_SPAN_THRESHOLD
 from docqa.model import Checkpoint
 from docqa.synthlab import NoiseProfile, _mean_points
-from docqa.training import TrainConfig
+from docqa.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +78,13 @@ class TestSimulate:
         assert set(record) == {"id", "spans"}
         for span in record["spans"]:
             assert len(span) == 3
+
+    def test_default_profile_without_profile_flag(self, tmp_path):
+        out = tmp_path / "default"
+        assert main(["simulate", "--out", str(out), "--seed", "4"]) == 0
+        written = NoiseProfile.from_json((out / "profile.json").read_text())
+        assert written == NoiseProfile(seed=4)
+        assert len((out / "train.jsonl").read_text().splitlines()) == NoiseProfile().documents
 
     def test_seed_zero_overrides_profile_seed(self, workspace, tmp_path):
         out = tmp_path / "seed0"
@@ -205,6 +217,24 @@ class TestOptionRanges:
         err = capsys.readouterr().err
         assert f"error: argument {option}: value must be a positive integer, got '{bad}'" in err
 
+    @pytest.mark.parametrize("option, what", [
+        ("--answer-threshold", "answer threshold"), ("--span-threshold", "span threshold")
+    ])
+    def test_negative_partition_threshold(self, option, what, capsys):
+        assert run([*self.EVAL, option, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: {what} must be a non-negative integer, got '-1'" in err
+
+    def test_partition_thresholds_default_to_metrics_and_accept_zero(self):
+        args = build_parser().parse_args(self.EVAL)
+        assert (args.answer_threshold, args.span_threshold) == (
+            DEFAULT_ANSWER_THRESHOLD,
+            DEFAULT_SPAN_THRESHOLD,
+        )
+        zeros = ["--answer-threshold", "0", "--span-threshold", "0"]
+        args = build_parser().parse_args([*self.EVAL, *zeros])
+        assert (args.answer_threshold, args.span_threshold) == (0, 0)
+
     @pytest.mark.parametrize("bad", ["2", "-0.1", "nan", "x"])
     def test_threshold_outside_unit_interval(self, bad, capsys):
         assert run([*self.LABEL, "--matcher", "rouge", "--threshold", bad]) == 2
@@ -220,6 +250,8 @@ class TestOptionRanges:
             ([*TRAIN, "--weights", "-1"], "weights must be finite and non-negative"),
             ([*GRID, "--lr", "nan"], "learning rate must be positive and finite"),
             ([*GRID, "--lr", "0"], "learning rate must be positive and finite"),
+            ([*TRAIN, "--pretrain-labels", "clean.jsonl"], "--pretrain-labels needs --pretrain"),
+            ([*GRID, "--specs", ","], "need at least one spec"),
         ],
     )
     def test_bad_training_setting(self, argv, fault, capsys):
@@ -430,6 +462,26 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert set(report["subsets"]) == {"ss", "sl", "ls", "ll"}
         assert sum(s["size"] for s in report["subsets"].values()) == 12
+
+    def test_space_follows_the_checkpoint_unless_given(self, workspace, tmp_path, caplog):
+        # the workspace checkpoint is H2-P from the CLI; a library-trained
+        # H3-D checkpoint records its objectives too, so auto decodes it in D
+        pairs = load_dataset(workspace["data"] / "train.jsonl")
+        labels = load_labels(pairs, workspace["data"] / "labels_train.jsonl")
+        library = tmp_path / "h3d.ckpt"
+        train(TrainConfig(objectives=("H3-D-pos-mml",), epochs=1), pairs, labels).save(library)
+        cases = [
+            (workspace["ckpt"], "auto", "P"),
+            (workspace["ckpt"], "D", "D"),
+            (library, "auto", "D"),
+            (library, "P", "P"),
+        ]
+        for ckpt, flag, expected in cases:
+            argv = ["eval", str(workspace["data"] / "dev.jsonl"), "--ckpt", str(ckpt)]
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="docqa"):
+                assert main([*argv, "--space", flag, "--out", str(tmp_path / "r.json")]) == 0
+            assert f"decoded 12 pairs in space {expected}" in caplog.text, (ckpt, flag)
 
     def test_needs_exactly_one_source(self, workspace):
         data = str(workspace["data"] / "dev.jsonl")
@@ -707,6 +759,21 @@ class TestBadCheckpoint:
         rows, dim = embedding.shape
         assert f"error: {ckpt}: embedding must have shape ({rows}, {dim}), got ({rows - 1}, {dim})" in err
 
+    @pytest.mark.parametrize(
+        "history, message",
+        [
+            ([], "history is not a JSON object"),
+            ({"objectives": "H"}, "history 'objectives' is not a list"),
+            ({"objectives": ["H"]}, "objective spec 'H' must have four dash-separated fields"),
+        ],
+        ids=["list", "string-objectives", "bad-spec"],
+    )
+    def test_bad_history(self, workspace, tmp_path, capsys, history, message):
+        ckpt = tmp_path / "model.ckpt"
+        self._rewrite(workspace, ckpt, history_json=np.array(json.dumps(history)))
+        assert self._eval(workspace, ckpt) == 1
+        assert f"error: {ckpt}: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter(self, workspace, tmp_path, capsys, value):
         ckpt = tmp_path / "model.ckpt"
@@ -793,6 +860,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "all 8 checks passed" in out
         assert out.count("ok  ") == 8
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        results = [CheckResult("first", True), CheckResult("second", False, "worst 1e-3")]
+        monkeypatch.setattr("docqa.cli.run_all", lambda seed, trials: results)
+        assert main(["check"]) == 1
+        assert capsys.readouterr().out == (
+            "ok   first\nFAIL second  (worst 1e-3)\n1 of 2 checks failed\n"
+        )
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, trials, capsys):

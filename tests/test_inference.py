@@ -337,9 +337,7 @@ class TestNaNGrid:
             for at in (0, probs.offsets[1] - 1, probs.offsets[2] - 2, probs.offsets[2]):
                 vector = probs.vector.copy()
                 vector[at] = np.nan
-                yield pair, LogProbGrid(
-                    vector, probs.sizes, space, probs.log_z_begin, probs.log_z_end
-                )
+                yield pair, LogProbGrid(vector, probs.sizes)
         grid.begin[0][1] = np.nan  # spreads through log_partition
         for space in SpaceKind:
             yield pair, log_partition(grid, space)

@@ -13,6 +13,7 @@ from docqa.labeling import (
 )
 from docqa.metrics import rouge_l
 from docqa.synthlab import load_truth
+from test_objectives import label_positions
 
 
 def oracle_exact(pair, max_span_length=8):
@@ -305,9 +306,8 @@ class TestLabelSet:
             SpanLabel(0, 3, 4, "x"),
         ]
         labels = ConsistentLabelSet.from_spans(2, spans, num_answers=1)
-        assert labels.begin_positions(0) == (1, 3)
-        assert labels.end_positions(0) == (2, 4)
-        assert labels.begin_positions(1) == ()
+        assert label_positions(labels, 0) == ((1, 3), (2, 4))
+        assert label_positions(labels, 1) == ((), ())
         assert labels.is_null(1)
         assert labels.total_spans == 3
 

@@ -164,14 +164,6 @@ class TestPartitionAnalysis:
         report = partition_analysis(scores, [(1, 5)], answer_threshold=1, span_threshold=5)
         assert report.subsets["ss"].size == 1
 
-    def test_label_objects_accepted(self):
-        class Fake:
-            num_answers = 2
-            total_spans = 9
-
-        report = partition_analysis({"m": [1.0]}, [Fake()])
-        assert report.subsets["ll"].size == 1
-
     def test_delta_needs_two_systems(self):
         report = partition_analysis({"only": [1.0]}, [(1, 1)])
         assert report.subsets["ss"].delta is None

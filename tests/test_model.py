@@ -29,6 +29,11 @@ def build_scorer(seed=3):
     return pair, ToyScorer.initialize(vocab, dim=5, seed=seed)
 
 
+def scorer_at(scorer, vector):
+    """A scorer over scorer's vocabulary whose params are a copy of vector."""
+    return ToyScorer(scorer.vocab, *scorer.views(vector).values())
+
+
 def oracle_question_mean(scorer, pair):
     ids = [scorer.vocab.id_of(t.text) for t in pair.question]
     return ids, scorer.embedding[ids].mean(axis=0) if ids else np.zeros(scorer.dim)
@@ -165,9 +170,7 @@ class TestBackprop:
         weights = ScoreGrid(rng.normal(0, 1, grid.vector.shape), grid.sizes)
 
         def objective(vec):
-            probe = scorer.clone()
-            probe.params[:] = vec
-            return float(weights.vector @ probe.score(pair).vector)
+            return float(weights.vector @ scorer_at(scorer, vec).score(pair).vector)
 
         flat = scorer.backprop(pair, weights)
         base = scorer.params.copy()
@@ -191,9 +194,7 @@ class TestBackprop:
         spec = ObjectiveSpec.parse("H2-P-span-mml")
 
         def value_at(vec):
-            probe = scorer.clone()
-            probe.params[:] = vec
-            return evaluate(spec, probe.score(pair), labels).value
+            return evaluate(spec, scorer_at(scorer, vec).score(pair), labels).value
 
         result = evaluate(spec, scorer.score(pair), labels)
         flat = scorer.backprop(pair, result.grad)
@@ -369,13 +370,15 @@ class TestParams:
         with pytest.raises(ValueError):
             scorer.views(other[:-1])
 
-    def test_clone_owns_its_params(self):
+    def test_to_scorer_owns_its_params(self):
         _, scorer = build_scorer()
-        clone = scorer.clone()
-        np.testing.assert_array_equal(clone.params, scorer.params)
-        clone.params += 1.0
-        assert not np.shares_memory(clone.params, scorer.params)
-        np.testing.assert_array_equal(clone.params, scorer.params + 1.0)
+        ckpt = Checkpoint.from_scorer(scorer, "f", {})
+        restored = ckpt.to_scorer()
+        np.testing.assert_array_equal(restored.params, scorer.params)
+        restored.params += 1.0
+        for name in PARAM_NAMES:
+            assert not np.shares_memory(getattr(restored, name), ckpt.params[name])
+            np.testing.assert_array_equal(getattr(restored, name), ckpt.params[name] + 1.0)
 
     def test_checkpoint_does_not_share_scorer_params(self):
         _, scorer = build_scorer()

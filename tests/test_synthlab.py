@@ -96,6 +96,18 @@ class TestGeneration:
                 assert span.triple() not in genuine
         assert alias_docs > 40
 
+    def test_all_distractor_documents_keep_one_correct_paragraph(self):
+        # every draw is all distractors, so after 64 redraws one random
+        # paragraph of each document is made correct
+        _, labels, truths = generate(small_profile(distractor_rate=1.0, documents=20))
+        picked = set()
+        for label_set, truth in zip(labels, truths):
+            paragraphs = {s.paragraph for s in truth.correct_spans}
+            assert len(paragraphs) == 1
+            assert {s.paragraph for s in label_set.all_spans()} == paragraphs
+            picked |= paragraphs
+        assert len(picked) > 1
+
     def test_alias_fraction_near_rate(self):
         profile = small_profile(
             documents=300,

@@ -85,6 +85,13 @@ class TestTrainBasics:
         assert ckpt.history["skipped_examples"] == 0
         assert ckpt.history["initialized_from"] is None
 
+    def test_history_records_objectives(self):
+        # library runs record them too, so eval --space auto decodes in D
+        pairs, labels = tiny_dataset()
+        ckpt = train(TrainConfig(objectives=("H3-D-pos-mml",), epochs=1), pairs, labels)
+        assert ckpt.history["objectives"] == ["H3-D-pos-mml"]
+        assert list(ckpt.history)[-2:] == ["initialized_from", "objectives"]
+
     def test_warm_start_records_source(self):
         pairs, labels = tiny_dataset()
         first = train(TrainConfig(epochs=1), pairs, labels)
@@ -281,6 +288,7 @@ class TestPretrain:
         ckpt = pretrain_clean(config, [], [], vocab=Vocabulary(("<unk>", "a")))
         assert ckpt.history["objective_values"] == []
         assert ckpt.history["pretraining"] is True
+        assert ckpt.history["objectives"] == ["H1-P-span-mml"]
 
     def test_explicit_vocab_respected(self):
         pairs, labels = self.clean_dataset()
