@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument("--matcher", choices=("exact", "rouge"), default="exact")
     p_label.add_argument(
         "--threshold", type=_threshold, default=DEFAULT_ROUGE_THRESHOLD,
-        help="similarity threshold for the rouge matcher",
+        help="similarity threshold for the rouge matcher; a span of similarity 0 is"
+        " never kept, so 0 keeps exactly the spans of positive similarity",
     )
     p_label.add_argument("--max-span-length", type=_count, default=DEFAULT_MAX_SPAN_LENGTH)
     _add_loader_flags(p_label)

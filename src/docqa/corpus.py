@@ -6,7 +6,6 @@ import json
 import string
 import sys
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -49,25 +48,17 @@ def normalize_string(text: str) -> str:
     return " ".join(words[start:])
 
 
-def _normalized(texts: Sequence[str]) -> list[str]:
+def _normalized(texts: Sequence[str]) -> Sequence[str]:
     """Each token text lowercased and stripped of punctuation ("" for a
-    punctuation-only text such as ",").  The texts are joined by spaces and
-    normalized at once, which acts on each as on it alone: they hold no
-    whitespace, which is neither cased nor case-ignorable, so lowercasing
-    (final sigma included) and punctuation stripping see the same text."""
-    return " ".join(texts).lower().translate(_PUNCT_TABLE).split(" ") if texts else []
-
-
-def span_strings(words: Sequence[str]) -> list[str]:
-    """Normalized text of words[:1], words[:2], ... for WordTable.normalized
-    words: empty words are skipped, and so are ARTICLES until the first kept
-    word."""
-    strings, text = [], ""
-    for word in words:
-        if word and (text or word not in ARTICLES):
-            text = f"{text} {word}" if text else word
-        strings.append(text)
-    return strings
+    punctuation-only text such as ","), or texts itself when that changes
+    none, so that a WordTable's keys hold the interned words and no copies.
+    The texts are joined by spaces and normalized at once, which acts on each
+    as on it alone: they hold no whitespace, which is neither cased nor
+    case-ignorable, so lowercasing (final sigma included) and punctuation
+    stripping see the same text."""
+    joined = " ".join(texts)
+    normalized = joined.lower().translate(_PUNCT_TABLE)
+    return texts if normalized == joined else normalized.split(" ")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,58 +112,36 @@ class AnswerStringSet:
         return len(self.normalized)
 
 
-@dataclass(frozen=True)
-class KeyTable:
-    """A pair's paragraph positions keyed by normalized word, for decoding.
-
-    words holds the distinct WordTable.normalized words in order of first
-    sight, with "" first as id 0 whether or not it occurs.  ids holds the id
-    into words of every paragraph position, in WordTable.ids order, so an
-    empty word reads 0; its dtype is the narrowest unsigned one that holds
-    len(words).  article[w] is whether words[w] is one of ARTICLES.
-    """
-
-    words: tuple[str, ...]
-    ids: np.ndarray
-    article: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class WordTable:
-    """A pair's words, indexed once when the pair is built.
+    """A pair's words and normalized words, indexed once when the pair is built.
 
     words holds the pair's distinct token texts in order of first sight,
-    question first, each non-empty and free of whitespace.  normalized holds
-    each word lowercased and stripped of punctuation (the words tuple itself
-    when that changes none); a punctuation-only word gives "".  For every
-    span of positions, joining its non-empty normalized words with single
-    spaces and dropping leading ARTICLES gives exactly normalize_string of
-    the span's words joined by spaces.  question holds the
-    id into words of every question position, and ids that of every
-    paragraph position, paragraphs concatenated: paragraph k's positions are
-    ids[starts[k] : starts[k + 1]].  Ids take the narrowest unsigned dtype
-    that holds len(words).
+    question first, each non-empty and free of whitespace.  question holds the
+    id into words of every question position, and ids that of every paragraph
+    position, paragraphs concatenated: paragraph k's positions are
+    ids[starts[k] : starts[k + 1]], in the narrowest unsigned dtype that holds
+    len(words).
+
+    keys numbers the distinct normalized words (lowercased, punctuation
+    stripped) in order of first sight, "" first as key 0 whether or not it
+    occurs.  key_of[w] is the key of words[w], in the narrowest unsigned dtype
+    that holds len(keys), and article[key] is whether that word is one of
+    ARTICLES.  For every span of positions, joining the words of its non-zero
+    keys with single spaces and dropping leading ARTICLES gives exactly
+    normalize_string of the span's words joined by spaces.
     """
 
     words: tuple[str, ...]
-    normalized: tuple[str, ...]
     question: np.ndarray
     ids: np.ndarray
     starts: tuple[int, ...]
+    keys: dict[str, int]
+    key_of: np.ndarray
+    article: np.ndarray
 
     def paragraph(self, k: int) -> np.ndarray:
         return self.ids[self.starts[k] : self.starts[k + 1]]
-
-    @cached_property
-    def keys(self) -> KeyTable:
-        """The pair's KeyTable, built on first read and kept with the table."""
-        index = {"": 0}
-        key_of = [index.setdefault(word, len(index)) for word in self.normalized]
-        return KeyTable(
-            words=tuple(index),
-            ids=np.array(key_of, np.min_scalar_type(len(index)))[self.ids],
-            article=np.array([word in ARTICLES for word in index]),
-        )
 
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:
@@ -191,15 +160,20 @@ def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) ->
             raise ValueError("token text must be non-empty")
         raise ValueError(f"token text must not contain whitespace: {bad!r}")
     words = tuple(map(sys.intern, index))
-    normalized = tuple(_normalized(words))
     dtype = np.min_scalar_type(len(words))
     ids = np.fromiter(map(index.__getitem__, positions), dtype, len(positions))
+    keys = {"": 0}
+    key_of = [keys.setdefault(word, len(keys)) for word in _normalized(words)]
+    article = np.zeros(len(keys), bool)
+    article[[keys[word] for word in ARTICLES if word in keys]] = True
     return WordTable(
         words=words,
-        normalized=words if normalized == words else normalized,
         question=ids[: len(question)],
         ids=ids[len(question) :],
         starts=tuple(accumulate(map(len, paragraphs), initial=0)),
+        keys=keys,
+        key_of=np.fromiter(key_of, np.min_scalar_type(len(keys)), len(key_of)),
+        article=article,
     )
 
 

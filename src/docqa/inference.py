@@ -66,8 +66,8 @@ class Candidates:
     sorted stably by group, so each group's mentions form one run
     log_p[heads[g] : heads[g] + sizes[g]] in candidate order, and triples
     holds their (paragraph, begin, end) rows in the same order.  keys[g] is
-    group g's string as word ids into words, the pair's KeyTable words, zero
-    padded; id 0 is "".
+    group g's string as keys into words, the pair's WordTable.keys in key
+    order, zero padded; key 0 is "".
     """
 
     words: tuple[str, ...]
@@ -136,9 +136,9 @@ def candidates(
     Pair: each of the top_k ranked begins of a paragraph takes the top_k
     ranked ends among its next max_answer_length positions, in end rank
     order, so candidates run by paragraph, then begin rank, then end rank.
-    Key: each candidate's string is its row of normalized word ids, read from
-    the pair's KeyTable (WordTable.keys, built on the first decode of the
-    pair), with empty words and leading ARTICLES dropped; spans left with no
+    Key: each candidate's string is its row of normalized word keys, read
+    from the pair's WordTable (key_of of every position, gathered once per
+    call), with empty words and leading ARTICLES dropped; spans left with no
     word are skipped.  Group: one np.lexsort of the rows puts equal rows
     together, in candidate order, and the groups are numbered by first sight.
     top_k=None takes every position.  A grid that does not match the pair, or
@@ -171,13 +171,13 @@ def candidates(
     windows = (np.arange(n) * width)[:, None, None] + begins[:, :, None] + np.arange(span)
     rank = end_rank.ravel()[windows]
     is_end = rank < np.minimum(lengths, top)[:, :, None]
-    # Key: every position's normalized word id, from the pair's key table.
-    keyed = pair.table.keys
-    word_at = np.zeros(n * width, keyed.ids.dtype)
-    word_at.reshape(n, width)[np.arange(width) < lengths] = keyed.ids
+    # Key: every position's normalized word key, from the pair's word table.
+    word_table = pair.table
+    word_at = np.zeros(n * width, word_table.key_of.dtype)
+    word_at.reshape(n, width)[np.arange(width) < lengths] = word_table.key_of[word_table.ids]
     words = word_at[windows]
     nonempty = words != 0
-    kept = nonempty & np.logical_or.accumulate(nonempty & ~keyed.article[words], axis=-1)
+    kept = nonempty & np.logical_or.accumulate(nonempty & ~word_table.article[words], axis=-1)
     n_words = np.cumsum(kept, axis=-1)
     compact = np.zeros_like(words)  # each window's kept words, moved to its front
     k, i, d = np.nonzero(kept)
@@ -203,7 +203,7 @@ def candidates(
     heads = np.cumsum(sizes) - sizes
     by_group = by_key[np.arange(len(rows)) + np.repeat(bounds[by_sight] - heads, sizes)]
     return Candidates(
-        words=keyed.words,
+        words=tuple(word_table.keys),
         keys=keys[first[by_sight]],
         log_p=(table[0, k, b] + table[1, k, e])[by_group],
         triples=np.stack([k, b, e], axis=1)[by_group],

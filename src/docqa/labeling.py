@@ -9,12 +9,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import (
-    ARTICLES,
     DatasetSchemaError,
     DocumentQuestionPair,
     normalize_string,
     read_json_lines,
-    span_strings,
     write_json_lines,
 )
 from .metrics import lcs_row_step, rouge_f
@@ -96,21 +94,17 @@ def counts(labels: ConsistentLabelSet) -> tuple[int, int]:
     return (labels.num_answers, labels.total_spans)
 
 
-# Words a span's normalized text never starts with: punctuation-only tokens
-# normalize to "" and vanish, and leading articles are dropped.
-_NEVER_FIRST = ARTICLES | {""}
+def _begins(keys: Sequence[int], article: np.ndarray, s: int, max_span_length: int) -> range:
+    """The begins i whose spans normalize to text that starts with keys[s].
 
-
-def _begins(words: Sequence[str], s: int, max_span_length: int) -> range:
-    """The begins i whose spans normalize to text that starts with words[s].
-
-    words[s] must be a word no normalized text skips.  The begins are s and
-    the run of empty words and articles just before it, at most
-    max_span_length - 1 of them, since a span from i must reach s.
+    keys holds WordTable keys, keys[s] one no normalized text skips.  The
+    begins are s and the run of empty words (key 0) and article keys just
+    before it, at most max_span_length - 1 of them, since a span from i must
+    reach s.
     """
     i = s
     floor = max(0, s - max_span_length + 1)
-    while i > floor and words[i - 1] in _NEVER_FIRST:
+    while i > floor and (keys[i - 1] == 0 or article[keys[i - 1]]):
         i -= 1
     return range(i, s + 1)
 
@@ -124,38 +118,47 @@ def find_consistent_spans_exact(
     normalize to the empty string never match.
 
     The document's normalized words come from its WordTable: a span [i, j]
-    normalizes to the non-empty words of [s, j] joined by spaces, where s is
-    the first non-empty, non-article word at or after i.  One gather over the
-    document's word ids finds the positions s whose word is the first word of
-    some answer, and only the words around them are read.  From s,
-    corpus.span_strings gives the key of each end j; the scan notes the ends
-    whose key is an answer, and then walks back over the empty words and
-    articles before s to the other begins that share them.
+    normalizes to the non-empty words of [s, j], where s is the first
+    non-empty, non-article word at or after i.  So spans are compared as
+    tuples of WordTable keys, answers included: each answer word is looked up
+    in the table's keys once, and an answer holding a word the document lacks
+    matches nothing.  One gather over the document's word ids finds the
+    positions s that hold some answer's first word, and only the keys around
+    them are read.  From s, the scan grows the key tuple of each span [s, j],
+    notes the ends whose tuple is an answer, then walks back over the empty
+    words and articles before s to the begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
-    targets = {s for s in pair.answers.normalized if s}
-    first_words = {t.split(" ", 1)[0] for t in targets}
     table = pair.table
-    normalized = table.normalized
-    is_first = np.array([word in first_words for word in normalized], bool)
-    hits = np.flatnonzero(is_first[table.ids])
+    targets = {}  # the key tuple of each answer -> its normalized text
+    for answer in pair.answers.normalized:
+        keyed = tuple(table.keys.get(word, -1) for word in answer.split())
+        if keyed and -1 not in keyed:
+            targets[keyed] = answer
+    is_first = np.zeros(len(table.keys), bool)
+    is_first[[keyed[0] for keyed in targets]] = True
+    hits = np.flatnonzero(is_first[table.key_of][table.ids])
+    key_of = table.key_of.tolist()
     starts = table.starts
     spans = []
     for s, k in zip(hits.tolist(), (np.searchsorted(starts, hits, "right") - 1).tolist()):
-        # The words of paragraph k from the furthest begin to the furthest end.
+        # The keys of paragraph k from the furthest begin to the furthest end.
         lo = max(starts[k], s - max_span_length + 1)
         stop = min(starts[k + 1], s + max_span_length)
-        words = [normalized[w] for w in table.ids[lo:stop].tolist()]
-        keys = span_strings(words[s - lo :])
-        matches = [(s + d, key) for d, key in enumerate(keys) if key in targets]
+        keys = [key_of[w] for w in table.ids[lo:stop].tolist()]
+        matches, keyed = [], ()
+        for j, key in enumerate(keys[s - lo :], start=s):
+            keyed += (key,) if key else ()
+            if keyed in targets:
+                matches.append((j, targets[keyed]))
         if not matches:
             continue
         base = starts[k]
-        for i in _begins(words, s - lo, max_span_length):
+        for i in _begins(keys, table.article, s - lo, max_span_length):
             spans.extend(
-                SpanLabel(k, lo + i - base, j - base, matched_string=key)
-                for j, key in matches
+                SpanLabel(k, lo + i - base, j - base, matched_string=text)
+                for j, text in matches
                 if j < lo + i + max_span_length
             )
     return ConsistentLabelSet.from_spans(
@@ -164,16 +167,17 @@ def find_consistent_spans_exact(
 
 
 def _rouge_scores(
-    words: Sequence[str],
+    words: Sequence[int],
     s: int,
     stop: int,
-    references: list[tuple[str, list[str], set[str]]],
+    references: list[tuple[str, list[int], set[int]]],
 ) -> list[tuple[float, str]]:
     """(best similarity, its normalized answer) of each span [s, j], s <= j < stop.
 
-    Carries one LCS row per reference across the ends, stepping it only for
-    words the reference holds (any other word leaves the row as it was).  An
-    empty word adds nothing, so its span repeats the previous entry.
+    words and each reference hold WordTable keys.  Carries one LCS row per
+    reference across the ends, stepping it only for words the reference holds
+    (any other word leaves the row as it was).  An empty word (key 0) adds
+    nothing, so its span repeats the previous entry.
     """
     rows = [[0] * (len(reference) + 1) for _, reference, _ in references]
     out = []
@@ -201,52 +205,58 @@ def find_consistent_spans_rouge(
 ) -> ConsistentLabelSet:
     """Label spans by similarity to the raw answer strings.
 
-    Keeps every span whose best similarity reaches the threshold, and always
-    keeps each paragraph's best-scoring span when its similarity is positive,
-    even below the threshold.  Ties go to the earliest (begin, end), and
-    between answers to the first raw answer string.  Similarity is
-    metrics.rouge_l, computed on the span's normalized words.
+    Keeps every span whose best similarity is positive and reaches the
+    threshold, and always keeps each paragraph's best-scoring span when its
+    similarity is positive, even below the threshold.  A span of similarity 0
+    is never kept, so threshold 0 keeps exactly the spans of positive
+    similarity.  Ties go to the earliest (begin, end), and between answers to
+    the first raw answer string.  Similarity is metrics.rouge_l, computed on
+    the span's normalized words.
 
     Spans are scored per first word: for each position s whose word a
     normalized text can start with, and that some answer word follows within
     max_span_length tokens, one pass over the ends j carries an LCS row per
-    answer (metrics.lcs_row_step).  One pass over the document's word ids
-    (corpus.WordTable) finds those positions.  Every begin that walks up to s
+    answer (metrics.lcs_row_step), comparing WordTable keys; an answer word
+    the document lacks is -1, which matches nothing.  One pass over the
+    document's word ids finds the positions s.  Every begin that walks up to s
     over empty words and articles reads its spans' scores from that pass.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
+    table = pair.table
     references = []
     for answer in pair.answers.raw:
         target = normalize_string(answer)
-        reference = target.split()
+        reference = [table.keys.get(word, -1) for word in target.split()]
         references.append((target, reference, set(reference)))
-    answer_words = set().union(*(vocabulary for _, _, vocabulary in references))
-    table = pair.table
-    normalized = table.normalized
     # Spans sharing no word with any answer score 0 and are never kept, so a
     # first word s needs a word some answer holds before its stop.
-    held = np.flatnonzero(np.array([w in answer_words for w in normalized], bool)[table.ids])
+    is_held = np.zeros(len(table.keys), bool)
+    is_held[[key for _, reference, _ in references for key in reference if key >= 0]] = True
+    held = np.flatnonzero(is_held[table.key_of][table.ids])
     positions = np.arange(len(table.ids))
     next_held = np.append(held, len(positions))[np.searchsorted(held, positions)]
     ends = np.repeat(table.starts[1:], np.diff(table.starts))
-    can_start = np.array([w not in _NEVER_FIRST for w in normalized], bool)[table.ids]
-    firsts = np.flatnonzero(can_start & (next_held < np.minimum(positions + max_span_length, ends)))
+    # A normalized text never starts with the empty word (key 0) or an article.
+    can_start = ~table.article
+    can_start[0] = False
+    reach = next_held < np.minimum(positions + max_span_length, ends)
+    firsts = np.flatnonzero(can_start[table.key_of][table.ids] & reach)
     cuts = np.searchsorted(firsts, table.starts).tolist()
     spans = []
     for k in range(len(pair.paragraphs)):
         if cuts[k] == cuts[k + 1]:
             continue
-        words = [normalized[w] for w in table.paragraph(k).tolist()]
+        words = table.key_of[table.paragraph(k)].tolist()
         n = len(words)
         best = None
         best_score = 0.0
         for s in (firsts[cuts[k] : cuts[k + 1]] - table.starts[k]).tolist():
             stop = min(s + max_span_length, n)
             scores = _rouge_scores(words, s, stop, references)
-            for i in _begins(words, s, max_span_length):
+            for i in _begins(words, table.article, s, max_span_length):
                 for j in range(s, min(i + max_span_length, n)):
                     score, matched = scores[j - s]
                     if score <= 0.0:

@@ -288,6 +288,9 @@ def save_truth(
     truths: Sequence[SyntheticTruth],
     path: str | Path,
 ) -> None:
+    """Write one {"id", "gold", "correct_spans"} record per pair."""
+    if len(pairs) != len(truths):
+        raise ValueError(f"{len(pairs)} pairs but {len(truths)} truths: they must align")
     records = (
         {
             "id": pair.id,
@@ -413,8 +416,11 @@ def score_answers(
 
     An answer that normalizes to nothing ("", "the", ",") is no answer and
     scores zero on both, even when a gold string (such as "The") normalizes to
-    nothing too.
+    nothing too.  Answers and gold sets must align: differing lengths raise
+    ValueError.
     """
+    if len(answers) != len(gold_strings):
+        raise ValueError(f"{len(answers)} answers but {len(gold_strings)} gold string sets")
     scores: dict[str, list[float]] = {"em": [], "f1": []}
     for answer, golds in zip(answers, gold_strings):
         given = bool(normalize_string(answer))

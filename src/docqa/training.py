@@ -61,6 +61,10 @@ class TrainConfig:
             raise ValueError("need at least one objective")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError("init scale must be positive and finite")
 
     def parsed_objectives(self) -> list[ObjectiveSpec]:
         return [ObjectiveSpec.parse(s) for s in self.objectives]

@@ -26,6 +26,12 @@ from docqa.probability import SpaceKind, log_partition
 PUNCTUATION = str.maketrans("", "", string.punctuation)
 
 
+def normalized_words(table, ids):
+    """The normalized word of each id into table.words, read through its key."""
+    names = list(table.keys)
+    return [names[key] for key in table.key_of[ids].tolist()]
+
+
 def words_of(text):
     """The words make_pair's string path makes of text."""
     return [t.text for t in make_pair("t", text, [], []).question]
@@ -77,7 +83,7 @@ class TestNormalizeString:
             drawn = [raw[i] for i in rng.integers(0, len(raw), int(rng.integers(1, 10)))]
             pair = make_pair("n", [], [drawn], [])
             tokens = pair.paragraphs[0].tokens
-            words = [pair.table.normalized[w] for w in pair.table.paragraph(0).tolist()]
+            words = normalized_words(pair.table, pair.table.paragraph(0))
             for i in range(len(tokens)):
                 for j in range(i, len(tokens)):
                     kept = [w for w in words[i : j + 1] if w]
@@ -204,9 +210,11 @@ class TestSharedTokens:
 def assert_same_table(pair, other):
     mine, theirs = pair.table, other.table
     assert mine.words == theirs.words
-    assert mine.normalized == theirs.normalized
+    assert list(mine.keys.items()) == list(theirs.keys.items())
     assert mine.starts == theirs.starts
-    for a, b in ((mine.question, theirs.question), (mine.ids, theirs.ids)):
+    pairs = [(mine.question, theirs.question), (mine.ids, theirs.ids)]
+    pairs += [(mine.key_of, theirs.key_of), (mine.article, theirs.article)]
+    for a, b in pairs:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
@@ -224,9 +232,16 @@ def assert_table_describes(pair):
         ids = table.paragraph(k).tolist()
         assert [table.words[i] for i in ids] == texts
         expected = [t.text.lower().translate(PUNCTUATION) for t in pair.paragraphs[k].tokens]
-        assert [table.normalized[i] for i in ids] == expected
-    if table.normalized == table.words:
-        assert table.normalized is table.words
+        assert normalized_words(table, ids) == expected
+    # keys: "" first, then every normalized word in order of first sight
+    normalized = [w.lower().translate(PUNCTUATION) for w in table.words]
+    assert list(table.keys) == list(dict.fromkeys(["", *normalized]))
+    assert list(table.keys.values()) == list(range(len(table.keys)))
+    assert table.key_of.dtype == np.min_scalar_type(len(table.keys))
+    assert normalized_words(table, np.arange(len(table.words))) == normalized
+    assert table.article.tolist() == [w in {"a", "an", "the"} for w in table.keys]
+    if normalized == list(table.words):  # the keys share the words' strings
+        assert all(key is word for key, word in zip(list(table.keys)[1:], table.words))
 
 
 class TestWordTable:
@@ -257,7 +272,7 @@ class TestWordTable:
         args, caps = self.CASES[2]
         table = make_pair(*args, **caps).table
         assert table.words == ("alpha", "beta", "Delta")
-        assert table.normalized == ("alpha", "beta", "delta")
+        assert list(table.keys) == ["", "alpha", "beta", "delta"]
         assert table.starts == (0, 2, 4)
 
     def test_random_pairs_match_direct_pairs(self):
@@ -277,15 +292,14 @@ class TestWordTable:
             assert_same_table(pair, unshared_pair(*args, **caps))
 
     def test_key_table_numbers_normalized_words(self):
-        # "" is id 0; "cat" and "Cat" share an id; paragraph positions only
-        pair = make_pair(*self.CASES[1][0])
-        keys = pair.table.keys
-        assert keys.words == ("", "which", "cat", "the", "an", "a", "mat")
-        normalized = [keys.words[i] for i in keys.ids.tolist()]
-        assert normalized == [pair.table.normalized[i] for i in pair.table.ids.tolist()]
-        assert keys.ids.dtype == np.uint8
-        assert keys.article.tolist() == [False, False, False, True, True, True, False]
-        assert pair.table.keys is keys
+        # "" is key 0; "CAT", "cat" and "Cat" share a key; "--", "," and "!!" read key 0
+        table = make_pair(*self.CASES[1][0]).table
+        words = ("Which", "CAT", "--", "The", "cat", ",", "An", "A", "mat.", "THE", "Cat", "!!")
+        assert table.words == words
+        assert table.keys == {"": 0, "which": 1, "cat": 2, "the": 3, "an": 4, "a": 5, "mat": 6}
+        assert table.key_of.tolist() == [1, 2, 0, 3, 2, 0, 4, 5, 6, 3, 2, 0]
+        assert table.key_of.dtype == np.uint8
+        assert table.article.tolist() == [False, False, False, True, True, True, False]
 
     def test_table_is_left_out_of_equality_hash_and_repr(self):
         pair = make_pair(*self.CASES[0][0])

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from docqa import corpus
-from docqa.corpus import KeyTable, make_pair, normalize_string
+from docqa.corpus import make_pair, normalize_string
 from docqa.inference import (
     AnswerAggregation,
     InferenceError,
@@ -302,25 +301,6 @@ class TestWinnerSelection:
                 predict(probs, pair, InferenceSpec())
             with pytest.raises(InferenceError):
                 score_strings(probs, pair, AnswerAggregation.SUM)
-
-
-class TestKeyTable:
-    def test_built_once_per_pair(self, monkeypatch):
-        built = []
-
-        def counting(**fields):
-            built.append(fields)
-            return KeyTable(**fields)
-
-        monkeypatch.setattr(corpus, "KeyTable", counting)
-        pair, grid = scored_pair(["the rome pisa", "Rome."], [[1.0, 0.0, 2.0]], [[0.0] * 3])
-        assert built == []  # make_pair leaves it to the first decode
-        probs = log_partition(grid, SpaceKind.DOCUMENT)
-        for aggregation in AnswerAggregation:
-            spec = InferenceSpec(aggregation=aggregation, max_answer_length=1)
-            assert predict(probs, pair, spec).answer == "pisa"
-        assert len(built) == 1
-        assert built[0]["words"] == ("", "q", "the", "rome", "pisa")
 
 
 class TestNaNGrid:

@@ -243,7 +243,7 @@ class TestRougeMatcher:
     def test_matches_oracle_on_raw_tokens(self):
         rng = np.random.default_rng(17)
         for max_span_length in range(1, 10):
-            for threshold in (0.3, 0.6, 1.0):
+            for threshold in (0.0, 0.3, 0.6, 1.0):
                 for _ in range(25):
                     pair = random_raw_pair(rng, n_paragraphs=2, max_tokens=12)
                     labels = find_consistent_spans_rouge(pair, max_span_length, threshold)

@@ -83,8 +83,9 @@ def test_normalized_words_strip_each_token(texts):
     table = make_pair("n", words, [words] if words else [], []).table
     punctuation = str.maketrans("", "", string.punctuation)
     expected = [word.lower().translate(punctuation) for word in words]
-    assert [table.normalized[i] for i in table.question.tolist()] == expected
-    assert [table.normalized[i] for i in table.ids.tolist()] == expected
+    names = list(table.keys)
+    assert [names[key] for key in table.key_of[table.question].tolist()] == expected
+    assert [names[key] for key in table.key_of[table.ids].tolist()] == expected
 
 
 # Few distinct values, so rows tie; both infinities and both zeros.

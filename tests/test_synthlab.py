@@ -20,6 +20,7 @@ from docqa.synthlab import (
     run_grid,
     save_table,
     save_truth,
+    score_answers,
 )
 from docqa.training import TrainConfig, train
 
@@ -196,6 +197,13 @@ class TestTruthFiles:
             ]
             assert a.gold_strings() == b.gold_strings()
 
+    def test_misaligned_truths_raise(self, tmp_path):
+        pairs, _, truths = generate(small_profile(documents=20))
+        path = tmp_path / "truth.jsonl"
+        with pytest.raises(ValueError, match="20 pairs but 3 truths"):
+            save_truth(pairs, truths[:3], path)
+        assert not path.exists()
+
 
 class TestInferenceSpace:
     def test_single_objectives(self):
@@ -222,6 +230,18 @@ class TestEvaluation:
         )
         assert 0.0 <= scores["em"] <= 100.0
         assert scores["em"] <= scores["f1"] <= 100.0
+
+    def test_misaligned_gold_sets_raise(self):
+        with pytest.raises(ValueError, match="2 answers but 1 gold string sets"):
+            score_answers(["rome", "pisa"], [{"rome"}])
+        with pytest.raises(ValueError, match="1 answers but 2 gold string sets"):
+            score_answers(["rome"], [{"rome"}, {"pisa"}])
+        pairs, labels, truths = generate(small_profile(documents=20))
+        checkpoint = train(TrainConfig(epochs=1), pairs, labels)
+        golds = [t.gold_strings() for t in truths]
+        spec = InferenceSpec(aggregation=AnswerAggregation.SUM)
+        with pytest.raises(ValueError, match="20 answers but 5 gold string sets"):
+            evaluate_checkpoint(checkpoint, pairs, golds[:5], spec, SpaceKind.PARAGRAPH)
 
     def test_training_lifts_accuracy(self):
         profile = small_profile(documents=120, seed=6)

@@ -195,13 +195,19 @@ class TestConfig:
             ({"weights": (float("nan"),)}, "weights must be finite and non-negative"),
             ({"weights": (float("inf"),)}, "weights must be finite and non-negative"),
             ({"weights": (-0.5,)}, "weights must be finite and non-negative"),
+            ({"seed": -1}, "seed must be non-negative"),
+            ({"init_scale": -1.0}, "init scale must be positive and finite"),
+            ({"init_scale": 0.0}, "init scale must be positive and finite"),
+            ({"init_scale": float("nan")}, "init scale must be positive and finite"),
+            ({"init_scale": float("inf")}, "init scale must be positive and finite"),
         ],
     )
     def test_rejects_values_training_cannot_use(self, fields, fault):
         with pytest.raises(ValueError, match=fault):
             TrainConfig(**fields)
         # the edges that stay valid
-        assert TrainConfig(embedding_dim=1, learning_rate=1e308, weights=(0.0,)).epochs == 3
+        edges = dict(embedding_dim=1, learning_rate=1e308, weights=(0.0,), seed=0, init_scale=1e-300)
+        assert TrainConfig(**edges).epochs == 3
 
     def test_fingerprint_tracks_settings(self):
         a = TrainConfig(seed=0)
