@@ -54,26 +54,42 @@ class Vocabulary:
         return self._index.get(text, 0)
 
     def encode(self, pair: DocumentQuestionPair) -> "EncodedPair":
-        """The pair's token ids under this vocabulary, in the scorer's layout.
+        """The pair's word ids under this vocabulary, in the scorer's layout.
 
-        Each of the pair's distinct words is looked up once, and its WordTable
-        ids gather the result.
+        Each of the pair's distinct words is looked up once.  The encoding
+        keeps the WordTable's own position ids rather than a vocabulary id per
+        token, and maps each slot of a grid half to a column of a table that
+        holds one score per distinct word plus one per paragraph null slot.
         """
         table = pair.table
         get = self._index.get
-        lookup = np.fromiter((get(word, 0) for word in table.words), np.int64, len(table.words))
-        ids = lookup[table.ids]
-        counts = np.array([len(p) for p in pair.paragraphs], np.int64)
-        ends = np.cumsum(counts)
+        n_words = len(table.words)
+        words = np.fromiter((get(word, 0) for word in table.words), np.int64, n_words)
+        starts = np.array(table.starts)
+        counts = starts[1:] - starts[:-1]
+        n_paragraphs = len(counts)
+        columns = n_words + n_paragraphs
+        occurrences = np.bincount(
+            np.repeat(np.arange(0, n_paragraphs * n_words, n_words), counts) + table.ids,
+            minlength=n_paragraphs * n_words,
+        )
+        nulls = starts[1:] + np.arange(n_paragraphs)
+        is_token = np.ones(len(table.ids) + n_paragraphs, bool)
+        is_token[nulls] = False
+        slots = np.empty(is_token.shape, np.min_scalar_type(columns))
+        slots[is_token] = table.ids
+        slots[nulls] = np.arange(n_words, columns)
         return EncodedPair(
             vocab=self,
-            ids=ids,
-            question_ids=lookup[table.question],
+            words=words,
+            ids=table.ids,
+            question_ids=table.question,
             counts=counts,
             sizes=tuple((counts + 1).tolist()),
-            starts=ends - counts,
-            token_slots=np.arange(len(ids)) + np.repeat(np.arange(len(counts)), counts),
-            null_slots=ends + np.arange(len(counts)),
+            occurrences=occurrences.reshape(n_paragraphs, n_words).astype(
+                np.min_scalar_type(counts.max(initial=0))
+            ),
+            slots=slots,
         )
 
     @classmethod
@@ -94,20 +110,26 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class EncodedPair:
-    """One pair's token ids under one vocabulary: ids of every paragraph token
-    in paragraph order, the question's ids, tokens per paragraph (counts) and
-    each paragraph's first row in ids (starts).  sizes are the score grid's
-    slots per paragraph; token_slots and null_slots index one half of its
-    vector."""
+    """One pair's words under one vocabulary.
+
+    words holds the vocabulary id of each word of the pair's WordTable, and
+    ids and question_ids are the table's own arrays of word positions: its
+    paragraph tokens in paragraph order and its question, so words[ids] are
+    the tokens' vocabulary ids.  counts holds tokens per paragraph, sizes the
+    score grid's slots per paragraph, and occurrences[k, w] how often word w
+    occurs in paragraph k.  slots maps each slot of one grid half, token
+    slots and null slots in grid order, to a column of a table that holds one
+    column per word followed by one per paragraph null slot.
+    """
 
     vocab: Vocabulary
+    words: np.ndarray
     ids: np.ndarray
     question_ids: np.ndarray
     counts: np.ndarray
     sizes: tuple[int, ...]
-    starts: np.ndarray
-    token_slots: np.ndarray
-    null_slots: np.ndarray
+    occurrences: np.ndarray
+    slots: np.ndarray
 
 
 class ToyScorer:
@@ -118,6 +140,11 @@ class ToyScorer:
     qbar into the head gives W = h_x + qbar * h_xq and c = h_q @ qbar, so a
     whole document scores as one product x @ W + c.  A paragraph's null slots
     score its mean token embedding with the null heads the same way.
+
+    A token's scores depend only on its word, so scores and gradients are
+    computed once per distinct word of the document and weighted by how often
+    each word occurs.  They equal the per-token formulas above up to the order
+    of summation.
 
     params is one flat vector: the embedding rows, then the begin, end,
     null-begin and null-end heads.  The attributes of those names are views of
@@ -182,39 +209,44 @@ class ToyScorer:
     def _fold(self, doc: EncodedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Question mean qbar, then W (4, dim) and c (4,) of the four heads."""
         n_question = max(1, len(doc.question_ids))
-        qbar = self.embedding[doc.question_ids].sum(axis=0) / n_question
+        qbar = self.embedding[doc.words[doc.question_ids]].sum(axis=0) / n_question
         return qbar, self._heads[:, 0] + qbar * self._heads[:, 2], self._heads[:, 1] @ qbar
 
     def score(self, pair: DocumentQuestionPair | EncodedPair) -> ScoreGrid:
         """Fill the begin/end score grid, one trailing null slot per paragraph.
 
-        A plain pair is encoded on the call.
+        Each word's four head scores are computed once; a null slot is its
+        paragraph's mean per-token null-head score.  A plain pair is encoded
+        on the call.
         """
         doc = self._encoded(pair)
-        grid = ScoreGrid(np.empty(2 * sum(doc.sizes)), doc.sizes)
         _, weights, bias = self._fold(doc)
-        x = self.embedding[doc.ids]
-        mean = np.add.reduceat(x, doc.starts) / doc.counts[:, None]
-        halves = grid.vector.reshape(2, -1)
-        halves[:, doc.token_slots] = weights[:2] @ x.T + bias[:2, None]
-        halves[:, doc.null_slots] = weights[2:] @ mean.T + bias[2:, None]
-        return grid
+        per_word = weights @ self.embedding[doc.words].T
+        n_words = len(doc.words)
+        table = np.empty((2, n_words + len(doc.counts)))
+        table[:, :n_words] = per_word[:2] + bias[:2, None]
+        table[:, n_words:] = per_word[2:] @ doc.occurrences.T / doc.counts + bias[2:, None]
+        return ScoreGrid(np.take(table, doc.slots, axis=1).ravel(), doc.sizes)
 
     def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
         """Push a score-grid gradient back onto a vector laid out like params.
 
-        g holds each head's gradient per token, a null slot's spread evenly
-        over its paragraph, so head j gets X^T g_j on h_x, qbar * sum(g_j) on
-        h_q and qbar * (X^T g_j) on h_xq, and the tokens get g^T W.
+        g holds each head's gradient summed per distinct word, a null slot's
+        spread evenly over its paragraph's tokens, and X the words'
+        embeddings.  Head j gets X^T g_j on h_x, qbar * sum(g_j) on h_q and
+        qbar * (X^T g_j) on h_xq, and the words get g^T W, added onto their
+        rows.  This equals the per-token gradient up to the order of summation.
         """
         doc = self._encoded(pair)
         qbar, weights, _ = self._fold(doc)
-        x = self.embedding[doc.ids]
+        n_words = len(doc.words)
+        columns = n_words + len(doc.counts)
         halves = grad.vector.reshape(2, -1)
-        g = np.empty((4, len(doc.ids)))
-        g[:2] = halves[:, doc.token_slots]
-        g[2:] = np.repeat(halves[:, doc.null_slots] / doc.counts, doc.counts, axis=1)
-        g_x = g @ x
+        sums = np.stack([np.bincount(doc.slots, weights=h, minlength=columns) for h in halves])
+        g = np.empty((4, n_words))
+        g[:2] = sums[:, :n_words]
+        g[2:] = sums[:, n_words:] / doc.counts @ doc.occurrences
+        g_x = g @ self.embedding[doc.words]
         g_sum = g.sum(axis=1)
         out = np.empty_like(self.params)
         split = self.embedding.size
@@ -222,9 +254,10 @@ class ToyScorer:
         d_qbar = g_sum @ self._heads[:, 1] + (g_x * self._heads[:, 2]).sum(axis=0)
         n_question = len(doc.question_ids)
         shared = np.broadcast_to(d_qbar / max(1, n_question), (n_question, self.dim))
-        ids = np.concatenate([doc.ids, doc.question_ids])
+        ids = np.concatenate([doc.words, doc.words[doc.question_ids]])
         d_rows = np.concatenate([g.T @ weights, shared])
-        # One scatter of every row's gradient onto the flat embedding, in row order.
+        # One scatter that adds every row's gradient onto the flat embedding:
+        # unknown words share row 0, so rows must never be assigned.
         cells = (ids[:, None] * self.dim + np.arange(self.dim)).ravel()
         out[:split] = np.bincount(cells, weights=d_rows.ravel(), minlength=split)
         return out

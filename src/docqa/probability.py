@@ -114,26 +114,29 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
     with a, bit-identical to calling logsumexp on each run.
 
     The maxima, counts and exponentials are those logsumexp computes, taken
-    for every run at once.  numpy sums fewer than eight floats left to right,
-    so the rest of every run that short is one cumulative sum across a table
-    of seven columns; each longer run is summed on its own, as logsumexp sums
-    it.  A run with a non-finite maximum goes through logsumexp itself.
+    for every run at once.  Each run's exponentials are summed by one
+    np.add.reduceat over a copy in which a zero leads every run: reduceat
+    keeps a segment's first entry and adds numpy's pairwise sum of the rest,
+    so 0 plus that sum is what ndarray.sum gives for the run.  A run with a
+    non-finite maximum goes through logsumexp itself.
     """
-    sizes = np.diff(heads, append=len(a))
-    run = np.repeat(np.arange(len(heads)), sizes)
+    sizes = np.empty_like(heads)
+    sizes[:-1] = heads[1:] - heads[:-1]
+    sizes[-1] = len(a) - heads[-1]
     top = np.maximum.reduceat(a, heads)
-    mask = a == top[run]
-    count = np.bincount(run, weights=mask, minlength=len(heads))
-    with np.errstate(invalid="ignore"):
-        terms = np.exp(np.where(mask, -np.inf, a) - top[run])
-    short = sizes < 8
-    table = np.zeros((len(heads), 7))
-    at = short[run]
-    table[run[at], (np.arange(len(a)) - heads[run])[at]] = terms[at]
-    rest = table.cumsum(axis=1)[:, -1]
-    for g in np.flatnonzero(~short).tolist():
-        rest[g] = terms[heads[g] : heads[g] + sizes[g]].sum()
+    leads = heads + np.arange(len(heads))
+    padded = np.zeros(len(a) + len(heads))
+    is_term = np.ones(len(padded), bool)
+    is_term[leads] = False
     with np.errstate(invalid="ignore", divide="ignore"):
+        shifted = a - np.repeat(top, sizes)
+        # a - top is 0 exactly where a equals a finite top.
+        mask = shifted == 0
+        count = np.add.reduceat(mask, heads, dtype=np.intp)
+        terms = np.exp(shifted)
+        terms[mask] = 0.0
+        padded[is_term] = terms
+        rest = np.add.reduceat(padded, leads)
         out = np.log1p(rest / count) + np.log(count) + top
     for g in np.flatnonzero(~np.isfinite(top)).tolist():
         out[g] = logsumexp(a[heads[g] : heads[g] + sizes[g]])

@@ -396,8 +396,11 @@ def evaluate_checkpoint(
 ) -> dict[str, float]:
     """Mean EM and token F1, in points, of a checkpoint's predictions.
 
-    A pair with no decodable answer scores zero on both.
+    A pair with no decodable answer scores zero on both.  Pairs and gold sets
+    must align, as score_answers requires; differing lengths raise ValueError
+    before any pair is decoded.
     """
+    _check_aligned(len(pairs), gold_strings)
     return _mean_points(decode_corpus(checkpoint, pairs, inference, space), gold_strings)
 
 
@@ -407,6 +410,11 @@ def _mean_points(
     scores = score_answers([answer for answer, _ in decoded], gold_strings)
     means = summarize(scores).aggregates
     return {name: 100.0 * means.get(name, 0.0) for name in scores}
+
+
+def _check_aligned(answers: int, gold_strings: Sequence[set[str]]) -> None:
+    if answers != len(gold_strings):
+        raise ValueError(f"{answers} answers but {len(gold_strings)} gold string sets")
 
 
 def score_answers(
@@ -419,8 +427,7 @@ def score_answers(
     nothing too.  Answers and gold sets must align: differing lengths raise
     ValueError.
     """
-    if len(answers) != len(gold_strings):
-        raise ValueError(f"{len(answers)} answers but {len(gold_strings)} gold string sets")
+    _check_aligned(len(answers), gold_strings)
     scores: dict[str, list[float]] = {"em": [], "f1": []}
     for answer, golds in zip(answers, gold_strings):
         given = bool(normalize_string(answer))

@@ -332,7 +332,8 @@ class TestWordTable:
         ]
         assert find_consistent_spans_rouge(loaded, threshold=1.0).total_spans == 2
         vocab = Vocabulary.from_pairs([loaded])
-        assert vocab.encode(loaded).ids.tolist() == [vocab.id_of(w) for w in words]
+        doc = vocab.encode(loaded)
+        assert doc.words[doc.ids].tolist() == [vocab.id_of(w) for w in words]
         scorer = ToyScorer.initialize(vocab, dim=4, seed=0)
         probs = log_partition(scorer.score(loaded), SpaceKind.PARAGRAPH)
         scored = score_strings(probs, loaded, AnswerAggregation.SUM, None, max_answer_length=2)

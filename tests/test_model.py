@@ -228,6 +228,15 @@ class TestBackprop:
         assert list(touched) == sorted({0, vocab.id_of("one"), vocab.id_of("two")})
 
 
+def long_pair():
+    """8 paragraphs of 400 tokens over 34 words, 24 of them outside
+    sample_pair's vocabulary, so that many words share the unknown row."""
+    rng = np.random.default_rng(41)
+    words = sample_pair().table.words + tuple(f"x{i}" for i in range(24))
+    paragraphs = [[str(w) for w in rng.choice(words, size=400)] for _ in range(8)]
+    return make_pair("long", "which x0 town x1", paragraphs, ["delft"])
+
+
 def oracle_cases():
     """Seeded (scorer, pair) cases for the per-paragraph scorer oracles."""
     pairs = [
@@ -238,6 +247,7 @@ def oracle_cases():
         make_pair("e", "", ["the town of delft", "delft"], ["delft"]),
         # one-token paragraphs only
         make_pair("o", "which town", ["delft", "tiles", "delft"], ["delft"]),
+        long_pair(),
     ]
     vocab = Vocabulary.from_pairs([sample_pair()])
     for seed, pair in enumerate(pairs):
@@ -254,6 +264,10 @@ class TestBackpropOracle:
         assert 0 in ids and len(set(ids)) < len(ids)
         assert not cases[2][2].question
         assert all(len(p) == 1 for p in cases[3][2].paragraphs)
+        _, scorer, long = cases[4]
+        doc = scorer.vocab.encode(long)
+        assert long.paragraph_lengths() == (400,) * 8
+        assert len(doc.words) == 34 and np.count_nonzero(doc.words == 0) == 24
         checked = 0
         for seed, scorer, pair in cases:
             rng = np.random.default_rng(100 + seed)
@@ -268,7 +282,7 @@ class TestBackpropOracle:
                 expected = oracle_backprop(scorer, pair, grad.begin, grad.end)
                 assert_matches_oracle(scorer.backprop(pair, grad), expected)
                 checked += 1
-        assert checked == 8
+        assert checked == 10
 
     def test_folded_score_matches_per_paragraph_oracle(self):
         for _, scorer, pair in oracle_cases():
@@ -282,16 +296,25 @@ class TestEncoding:
         for _, scorer, pair in oracle_cases():
             doc = scorer.vocab.encode(pair)
             tokens = [t for p in pair.paragraphs for t in p.tokens]
-            assert doc.ids.tolist() == [scorer.vocab.id_of(t.text) for t in tokens]
-            assert doc.question_ids.tolist() == [scorer.vocab.id_of(t.text) for t in pair.question]
+            assert doc.words[doc.ids].tolist() == [scorer.vocab.id_of(t.text) for t in tokens]
+            assert doc.words[doc.question_ids].tolist() == [
+                scorer.vocab.id_of(t.text) for t in pair.question
+            ]
+            # the encoding keeps the word table's position ids, not a copy
+            assert np.shares_memory(doc.ids, pair.table.ids)
+            assert doc.question_ids is pair.table.question
             assert doc.counts.tolist() == [len(p) for p in pair.paragraphs]
             assert doc.sizes == tuple(len(p) + 1 for p in pair.paragraphs)
-            # the token and null slots tile one half of the grid vector
-            half = np.concatenate([doc.token_slots, doc.null_slots])
-            assert sorted(half.tolist()) == list(range(sum(doc.sizes)))
-            assert doc.ids[doc.starts].tolist() == [
-                scorer.vocab.id_of(p.tokens[0].text) for p in pair.paragraphs
-            ]
+            for k, paragraph in enumerate(pair.paragraphs):
+                ids = [pair.table.words.index(t.text) for t in paragraph.tokens]
+                assert doc.occurrences[k].tolist() == np.bincount(
+                    ids, minlength=len(doc.words)
+                ).tolist()
+            # a grid half reads each paragraph's words, then its null column
+            slots = []
+            for k in range(len(pair.paragraphs)):
+                slots += [*pair.table.paragraph(k).tolist(), len(doc.words) + k]
+            assert doc.slots.tolist() == slots
 
     def test_vocabulary_and_encoding_equal_per_token_lookups_on_random_pairs(self):
         # The vocabulary sees half the pairs, so the other half holds unknown words.
@@ -313,9 +336,12 @@ class TestEncoding:
         for pair in pairs:
             doc = vocab.encode(pair)
             expected = [vocab.id_of(t.text) for p in pair.paragraphs for t in p.tokens]
-            assert doc.ids.dtype == doc.question_ids.dtype == np.int64
-            assert doc.ids.tolist() == expected
-            assert doc.question_ids.tolist() == [vocab.id_of(t.text) for t in pair.question]
+            assert doc.words.dtype == np.int64
+            assert doc.words[doc.ids].tolist() == expected
+            assert doc.words[doc.question_ids].tolist() == [
+                vocab.id_of(t.text) for t in pair.question
+            ]
+            assert np.shares_memory(doc.ids, pair.table.ids)
             unknown += expected.count(0)
         assert unknown > 0
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from docqa import synthlab
 from docqa.corpus import make_pair
 from docqa.inference import AnswerAggregation, InferenceSpec
 from docqa.labeling import find_consistent_spans_exact
@@ -231,7 +232,7 @@ class TestEvaluation:
         assert 0.0 <= scores["em"] <= 100.0
         assert scores["em"] <= scores["f1"] <= 100.0
 
-    def test_misaligned_gold_sets_raise(self):
+    def test_misaligned_gold_sets_raise(self, monkeypatch):
         with pytest.raises(ValueError, match="2 answers but 1 gold string sets"):
             score_answers(["rome", "pisa"], [{"rome"}])
         with pytest.raises(ValueError, match="1 answers but 2 gold string sets"):
@@ -240,6 +241,12 @@ class TestEvaluation:
         checkpoint = train(TrainConfig(epochs=1), pairs, labels)
         golds = [t.gold_strings() for t in truths]
         spec = InferenceSpec(aggregation=AnswerAggregation.SUM)
+
+        def no_decoding(*args):
+            raise AssertionError("decoded before checking the gold sets")
+
+        # The lengths are checked before any pair is decoded.
+        monkeypatch.setattr(synthlab, "_decode_specs", no_decoding)
         with pytest.raises(ValueError, match="20 answers but 5 gold string sets"):
             evaluate_checkpoint(checkpoint, pairs, golds[:5], spec, SpaceKind.PARAGRAPH)
 
