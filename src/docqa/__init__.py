@@ -47,7 +47,6 @@ from .objectives import (
     LossResult,
     ObjectiveSpec,
     ObjectiveSpecError,
-    SelectedOutcome,
     combine,
     evaluate,
     grad_check,

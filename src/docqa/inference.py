@@ -8,7 +8,6 @@ from enum import Enum
 import numpy as np
 
 from .corpus import DocumentQuestionPair
-from .labeling import SpanLabel
 from .probability import LogProbGrid, logsumexp_runs
 
 DEFAULT_TOP_K = 20
@@ -42,19 +41,23 @@ class InferenceSpec:
     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
-        if self.max_answer_length < 1:
-            raise ValueError("max_answer_length must be at least 1")
+        _check_sizes(self.top_k, self.max_answer_length)
+
+
+def _check_sizes(top_k: int | None, max_answer_length: int) -> None:
+    """Reject a top_k or answer length cap below one; top_k=None is every position."""
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    if max_answer_length < 1:
+        raise ValueError("max_answer_length must be at least 1")
 
 
 @dataclass
 class Prediction:
-    """The winning answer string with its log score and supporting spans."""
+    """The winning answer string with its pooled log score."""
 
     answer: str
     score: float
-    support: tuple[SpanLabel, ...]
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,15 @@ class Candidates:
     Equal strings are found by one lexsort of the candidates' key rows, and
     groups are numbered in order of first sight.  Candidates are stored
     sorted stably by group, so each group's mentions form one run
-    log_p[heads[g] : heads[g] + sizes[g]] in candidate order, and triples
-    holds their (paragraph, begin, end) rows in the same order.  keys[g] is
-    group g's string as keys into words, the pair's WordTable.keys in key
-    order, zero padded; key 0 is "".
+    log_p[heads[g] : heads[g + 1]] in candidate order, the last running to
+    the end.  keys[g] is group g's string as keys into words, the pair's
+    WordTable.keys in key order, zero padded; key 0 is "".
     """
 
     words: tuple[str, ...]
     keys: np.ndarray
     log_p: np.ndarray
-    triples: np.ndarray
     heads: np.ndarray
-    sizes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -93,18 +93,13 @@ class Candidates:
         return logsumexp_runs(self.log_p, self.heads)
 
     def best(self, aggregation: AnswerAggregation) -> Prediction:
-        """The top-scoring string, ties to the smallest, with its spans in order."""
+        """The top-scoring string, ties to the smallest, with its score."""
         scores = self.scores(aggregation)
         if not scores.size:
             raise InferenceError("no candidate answer string")
         tied = {g: self.text(g) for g in np.flatnonzero(scores == scores.max()).tolist()}
         winner = min(tied, key=tied.__getitem__)
-        head = self.heads[winner]
-        mentions = self.triples[head : head + self.sizes[winner]].tolist()
-        support = tuple(
-            SpanLabel(k, b, e, matched_string=tied[winner]) for k, b, e in sorted(map(tuple, mentions))
-        )
-        return Prediction(answer=tied[winner], score=float(scores[winner]), support=support)
+        return Prediction(answer=tied[winner], score=float(scores[winner]))
 
 
 def _rank_top(order: np.ndarray, top: int) -> np.ndarray:
@@ -141,9 +136,11 @@ def candidates(
     call), with empty words and leading ARTICLES dropped; spans left with no
     word are skipped.  Group: one np.lexsort of the rows puts equal rows
     together, in candidate order, and the groups are numbered by first sight.
-    top_k=None takes every position.  A grid that does not match the pair, or
-    that holds NaN, raises InferenceError.
+    top_k=None takes every position.  A top_k or max_answer_length below one
+    raises ValueError, as InferenceSpec does; a grid that does not match the
+    pair, or that holds NaN, raises InferenceError.
     """
+    _check_sizes(top_k, max_answer_length)
     counts = probs.token_counts()
     if counts != pair.paragraph_lengths():
         raise InferenceError("probability grid does not match the document")
@@ -206,9 +203,7 @@ def candidates(
         words=tuple(word_table.keys),
         keys=keys[first[by_sight]],
         log_p=(table[0, k, b] + table[1, k, e])[by_group],
-        triples=np.stack([k, b, e], axis=1)[by_group],
         heads=heads,
-        sizes=sizes,
     )
 
 
@@ -221,8 +216,9 @@ def score_strings(
 ) -> dict[str, float]:
     """Aggregate log score per candidate answer string, in order of first sight.
 
-    top_k=None scores every span up to the length cap.  A grid that holds NaN
-    raises InferenceError, as candidates describes.
+    top_k=None scores every span up to the length cap.  Bad sizes raise
+    ValueError and a grid that holds NaN raises InferenceError, as candidates
+    describes.
     """
     found = candidates(probs, pair, top_k, max_answer_length)
     texts = [found.text(g) for g in range(len(found))]
@@ -256,6 +252,7 @@ def exhaustive_predict(
     predict gives the same answer and score once top_k covers every position
     (top_k at least the longest paragraph).  With a smaller top_k its
     candidates are a subset of these, so its score never exceeds this one.
-    It raises InferenceError where predict does, a grid holding NaN included.
+    It raises InferenceError where predict does, a grid holding NaN included,
+    and ValueError for a max_answer_length below one.
     """
     return candidates(probs, pair, None, max_answer_length).best(aggregation)

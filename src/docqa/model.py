@@ -12,6 +12,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,7 +65,7 @@ class Vocabulary:
         table = pair.table
         get = self._index.get
         n_words = len(table.words)
-        words = np.fromiter((get(word, 0) for word in table.words), np.int64, n_words)
+        words = np.fromiter(map(get, table.words, repeat(0)), np.int64, n_words)
         starts = np.array(table.starts)
         counts = starts[1:] - starts[:-1]
         n_paragraphs = len(counts)

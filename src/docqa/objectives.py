@@ -114,51 +114,39 @@ def parse_combo(text: str) -> list[ObjectiveSpec]:
     return [ObjectiveSpec.parse(p) for p in parts]
 
 
-@dataclass(frozen=True)
-class SelectedOutcome:
-    """The begin and end choice a maximizing objective committed to.
-
-    Each side is a (paragraph, position) pair.  Under position granularity the
-    two sides are chosen independently and need not form a valid span.
-    """
-
-    begin: tuple[int, int]
-    end: tuple[int, int]
-
-
 @dataclass
 class LossResult:
-    """Objective value with its gradient, a grid in the scored grid's layout."""
+    """An objective's value (a log likelihood) and its gradient with respect
+    to the scores, a grid in the scored grid's layout."""
 
     value: float
     grad: ScoreGrid
-    selected: tuple[SelectedOutcome, ...] | None = None
 
 
 def _aggregate(
     logs: np.ndarray, aggregation: Aggregation, temperature: float | None
-) -> tuple[float, np.ndarray, int | None]:
+) -> tuple[float, np.ndarray]:
     """Combine log probabilities of one latent set.
 
-    Returns the contribution to the objective, the weight each outcome
-    receives in the gradient, and the committed index for a hard choice.
-    Marginalizing uses log-sum-exp with softmax weights; maximizing takes the
-    first-listed maximum, which realizes the lowest-index tie break.  A
-    temperature in (0, 1] softens the maximum into a tempered log-sum-exp.
+    Returns the contribution to the objective and the weight each outcome
+    receives in the gradient.  Marginalizing uses log-sum-exp with softmax
+    weights; maximizing gives weight one to the first-listed maximum, which
+    realizes the lowest-index tie break.  A temperature in (0, 1] softens the
+    maximum into a tempered log-sum-exp.
     """
     if aggregation is Aggregation.MML:
         if logs.shape[0] == 1:  # a lone outcome is its own log-sum-exp
-            return float(logs[0]), np.array([1.0]), None
+            return float(logs[0]), np.array([1.0])
         value = float(logsumexp(logs))
-        return value, np.exp(logs - value), None
+        return value, np.exp(logs - value)
     if temperature is None:
         idx = int(np.argmax(logs))
         weights = np.zeros_like(logs)
         weights[idx] = 1.0
-        return float(logs[idx]), weights, idx
+        return float(logs[idx]), weights
     scaled = logs / temperature
     norm = float(logsumexp(scaled))
-    return temperature * norm, np.exp(scaled - norm), None
+    return temperature * norm, np.exp(scaled - norm)
 
 
 # The hypothesis only picks the latent group a labeled mention joins: its own
@@ -184,8 +172,10 @@ def evaluate(
     Each group aggregates the log probabilities of its whole spans, or of its
     distinct begin and end positions separately, scatters the aggregation
     weights into the gradient and presses once on its normalization unit (its
-    paragraph under P, the document under D).  H1 and null groups are always
-    marginalized and never reported in selected.
+    paragraph under P, the document under D).  H1 and null groups hold one
+    outcome each, which takes weight one.  Under hard EM a group's weight one
+    goes to its first-listed maximum: spans in label order, positions in
+    (paragraph, position) order, so ties break to the lowest.
 
     A document-space example with no consistent span is a label error the
     caller must skip.  temperature only affects maximizing objectives and
@@ -235,21 +225,17 @@ def evaluate(
     weights = np.ones(len(at))
 
     value = 0.0
-    selected: list[SelectedOutcome] = []
     b0, e0 = 0, n_begin
     for g in range(latent):
         b1, e1 = b0 + len(begins[g]), e0 + len(ends[g])
         if spec.granularity is Granularity.SPAN:
-            term, w, ib = _aggregate(logs[b0:b1] + logs[e0:e1], spec.aggregation, temperature)
+            term, w = _aggregate(logs[b0:b1] + logs[e0:e1], spec.aggregation, temperature)
             weights[b0:b1] = weights[e0:e1] = w
-            ie = ib
         else:
-            term_b, weights[b0:b1], ib = _aggregate(logs[b0:b1], spec.aggregation, temperature)
-            term_e, weights[e0:e1], ie = _aggregate(logs[e0:e1], spec.aggregation, temperature)
+            term_b, weights[b0:b1] = _aggregate(logs[b0:b1], spec.aggregation, temperature)
+            term_e, weights[e0:e1] = _aggregate(logs[e0:e1], spec.aggregation, temperature)
             term = term_b + term_e
         value += term
-        if ib is not None:
-            selected.append(SelectedOutcome(begins[g][ib], ends[g][ie]))
         b0, e0 = b1, e1
     # Each remaining group adds its one outcome's begin plus end log probability.
     for term in (logs[b0:n_begin] + logs[e0:]).tolist():
@@ -265,13 +251,7 @@ def evaluate(
         pressure = len(groups)
     grad = np.bincount(at, weights, offset[-1])
     grad -= pressure * np.exp(log_probs)
-    exact_max = spec.aggregation is Aggregation.HARD_EM and temperature is None
-    hard = exact_max and spec.hypothesis is not Hypothesis.ALL_MENTIONS
-    return LossResult(
-        float(value),
-        ScoreGrid(grad, sizes),
-        tuple(selected) if hard else None,
-    )
+    return LossResult(float(value), ScoreGrid(grad, sizes))
 
 
 def combine(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import DocumentQuestionPair
 from .labeling import ConsistentLabelSet
-from .model import Checkpoint, ToyScorer, Vocabulary
+from .model import DEFAULT_EMBEDDING_DIM, DEFAULT_INIT_SCALE, Checkpoint, ToyScorer, Vocabulary
 from .objectives import Aggregation, LabelError, ObjectiveSpec, combine
 from .probability import SpaceKind
 
@@ -37,8 +37,8 @@ class TrainConfig:
     epochs: int = 3
     batch_size: int = 8
     seed: int = 0
-    embedding_dim: int = 32
-    init_scale: float = 0.5
+    embedding_dim: int = DEFAULT_EMBEDDING_DIM
+    init_scale: float = DEFAULT_INIT_SCALE
     momentum: float = 0.0
     hardem_temperature_ramp: bool = False
     pretrain_path: str | None = None

@@ -9,6 +9,7 @@ from docqa.inference import (
     AnswerAggregation,
     InferenceError,
     InferenceSpec,
+    candidates,
     exhaustive_predict,
     predict,
     score_strings,
@@ -51,13 +52,12 @@ def oracle_grouped(probs, pair, aggregation, top_k, max_answer_length):
 
 
 def oracle_predict(probs, pair, aggregation, top_k, max_answer_length):
-    """(answer, score, support triples) of oracle_grouped's best string."""
+    """(answer, score) of oracle_grouped's best string."""
     grouped = oracle_grouped(probs, pair, aggregation, top_k, max_answer_length)
     if not grouped:
         raise InferenceError("no candidate answer string")
     answer = min(grouped, key=lambda text: (-grouped[text][0], text))
-    score, members = grouped[answer]
-    return answer, score, sorted(triple for _, triple in members)
+    return answer, grouped[answer][0]
 
 
 RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]
@@ -99,7 +99,7 @@ class TestDecoderAgainstOracle:
         scores = score_strings(probs, pair, aggregation, top_k, max_answer_length)
         assert list(scores.items()) == [(t, s) for t, (s, _) in expected.items()]
         try:
-            answer, score, support = oracle_predict(
+            answer, score = oracle_predict(
                 probs, pair, aggregation, top_k, max_answer_length
             )
         except InferenceError:
@@ -110,8 +110,6 @@ class TestDecoderAgainstOracle:
         assert got.answer == answer
         assert got.score == score
         assert type(got.score) is float
-        assert [s.triple() for s in got.support] == support
-        assert {s.matched_string for s in got.support} == {answer}
         return 0
 
     def test_fuzz_matches_oracle(self):
@@ -256,7 +254,7 @@ class TestWinnerSelection:
         spec = InferenceSpec(aggregation=AnswerAggregation.MAX, max_answer_length=1)
         assert predict(probs, pair, spec).answer == "apple"
 
-    def test_support_lists_every_mention_in_order(self):
+    def test_sum_pools_every_mention(self):
         pair, grid = scored_pair(
             ["echo delta echo", "echo"],
             [[1.0, 0.0, 1.0], [1.0]],
@@ -266,16 +264,21 @@ class TestWinnerSelection:
         spec = InferenceSpec(aggregation=AnswerAggregation.SUM, max_answer_length=1)
         prediction = predict(probs, pair, spec)
         assert prediction.answer == "echo"
-        assert [s.triple() for s in prediction.support] == [(0, 0, 0), (0, 2, 2), (1, 0, 0)]
+        # the mentions (0, 0, 0), (0, 2, 2) and (1, 0, 0), in candidate order
+        mentions = [
+            probs.log_begin[k][i] + probs.log_end[k][i] for k, i in ((0, 0), (0, 2), (1, 0))
+        ]
+        assert prediction.score == float(logsumexp(np.array(mentions)))
 
     def test_normalization_groups_article_variants(self):
         pair, grid = scored_pair(["the lake shore"], [[1.0, 1.0, -9.0]], [[-9.0, 1.0, -9.0]])
         probs = log_partition(grid, SpaceKind.PARAGRAPH)
         spec = InferenceSpec(aggregation=AnswerAggregation.SUM, max_answer_length=2)
         prediction = predict(probs, pair, spec)
-        # "the lake" and "lake" pool into one candidate string
+        # "the lake" (0, 0, 1) and "lake" (0, 1, 1) pool into one candidate string
         assert prediction.answer == "lake"
-        assert {s.triple() for s in prediction.support} == {(0, 0, 1), (0, 1, 1)}
+        mentions = [probs.log_begin[0][b] + probs.log_end[0][1] for b in (0, 1)]
+        assert prediction.score == float(logsumexp(np.array(mentions)))
 
     def test_null_outcome_never_predicted(self):
         pair, grid = scored_pair(["word"], [[-50.0]], [[-50.0]])
@@ -478,3 +481,27 @@ class TestLengthCap:
         with pytest.raises(ValueError):
             AnswerAggregation.parse("mean")
         assert AnswerAggregation.parse(" SUM ") is AnswerAggregation.SUM
+
+    @pytest.mark.parametrize(
+        "top_k, max_answer_length, message",
+        [
+            (0, 8, "top_k must be at least 1"),
+            (-3, 8, "top_k must be at least 1"),
+            (20, 0, "max_answer_length must be at least 1"),
+            (None, -2, "max_answer_length must be at least 1"),
+        ],
+    )
+    def test_every_decoder_rejects_bad_sizes(self, top_k, max_answer_length, message):
+        pair, grid = scored_pair(
+            ["rome pisa lake", "lake rome pisa"], [[1.0, 0.0, 2.0]] * 2, [[0.0, 1.0, 2.0]] * 2
+        )
+        probs = log_partition(grid, SpaceKind.PARAGRAPH)
+        with pytest.raises(ValueError, match=message):
+            candidates(probs, pair, top_k, max_answer_length)
+        with pytest.raises(ValueError, match=message):
+            score_strings(probs, pair, AnswerAggregation.SUM, top_k, max_answer_length)
+        with pytest.raises(ValueError, match=message):
+            decode(probs, pair, AnswerAggregation.MAX, top_k, max_answer_length)
+        if max_answer_length < 1:  # exhaustive_predict takes no top_k
+            with pytest.raises(ValueError, match=message):
+                exhaustive_predict(probs, pair, AnswerAggregation.MAX, max_answer_length)

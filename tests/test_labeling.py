@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from docqa.labeling import (
     save_labels,
 )
 from docqa.metrics import rouge_l
-from docqa.synthlab import load_truth
+from docqa.synthlab import load_predictions, load_truth
 from test_objectives import label_positions
 
 
@@ -385,6 +387,39 @@ class TestLabelFiles:
         assert load_labels(load_dataset(data), path)[0].total_spans == 2
         with pytest.raises(ValueError, match=r"labels\.jsonl:1: span \[0, 4, 5\]"):
             load_labels(load_dataset(data, max_tokens=5), path)
+
+    @pytest.mark.parametrize(
+        "first, last, read, expected",
+        [
+            (
+                {"spans": [[0, 0, 1]]},
+                {"spans": [[0, 4, 5]]},
+                lambda path: [s.triple() for s in load_labels([joan_pair()], path)[0].all_spans()],
+                [(0, 4, 5)],
+            ),
+            (
+                {"gold": "joan", "correct_spans": [[0, 0, 1]]},
+                {"gold": "rivers", "correct_spans": [[0, 4, 5], [0, 1, 1]]},
+                lambda path: [
+                    (t.gold_answer, [s.triple() for s in t.correct_spans])
+                    for t in load_truth([joan_pair()], path)
+                ],
+                [("rivers", [(0, 4, 5), (0, 1, 1)])],
+            ),
+            (
+                {"answer": "joan", "score": -1.0},
+                {"answer": "rivers", "score": -2.5},
+                load_predictions,
+                {"doc9": ("rivers", -2.5), "other": ("joan", -1.0)},
+            ),
+        ],
+        ids=["labels", "truth", "predictions"],
+    )
+    def test_repeated_id_keeps_its_last_record(self, tmp_path, first, last, read, expected):
+        path = tmp_path / "records.jsonl"
+        lines = [{"id": "doc9", **first}, {"id": "other", **first}, {"id": "doc9", **last}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert read(path) == expected
 
     def test_truth_file_shares_the_checks(self, tmp_path):
         path = tmp_path / "truth.jsonl"

@@ -12,13 +12,12 @@ from docqa.objectives import (
     LabelError,
     ObjectiveSpec,
     ObjectiveSpecError,
-    SelectedOutcome,
     combine,
     evaluate,
     grad_check,
     parse_combo,
 )
-from docqa.probability import ScoreGrid, SpaceKind
+from docqa.probability import ScoreGrid, SpaceKind, log_partition
 
 ALL_SPECS = [
     ObjectiveSpec.parse(f"{hyp}-{space}-{gran}-{agg}")
@@ -308,22 +307,46 @@ class TestNegativeParagraphs:
         assert np.all(wide.grad.begin[-1][-1:] == 0.0)
 
 
+def committed_slots(text, grid, labels):
+    """The begin and end slots, as (paragraph, position), to which an exact
+    hard-EM cell gives aggregation weight one, read from its gradient.
+
+    evaluate's gradient is the aggregation weights minus pressure times each
+    slot's probability.  Every latent group presses once on its unit: under P
+    each paragraph holds one group (its labels' or its null outcome's), under
+    D the document is pressed once per group.  Every slot's weight must be
+    zero or one.
+    """
+    spec = ObjectiveSpec.parse(text)
+    result = evaluate(spec, grid, labels)
+    if spec.space is SpaceKind.DOCUMENT and spec.hypothesis is Hypothesis.PER_PARAGRAPH:
+        pressure = len({span.paragraph for span in labels.all_spans()})
+    else:
+        pressure = 1
+    probs = np.exp(log_partition(grid, spec.space).vector)
+    weights = result.grad.vector + pressure * probs
+    one = np.isclose(weights, 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(one | np.isclose(weights, 0.0, rtol=0.0, atol=1e-12)), text
+    marks = ScoreGrid(one.astype(float), grid.sizes)
+
+    def ones(side):
+        return [(k, int(i)) for k, row in enumerate(side) for i in np.flatnonzero(row)]
+
+    return ones(marks.begin), ones(marks.end)
+
+
 class TestHardSelection:
     def test_committed_outcome_is_argmax(self):
         grid, labels = two_span_case()
-        result = evaluate(ObjectiveSpec.parse("H2-P-span-hardem"), grid, labels)
         # span (0, 0) carries more mass than (1, 1) under these scores
-        assert result.selected == (SelectedOutcome((0, 0), (0, 0)),)
+        assert committed_slots("H2-P-span-hardem", grid, labels) == ([(0, 0)], [(0, 0)])
 
     def test_tie_breaks_to_first_listed(self):
         grid = ScoreGrid.zeros([3])
         labels = ConsistentLabelSet.from_spans(
             1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 2, 2, "y")], 1
         )
-        result = evaluate(ObjectiveSpec.parse("H2-P-span-hardem"), grid, labels)
-        (outcome,) = result.selected
-        assert outcome.begin == (0, 0)
-        assert outcome.end == (0, 0)
+        assert committed_slots("H2-P-span-hardem", grid, labels) == ([(0, 0)], [(0, 0)])
 
     def test_ties_break_to_lowest_paragraph_and_position(self):
         # Tied maxima lie in different paragraphs and at different positions.
@@ -342,31 +365,19 @@ class TestHardSelection:
             ],
             1,
         )
-        per_paragraph = (
-            SelectedOutcome((0, 2), (0, 2)),
-            SelectedOutcome((1, 0), (1, 0)),
-        )
+        per_paragraph = ([(0, 2), (1, 0)], [(0, 2), (1, 0)])
         expected = {
             "H2-P-span-hardem": per_paragraph,
             "H2-P-pos-hardem": per_paragraph,
             "H2-D-span-hardem": per_paragraph,
             "H2-D-pos-hardem": per_paragraph,
             # spans (1, 0, 0) and (1, 0, 2) tie for the document maximum
-            "H3-D-span-hardem": (SelectedOutcome((1, 0), (1, 0)),),
+            "H3-D-span-hardem": ([(1, 0)], [(1, 0)]),
             # begins (0, 2) and (1, 0) tie, ends (1, 0) and (1, 2) tie
-            "H3-D-pos-hardem": (SelectedOutcome((0, 2), (1, 0)),),
+            "H3-D-pos-hardem": ([(0, 2)], [(1, 0)]),
         }
         for text, want in expected.items():
-            result = evaluate(ObjectiveSpec.parse(text), grid, labels)
-            assert result.selected == want, text
-
-    def test_marginal_and_tempered_report_no_selection(self):
-        grid, labels = two_span_case()
-        assert evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels).selected is None
-        tempered = evaluate(
-            ObjectiveSpec.parse("H2-P-span-hardem"), grid, labels, temperature=0.5
-        )
-        assert tempered.selected is None
+            assert committed_slots(text, grid, labels) == want, text
 
 
 class TestTemperature:
