@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .corpus import DocumentQuestionPair
 from .probability import LogProbGrid, logsumexp_runs
@@ -62,44 +63,80 @@ class Prediction:
 
 @dataclass(frozen=True)
 class Candidates:
-    """The candidate spans of one document, grouped by normalized string.
+    """The candidate spans of one document, in candidate order.
 
-    Equal strings are found by one lexsort of the candidates' key rows, and
-    groups are numbered in order of first sight.  Candidates are stored
-    sorted stably by group, so each group's mentions form one run
-    log_p[heads[g] : heads[g + 1]] in candidate order, the last running to
-    the end.  keys[g] is group g's string as keys into words, the pair's
-    WordTable.keys in key order, zero padded; key 0 is "".
+    Candidate c's string is the slice sequence[lo[c] : hi[c]] of the
+    document's non-empty normalized word keys, which index words, the pair's
+    WordTable.keys in key order, and log_p[c] is its log probability.  Spans
+    are grouped by string only where pooling reads the groups (see pooled);
+    MAX needs none to find its best string.
     """
 
     words: tuple[str, ...]
-    keys: np.ndarray
+    sequence: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     log_p: np.ndarray
-    heads: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.keys)
+    def text(self, c: int) -> str:
+        return " ".join([self.words[w] for w in self.sequence[self.lo[c] : self.hi[c]].tolist()])
 
-    def text(self, g: int) -> str:
-        return " ".join(self.words[i] for i in self.keys[g].tolist() if i)
+    def pooled(self, aggregation: AnswerAggregation) -> tuple[np.ndarray, np.ndarray]:
+        """(first, scores): for each distinct string, its first candidate and
+        its pooled log score, the maximum of its mentions or
+        probability.logsumexp over them in candidate order.  Strings come in
+        the order of their key rows, not of first sight.
 
-    def scores(self, aggregation: AnswerAggregation) -> np.ndarray:
-        """Each group's pooled log score: the maximum of its mentions, or
-        probability.logsumexp over them in candidate order."""
-        if not len(self):
-            return np.empty(0)
+        Equal strings are found by one stable np.lexsort of the candidates'
+        key rows, zero padded, so each string's mentions form one run in
+        candidate order.  Only strings with two or more mentions go through
+        logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x, bit for
+        bit, -inf included.
+        """
+        if not len(self.log_p):
+            return np.empty(0, np.intp), np.empty(0)
+        # Each candidate's row: the width keys from its lo, zeroed from its hi
+        # on, read through a strided view of the sequence padded with zeros.
+        lengths = self.hi - self.lo
+        width = int(lengths.max())
+        padded = np.concatenate((self.sequence, np.zeros(width, self.sequence.dtype)))
+        step = padded.strides * 2
+        keys = as_strided(padded, (len(padded) - width + 1, width), step)[self.lo]
+        keys[np.arange(width) >= lengths[:, None]] = 0
+        by_key = np.lexsort(keys.T[::-1])
+        rows = keys[by_key]
+        cut = np.ones(len(rows) + 1, bool)  # before each run, and after the last
+        cut[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
+        bounds = np.flatnonzero(cut)
+        heads = bounds[:-1]
+        log_p = self.log_p[by_key]
         if aggregation is AnswerAggregation.MAX:
-            return np.maximum.reduceat(self.log_p, self.heads)
-        return logsumexp_runs(self.log_p, self.heads)
+            return by_key[heads], np.maximum.reduceat(log_p, heads)
+        scores = log_p[heads] + 0.0  # as logsumexp of one entry, which turns -0.0 into 0.0
+        sizes = np.diff(bounds)
+        shared = sizes > 1
+        if shared.any():
+            runs = sizes[shared]
+            scores[shared] = logsumexp_runs(log_p[np.repeat(shared, sizes)], np.cumsum(runs) - runs)
+        return by_key[heads], scores
 
     def best(self, aggregation: AnswerAggregation) -> Prediction:
-        """The top-scoring string, ties to the smallest, with its score."""
-        scores = self.scores(aggregation)
-        if not scores.size:
+        """The top-scoring string, ties to the smallest, with its score.
+
+        Under MAX a string's score is that of its best mention, so the winner
+        is the smallest string among the top-scoring mentions, found without
+        grouping.
+        """
+        if not len(self.log_p):
             raise InferenceError("no candidate answer string")
-        tied = {g: self.text(g) for g in np.flatnonzero(scores == scores.max()).tolist()}
-        winner = min(tied, key=tied.__getitem__)
-        return Prediction(answer=tied[winner], score=float(scores[winner]))
+        if aggregation is AnswerAggregation.MAX:
+            top = self.log_p.max()
+            tied = np.flatnonzero(self.log_p == top).tolist()
+            return Prediction(answer=min({self.text(c) for c in tied}), score=float(top))
+        first, scores = self.pooled(aggregation)
+        top = scores.max()
+        tied = np.flatnonzero(scores == top).tolist()
+        return Prediction(answer=min(self.text(first[g]) for g in tied), score=float(top))
 
 
 def _rank_top(order: np.ndarray, top: int) -> np.ndarray:
@@ -121,7 +158,8 @@ def candidates(
     top_k: int | None = DEFAULT_TOP_K,
     max_answer_length: int = DEFAULT_MAX_ANSWER_LENGTH,
 ) -> Candidates:
-    """Every paragraph's candidate spans at once, grouped by normalized string.
+    """Every paragraph's candidate spans at once, each keyed by a slice of the
+    document's word sequence.
 
     Rank: each paragraph's begins and ends are ranked by log probability,
     ties to the earlier position, and the first top kept: one stable argsort
@@ -131,11 +169,12 @@ def candidates(
     Pair: each of the top_k ranked begins of a paragraph takes the top_k
     ranked ends among its next max_answer_length positions, in end rank
     order, so candidates run by paragraph, then begin rank, then end rank.
-    Key: each candidate's string is its row of normalized word keys, read
-    from the pair's WordTable (key_of of every position, gathered once per
-    call), with empty words and leading ARTICLES dropped; spans left with no
-    word are skipped.  Group: one np.lexsort of the rows puts equal rows
-    together, in candidate order, and the groups are numbered by first sight.
+    Key: over the document's positions, from the pair's WordTable, two arrays
+    give each position's first word at or after it that is neither empty nor
+    one of ARTICLES, and the count of non-empty words up to it.  A span's
+    string is then the non-empty words from its begin's first word to its
+    end, a slice of the sequence of non-empty words; spans with no such
+    first word are skipped.
     top_k=None takes every position.  A top_k or max_answer_length below one
     raises ValueError, as InferenceSpec does; a grid that does not match the
     pair, or that holds NaN, raises InferenceError.
@@ -159,51 +198,42 @@ def candidates(
     order = -table
     order[:, at == lengths] = np.inf
     ranked = _rank_top(order, top)
-    begins = ranked[0]
-    # Pair: the end ranks over each begin's window of span positions.  A pad,
-    # a position past its row and one outside the top rank at or after the
-    # row's limit.
-    end_rank = np.full((n, width), longest)
-    end_rank[np.arange(n)[:, None], ranked[1]] = np.arange(top)
-    windows = (np.arange(n) * width)[:, None, None] + begins[:, :, None] + np.arange(span)
-    rank = end_rank.ravel()[windows]
-    is_end = rank < np.minimum(lengths, top)[:, :, None]
-    # Key: every position's normalized word key, from the pair's word table.
+    begins, ends = ranked
+    rows = np.arange(n)[:, None]
+    # Key: over the document's positions, paragraphs concatenated, the first
+    # word at or after each position that is neither empty nor an article
+    # (size where none follows), and the count of non-empty words up to each.
     word_table = pair.table
-    word_at = np.zeros(n * width, word_table.key_of.dtype)
-    word_at.reshape(n, width)[np.arange(width) < lengths] = word_table.key_of[word_table.ids]
-    words = word_at[windows]
-    nonempty = words != 0
-    kept = nonempty & np.logical_or.accumulate(nonempty & ~word_table.article[words], axis=-1)
-    n_words = np.cumsum(kept, axis=-1)
-    compact = np.zeros_like(words)  # each window's kept words, moved to its front
-    k, i, d = np.nonzero(kept)
-    compact[k, i, n_words[k, i, d] - 1] = words[k, i, d]
-    # Pair each begin with its ends in rank order, skipping spans with no word.
-    rank[~(is_end & (n_words > 0))] = longest
-    rank.sort(axis=-1)
-    k, i, d = np.nonzero(rank < longest)
-    b = begins[k, i]
-    e = ranked[1, k, rank[k, i, d]]
-    keys = compact[k, i] * (np.arange(span) < n_words[k, i, e - b][:, None])
-    # Group: the rows in key order, equal rows in candidate order (lexsort is
-    # stable), cut into runs where a row changes; the runs are then laid out
-    # in order of their first candidate.
-    by_key = np.lexsort(keys.T[::-1])
-    rows = keys[by_key]
-    cut = np.ones(len(rows) + 1, bool)  # before each run, and after the last
-    cut[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
-    bounds = np.flatnonzero(cut)
-    first = by_key[bounds[:-1]]
-    by_sight = np.argsort(first)
-    sizes = np.diff(bounds)[by_sight]
-    heads = np.cumsum(sizes) - sizes
-    by_group = by_key[np.arange(len(rows)) + np.repeat(bounds[by_sight] - heads, sizes)]
+    key = word_table.key_of[word_table.ids]
+    nonempty = key != 0
+    can_lead = ~word_table.article
+    can_lead[0] = False
+    size = len(key)
+    at_word = np.where(can_lead[key], np.arange(size), size)
+    first = np.minimum.accumulate(at_word[::-1])[::-1]
+    upto = np.cumsum(nonempty)
+    starts = np.array(word_table.starts[:-1])[:, None]
+    flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
+    lead = np.take(first, flat_begins, mode="clip")
+    # Pair: each top end's index into the ranked ends, flattened, at its
+    # position; every other position, pads included, holds n * top.  A window
+    # drops the offsets before its begin's first word.
+    none = n * top
+    end_index = np.full((n, width), none)
+    end_index[rows, ends] = np.where(np.arange(top) < lengths, np.arange(none).reshape(n, top), none)
+    windows = (begins + rows * width)[:, :, None] + np.arange(span)
+    index = end_index.ravel()[windows]
+    index[np.arange(span) < (lead - flat_begins)[:, :, None]] = none
+    index.sort(axis=-1)
+    kept = index < none
+    begin = np.flatnonzero(kept) // span
+    end = index[kept]
     return Candidates(
         words=tuple(word_table.keys),
-        keys=keys[first[by_sight]],
-        log_p=(table[0, k, b] + table[1, k, e])[by_group],
-        heads=heads,
+        sequence=key[nonempty],
+        lo=upto[lead.ravel()[begin]] - 1,
+        hi=upto[(starts + ends).ravel()[end]],
+        log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].ravel()[end],
     )
 
 
@@ -221,8 +251,9 @@ def score_strings(
     describes.
     """
     found = candidates(probs, pair, top_k, max_answer_length)
-    texts = [found.text(g) for g in range(len(found))]
-    return dict(zip(texts, found.scores(aggregation).tolist()))
+    first, scores = found.pooled(aggregation)
+    by_sight = np.argsort(first)
+    return dict(zip(map(found.text, first[by_sight].tolist()), scores[by_sight].tolist()))
 
 
 def predict(
