@@ -300,9 +300,9 @@ def read_span_records(
     Every record is a JSON object with a string "id", a list of
     [paragraph, begin, end] integer triples under spans_key, and a string
     under each of text_keys.  Each span must lie inside the loaded (possibly
-    truncated) paragraph; its matched string is rebuilt from the paragraph
-    text.  A bad line fails as read_json_lines describes, and a bad span
-    raises DatasetSchemaError; a pair without a record raises a ValueError
+    truncated) paragraph and appear once in its record; its matched string is
+    rebuilt from the paragraph text.  A bad line fails as read_json_lines
+    describes, and a bad or repeated span raises DatasetSchemaError; a pair without a record raises a ValueError
     that starts with the path.  When an id repeats, its last record wins.
     """
     by_id: dict[str, tuple[int, dict]] = {}
@@ -318,6 +318,9 @@ def read_span_records(
                 number,
                 f"{spans_key!r} must be a list of [paragraph, begin, end] integer triples",
             )
+        if len(set(map(tuple, triples))) < len(triples):
+            repeat = next(t for at, t in enumerate(triples) if t in triples[:at])
+            raise DatasetSchemaError(path, number, f"span {repeat} repeats in {spans_key!r}")
         by_id[record["id"]] = (number, record)
     out = []
     for pair in pairs:

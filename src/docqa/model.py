@@ -106,7 +106,12 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        return cls(tuple(json.loads(text)))
+        """The vocabulary that to_json wrote; anything but a JSON list of
+        strings raises ValueError."""
+        tokens = json.loads(text)
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary is not a JSON list of strings")
+        return cls(tuple(tokens))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
 """Acceptance suite: algebraic invariants plus directional training studies.
 
 Each test prints one PASS/FAIL line with the measured numbers so a plain
-``pytest -v -s tests/test_acceptance.py`` reads as a checklist.  The first
-six checks and the metric fixtures finish in seconds; the four training
-studies build small synthetic corpora and take a few minutes together.
+``pytest -v -s tests/test_acceptance.py`` reads as a checklist.  The six
+algebra tests and the metric fixtures run the same checks as ``docqa check``,
+each from ``docqa.diagnostics`` with its own seed, trial count and time bound,
+and finish in seconds; only the scorer's end-to-end gradient check and the
+metric partition live here.  The four training studies build small synthetic
+corpora and take under a minute together.
 """
 
 import time
@@ -22,39 +25,15 @@ from docqa import (
     generate,
     inference_space,
     pretrain_clean,
+    run_grid,
     train,
 )
+from docqa import diagnostics
 from docqa.corpus import make_pair
-from docqa.diagnostics import random_instance
-from docqa.inference import InferenceError, exhaustive_predict, predict
 from docqa.labeling import find_consistent_spans_exact
-from docqa.metrics import partition_analysis, rouge_l, token_f1
+from docqa.metrics import partition_analysis
 from docqa.model import ToyScorer
-from docqa.objectives import (
-    Aggregation,
-    ObjectiveSpec,
-    evaluate,
-    grad_check,
-)
-from docqa.probability import ScoreGrid, SpaceKind, log_partition
-
-CELLS = [
-    ObjectiveSpec.parse(text)
-    for text in (
-        "H1-P-span-mml",
-        "H1-P-pos-mml",
-        "H1-D-span-mml",
-        "H1-D-pos-mml",
-        "H2-P-span-mml",
-        "H2-P-pos-mml",
-        "H2-D-span-mml",
-        "H2-D-pos-mml",
-        "H3-D-span-mml",
-        "H3-D-pos-mml",
-    )
-]
-
-LATENT_BASES = ("H2-P", "H2-D", "H3-D")
+from docqa.objectives import ObjectiveSpec, evaluate
 
 
 def verdict(name, ok, detail):
@@ -62,12 +41,13 @@ def verdict(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def random_grid(rng, low=-1e4, high=1e4):
-    sizes = [int(n) for n in rng.integers(1, 6, int(rng.integers(1, 4)))]
-    grid = ScoreGrid.zeros(sizes)
-    for arr in grid.begin + grid.end:
-        arr[:] = rng.uniform(low, high, arr.shape)
-    return grid
+def check_verdict(name, check, seed, budget, seconds):
+    """Run a docqa.diagnostics check on a generator seeded with seed; it must
+    pass within seconds."""
+    started = time.perf_counter()
+    result = check(np.random.default_rng(seed), budget)
+    elapsed = time.perf_counter() - started
+    verdict(name, result.ok and elapsed < seconds, f"{result.detail}, {elapsed:.1f}s")
 
 
 def scorer_at(scorer, vector):
@@ -76,94 +56,36 @@ def scorer_at(scorer, vector):
 
 
 def test_normalization_sums_to_one():
-    started = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        grid = random_grid(rng)
-        par = log_partition(grid, SpaceKind.PARAGRAPH)
-        for k in range(grid.n_paragraphs):
-            worst = max(worst, abs(np.exp(par.log_begin[k]).sum() - 1.0))
-            worst = max(worst, abs(np.exp(par.log_end[k]).sum() - 1.0))
-        doc = log_partition(grid, SpaceKind.DOCUMENT)
-        total_b = sum(np.exp(a[:-1]).sum() for a in doc.log_begin)
-        total_e = sum(np.exp(a[:-1]).sum() for a in doc.log_end)
-        worst = max(worst, abs(total_b - 1.0), abs(total_e - 1.0))
-    elapsed = time.perf_counter() - started
-    verdict(
-        "normalization over 1000 grids, both spaces",
-        worst < 1e-9 and elapsed < 5.0,
-        f"worst deviation {worst:.2e}, {elapsed:.1f}s",
+    check_verdict(
+        "normalization over 1000 normal and 1000 uniform grids, both spaces",
+        diagnostics._check_normalization, 101, 1000, 5.0,
     )
 
 
 def test_all_mentions_span_position_equivalence():
-    started = time.perf_counter()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        grid, labels = random_instance(rng, max_tokens=5)
-        for space in ("P", "D"):
-            span = evaluate(ObjectiveSpec.parse(f"H1-{space}-span-mml"), grid, labels)
-            pos = evaluate(ObjectiveSpec.parse(f"H1-{space}-pos-mml"), grid, labels)
-            worst = max(worst, abs(span.value - pos.value))
-    elapsed = time.perf_counter() - started
-    verdict(
-        "all-mentions span equals position on 1000 instances",
-        worst < 1e-9 and elapsed < 5.0,
-        f"worst gap {worst:.2e}, {elapsed:.1f}s",
+    check_verdict(
+        "all-mentions span, position, mml and hard-EM agree on 1000 instances",
+        diagnostics._check_h1_granularity, 102, 1000, 5.0,
     )
 
 
 def test_position_marginal_lower_bound():
-    started = time.perf_counter()
-    rng = np.random.default_rng(103)
-    worst = np.inf
-    for _ in range(1000):
-        grid, labels = random_instance(rng, max_tokens=5)
-        for base in LATENT_BASES:
-            span = evaluate(ObjectiveSpec.parse(f"{base}-span-mml"), grid, labels)
-            pos = evaluate(ObjectiveSpec.parse(f"{base}-pos-mml"), grid, labels)
-            worst = min(worst, pos.value - span.value)
-    elapsed = time.perf_counter() - started
-    verdict(
+    check_verdict(
         "position marginal bounds span marginal on 1000 instances",
-        worst > -1e-9 and elapsed < 10.0,
-        f"worst margin {worst:.2e}, {elapsed:.1f}s",
+        diagnostics._check_position_bound, 103, 1000, 10.0,
     )
 
 
 def test_marginal_dominates_maximum():
-    started = time.perf_counter()
-    rng = np.random.default_rng(104)
-    worst = np.inf
-    for _ in range(1000):
-        grid, labels = random_instance(rng, max_tokens=5)
-        for base in LATENT_BASES:
-            for gran in ("span", "pos"):
-                soft = evaluate(ObjectiveSpec.parse(f"{base}-{gran}-mml"), grid, labels)
-                hard = evaluate(
-                    ObjectiveSpec.parse(f"{base}-{gran}-hardem"), grid, labels
-                )
-                worst = min(worst, soft.value - hard.value)
-    elapsed = time.perf_counter() - started
-    verdict(
+    check_verdict(
         "marginalizing dominates maximizing on 1000 instances",
-        worst > -1e-9 and elapsed < 5.0,
-        f"worst margin {worst:.2e}, {elapsed:.1f}s",
+        diagnostics._check_mml_bound, 104, 1000, 5.0,
     )
 
 
 def test_gradients_match_finite_differences():
     started = time.perf_counter()
-    rng = np.random.default_rng(105)
-    worst_grid = 0.0
-    for cell in CELLS:
-        for agg in (Aggregation.MML, Aggregation.HARD_EM):
-            spec = ObjectiveSpec(cell.hypothesis, cell.space, cell.granularity, agg)
-            for _ in range(4):
-                grid, labels = random_instance(rng, max_tokens=5)
-                worst_grid = max(worst_grid, grad_check(spec, grid, labels))
+    grid_check = diagnostics._check_gradients(np.random.default_rng(105), 4)
 
     worst_model = 0.0
     for trial in range(3):
@@ -197,56 +119,15 @@ def test_gradients_match_finite_differences():
     elapsed = time.perf_counter() - started
     verdict(
         "gradient checks across all 10 cells and through the scorer",
-        worst_grid < 1e-5 and worst_model < 1e-4 and elapsed < 30.0,
-        f"worst grid {worst_grid:.2e}, worst end-to-end {worst_model:.2e}, {elapsed:.1f}s",
+        grid_check.ok and worst_model < 1e-4 and elapsed < 30.0,
+        f"grid {grid_check.detail}, worst end-to-end {worst_model:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_topk_decoding_matches_exhaustive():
-    started = time.perf_counter()
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    mismatches = 0
-    for index in range(200):
-        n_par = int(rng.integers(1, 4))
-        counts = [int(rng.integers(1, 31)) for _ in range(n_par)]
-        texts = [
-            " ".join(f"w{int(rng.integers(0, 8))}" for _ in range(n)) for n in counts
-        ]
-        pair = make_pair(f"o{index}", "q", texts, ["w0"])
-        grid = ScoreGrid.zeros([len(p.tokens) for p in pair.paragraphs])
-        for arr in grid.begin + grid.end:
-            arr[:] = rng.normal(0.0, 2.0, arr.shape)
-        space = SpaceKind.PARAGRAPH if rng.random() < 0.5 else SpaceKind.DOCUMENT
-        probs = log_partition(grid, space)
-        top_k = max(counts)
-        for agg in AnswerAggregation:
-            fast = predict(
-                probs, pair, InferenceSpec(aggregation=agg, top_k=top_k)
-            )
-            slow = exhaustive_predict(probs, pair, agg)
-            if fast.answer != slow.answer:
-                mismatches += 1
-            worst = max(worst, abs(fast.score - slow.score))
-        if index % 5 == 0:
-            last = -np.inf
-            for k in (1, 2, 4, 8, 16, top_k):
-                try:
-                    score = predict(
-                        probs,
-                        pair,
-                        InferenceSpec(aggregation=AnswerAggregation.MAX, top_k=k),
-                    ).score
-                except InferenceError:
-                    score = -np.inf
-                if score < last - 1e-12:
-                    mismatches += 1
-                last = score
-    elapsed = time.perf_counter() - started
-    verdict(
+    check_verdict(
         "top-k decoding equals exhaustive decoding on 200 documents",
-        mismatches == 0 and worst < 1e-9 and elapsed < 30.0,
-        f"{mismatches} mismatches, worst score gap {worst:.2e}, {elapsed:.1f}s",
+        diagnostics._check_inference_oracle, 106, 200, 30.0,
     )
 
 
@@ -335,7 +216,10 @@ def test_alias_regime_prefers_one_per_document(alias_study):
 
 @pytest.fixture(scope="session")
 def clean_study():
-    """Multi-mention corpus with no aliases, scored with both decoders."""
+    """Multi-mention corpus with no aliases, scored with both decoders.
+
+    run_grid trains each (combo, seed) and decodes each dev document once for
+    Sum and Max together."""
     started = time.perf_counter()
     profile = NoiseProfile(
         vocab_size=800,
@@ -348,28 +232,27 @@ def clean_study():
         mention_counts=((2, 0.4), (3, 0.4), (4, 0.2)),
         seed=11,
     )
-    pairs, labels, _ = generate(profile)
+    pairs, labels, truths = generate(profile)
     dev_pairs, _, dev_truths = generate(dev_profile(profile), id_prefix="dev")
-    golds = [t.gold_strings() for t in dev_truths]
-    results = {}
-    for combo in ("H2-P-pos-mml", "H2-D-pos-mml", "H3-D-pos-mml"):
-        sums, maxes = [], []
-        for seed in (0, 1, 2, 3):
-            config = TrainConfig(
-                objectives=(combo,), epochs=1, learning_rate=0.3, seed=seed
-            )
-            checkpoint = train(config, pairs, labels)
-            space = inference_space(combo)
-            sums.append(
-                evaluate_checkpoint(checkpoint, dev_pairs, golds, SUM_SPEC, space)["em"]
-            )
-            maxes.append(
-                evaluate_checkpoint(checkpoint, dev_pairs, golds, MAX_SPEC, space)["em"]
-            )
-        results[combo] = {
-            "sum": float(np.mean(sums)),
-            "max": float(np.mean(maxes)),
-        }
+    combos = ("H2-P-pos-mml", "H2-D-pos-mml", "H3-D-pos-mml")
+    rows = run_grid(
+        pairs,
+        labels,
+        truths,
+        combos,
+        [SUM_SPEC, MAX_SPEC],
+        (0, 1, 2, 3),
+        dev_pairs=dev_pairs,
+        dev_truths=dev_truths,
+        config=TrainConfig(epochs=1, learning_rate=0.3),
+    )
+    ems = {}
+    for row in rows:
+        ems.setdefault((row["objective"], row["inference"]), []).append(row["em"])
+    results = {
+        combo: {decoder: float(np.mean(ems[combo, decoder])) for decoder in ("sum", "max")}
+        for combo in combos
+    }
     results["seconds"] = time.perf_counter() - started
     return results
 
@@ -416,10 +299,7 @@ def test_clean_pretraining_helps(alias_study):
 
 
 def test_metric_fixtures_and_partition():
-    f1 = token_f1("mount helicon", ["in the spring at mount helicon"])
-    r_forward = rouge_l("mount helicon", "at mount helicon")
-    r_backward = rouge_l("at mount helicon", "mount helicon")
-    fixtures_ok = f1 == 0.5 and r_forward == 0.8 and r_backward == 0.8
+    fixtures = diagnostics._check_metric_fixtures(None, 1)
 
     per_example = {"base": [1.0, 0.0, 1.0, 0.0], "other": [1.0, 1.0, 0.0, 0.0]}
     labels = [(1, 5), (1, 6), (2, 5), (2, 6)]
@@ -433,6 +313,6 @@ def test_metric_fixtures_and_partition():
     )
     verdict(
         "metric fixtures and partition thresholds",
-        fixtures_ok and partition_ok and deltas_ok,
-        f"token F1 {f1}, rouge {r_forward}/{r_backward}, subset sizes {sizes}",
+        fixtures.ok and partition_ok and deltas_ok,
+        f"{fixtures.detail}, subset sizes {sizes}",
     )

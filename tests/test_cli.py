@@ -583,6 +583,15 @@ class TestBadRecordFiles:
         assert f"error: {labels}:1: missing key 'spans'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_record_with_a_repeated_span(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text('{"id": "d0", "spans": [[0, 0, 0], [0, 0, 0]]}\n')
+        out = tmp_path / "x.ckpt"
+        data = workspace["data"] / "train.jsonl"
+        assert main(["train", str(data), "--labels", str(labels), "--out", str(out)]) == 1
+        assert f"error: {labels}:1: span [0, 0, 0] repeats in 'spans'\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_labels_past_truncated_paragraphs(self, workspace, tmp_path, capsys):
         labels = workspace["data"] / "labels_train.jsonl"
         status = main(
@@ -773,6 +782,13 @@ class TestBadCheckpoint:
         self._rewrite(workspace, ckpt, history_json=np.array(json.dumps(history)))
         assert self._eval(workspace, ckpt) == 1
         assert f"error: {ckpt}: {message}\n" in capsys.readouterr().err
+
+    def test_vocabulary_not_a_list(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        tokens = Checkpoint.load(workspace["ckpt"]).vocab.tokens
+        self._rewrite(workspace, ckpt, vocab_json=np.array(json.dumps(dict.fromkeys(tokens, 0))))
+        assert self._eval(workspace, ckpt) == 1
+        assert f"error: {ckpt}: vocabulary is not a JSON list of strings\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter(self, workspace, tmp_path, capsys, value):

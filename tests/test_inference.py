@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from docqa.corpus import make_pair, normalize_string
+from docqa.diagnostics import RAW_TOKENS, random_scored_pair
 from docqa.inference import (
     AnswerAggregation,
     InferenceError,
@@ -60,26 +61,7 @@ def oracle_predict(probs, pair, aggregation, top_k, max_answer_length):
     return answer, grouped[answer][0]
 
 
-RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]
 EMPTY_TOKENS = [",", "--", "The", "an", "a"]
-
-
-def raw_scored_pair(rng, max_tokens=12):
-    """Raw tokens from a small vocabulary, so strings repeat and spans normalize
-    to "" or to article-stripped variants; scores are sometimes integers, so
-    ranks tie."""
-    counts = [int(rng.integers(1, max_tokens + 1)) for _ in range(int(rng.integers(1, 4)))]
-    paragraphs = [
-        [RAW_TOKENS[i] for i in rng.integers(0, len(RAW_TOKENS), n)] for n in counts
-    ]
-    pair = make_pair("f", "q", paragraphs, ["rome"])
-    grid = ScoreGrid.zeros(counts)
-    for arr in grid.begin + grid.end:
-        if rng.random() < 0.5:
-            arr[:] = rng.integers(-2, 3, arr.shape)
-        else:
-            arr[:] = rng.normal(0.0, 2.0, arr.shape)
-    return pair, grid
 
 
 def decode(probs, pair, aggregation, top_k, max_answer_length):
@@ -117,7 +99,7 @@ class TestDecoderAgainstOracle:
         empty = below = 0
         for max_answer_length in range(1, 10):
             for _ in range(40):
-                pair, grid = raw_scored_pair(rng)
+                pair, grid = random_scored_pair(rng)
                 longest = max(pair.paragraph_lengths())
                 for space in SpaceKind:
                     probs = log_partition(grid, space)
@@ -217,7 +199,7 @@ class TestPoolingPaths:
         rng = np.random.default_rng(65)
         tied = silent = flat = 0
         for _ in range(60):
-            pair, grid = raw_scored_pair(rng)
+            pair, grid = random_scored_pair(rng)
             grid.vector[:] = rng.integers(-2, 3, grid.vector.shape)
             # no position, one paragraph's positions, or every position at
             # -inf; the null slots stay finite
@@ -274,7 +256,7 @@ class TestPoolingPaths:
         rng = np.random.default_rng(66)
         singles = shared = 0
         for _ in range(50):
-            pair, grid = raw_scored_pair(rng, max_tokens=20)
+            pair, grid = random_scored_pair(rng, max_tokens=20)
             probs = log_partition(grid, SpaceKind.DOCUMENT)
             grouped = oracle_grouped(probs, pair, AnswerAggregation.SUM, None, 3)
             scores = score_strings(probs, pair, AnswerAggregation.SUM, None, 3)
@@ -415,57 +397,6 @@ class TestNaNGrid:
 
 
 class TestTopKAgainstExhaustive:
-    def random_pair(self, rng):
-        n_par = int(rng.integers(1, 4))
-        counts = [int(rng.integers(1, 8)) for _ in range(n_par)]
-        texts = [
-            " ".join(f"w{int(rng.integers(0, 5))}" for _ in range(n)) for n in counts
-        ]
-        pair = make_pair("r", "q", texts, ["w0"])
-        grid = ScoreGrid.zeros(counts)
-        for arr in grid.begin + grid.end:
-            arr[:] = rng.normal(0.0, 2.0, arr.shape)
-        return pair, grid
-
-    def test_generous_top_k_matches(self):
-        rng = np.random.default_rng(51)
-        for _ in range(120):
-            pair, grid = self.random_pair(rng)
-            space = SpaceKind.PARAGRAPH if rng.random() < 0.5 else SpaceKind.DOCUMENT
-            probs = log_partition(grid, space)
-            for agg in AnswerAggregation:
-                fast = predict(
-                    probs,
-                    pair,
-                    InferenceSpec(aggregation=agg, top_k=10, max_answer_length=3),
-                )
-                slow = exhaustive_predict(probs, pair, agg, max_answer_length=3)
-                assert fast.answer == slow.answer
-                np.testing.assert_allclose(fast.score, slow.score, atol=1e-9)
-
-    def test_score_monotone_in_top_k(self):
-        rng = np.random.default_rng(52)
-        for _ in range(40):
-            pair, grid = self.random_pair(rng)
-            probs = log_partition(grid, SpaceKind.DOCUMENT)
-            last = -np.inf
-            for k in (1, 2, 4, 8):
-                # a tiny k can leave no begin/end pair forming a legal span
-                try:
-                    score = predict(
-                        probs,
-                        pair,
-                        InferenceSpec(
-                            aggregation=AnswerAggregation.MAX,
-                            top_k=k,
-                            max_answer_length=3,
-                        ),
-                    ).score
-                except InferenceError:
-                    score = -np.inf
-                assert score >= last - 1e-12
-                last = score
-
     def test_truncated_top_k_never_outscores_exhaustive(self):
         # paragraphs of 10-40 tokens from 6 words, so strings pool several
         # mentions, and top_k below every paragraph's length
@@ -497,7 +428,7 @@ class TestTopKAgainstExhaustive:
 
     def test_exhaustive_is_top_k_fixed_point(self):
         rng = np.random.default_rng(53)
-        pair, grid = self.random_pair(rng)
+        pair, grid = random_scored_pair(rng)
         probs = log_partition(grid, SpaceKind.PARAGRAPH)
         big = predict(
             probs,

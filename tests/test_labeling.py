@@ -355,6 +355,7 @@ class TestLabelFiles:
             ('{"id": "doc9", "spans": [[0, 2, 1]]}', "span [0, 2, 1] is not inside"),
             ('{"id": "doc9", "spans": [[0, -1, 0]]}', "span [0, -1, 0] is not inside"),
             ('{"id": "doc9", "spans": [[0, 5, 7]]}', "paragraph 0 of 7 tokens"),
+            ('{"id": "doc9", "spans": [[0, 1, 2], [0, 0, 0], [0, 1, 2]]}', "span [0, 1, 2] repeats"),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -458,6 +460,23 @@ class TestCheckpoint:
         original = scorer.score(pair)
         for a, b in zip(grid.begin + grid.end, original.begin + original.end):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("form", ["object", "non-string"])
+    def test_malformed_vocabulary_rejected(self, tmp_path, form):
+        # same token count as the scorer's, so every array keeps its shape
+        _, scorer = build_scorer()
+        path = tmp_path / "model.ckpt"
+        Checkpoint.from_scorer(scorer, "f", {}).save(path)
+        tokens = list(scorer.vocab.tokens)
+        vocab = dict.fromkeys(tokens, 0) if form == "object" else [*tokens[:-1], 7]
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["vocab_json"] = np.array(json.dumps(vocab))
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(ValueError) as info:
+            Checkpoint.load(path)
+        assert str(info.value) == f"{path}: vocabulary is not a JSON list of strings"
 
     def test_exact_path_preserved(self, tmp_path):
         _, scorer = build_scorer()

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from docqa import diagnostics
 from docqa.diagnostics import ALL_CELLS, LATENT_CELLS, random_instance
 from docqa.labeling import ConsistentLabelSet, SpanLabel
 from docqa.objectives import (
@@ -19,14 +21,13 @@ from docqa.objectives import (
 )
 from docqa.probability import ScoreGrid, SpaceKind, log_partition
 
-ALL_SPECS = [
-    ObjectiveSpec.parse(f"{hyp}-{space}-{gran}-{agg}")
-    for hyp in ("H1", "H2", "H3")
-    for space in ("P", "D")
-    for gran in ("span", "pos")
-    for agg in ("mml", "hardem")
-    if not (hyp == "H3" and space == "P")
-]
+ALL_SPECS = [replace(cell, aggregation=agg) for cell in ALL_CELLS for agg in Aggregation]
+
+
+def passes(check, seed, trials):
+    """Run a docqa.diagnostics check on a generator seeded with seed."""
+    result = check(np.random.default_rng(seed), trials)
+    assert result.ok, f"{result.name}: {result.detail}"
 
 
 def two_span_case():
@@ -143,27 +144,12 @@ class TestAgainstOracle:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=str(spec))
 
     def test_values_nonpositive(self):
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            grid, labels = random_instance(rng, max_tokens=4)
-            for spec in ALL_SPECS:
-                assert evaluate(spec, grid, labels).value <= 1e-12
+        passes(diagnostics._check_values_nonpositive, 32, 200)
 
 
 class TestIdentities:
     def test_all_mentions_ignores_granularity_and_aggregation(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            grid, labels = random_instance(rng, max_tokens=4)
-            for space in ("P", "D"):
-                values = {
-                    evaluate(
-                        ObjectiveSpec.parse(f"H1-{space}-{g}-{a}"), grid, labels
-                    ).value
-                    for g in ("span", "pos")
-                    for a in ("mml", "hardem")
-                }
-                assert max(values) - min(values) < 1e-9
+        passes(diagnostics._check_h1_granularity, 33, 100)
 
     def test_all_mentions_granularity_grads_match(self):
         rng = np.random.default_rng(34)
@@ -200,42 +186,15 @@ class TestIdentities:
                 )
 
     def test_marginal_dominates_maximum(self):
-        rng = np.random.default_rng(36)
-        for _ in range(150):
-            grid, labels = random_instance(rng, max_tokens=4)
-            for text in ("H2-P", "H2-D", "H3-D"):
-                for gran in ("span", "pos"):
-                    soft = evaluate(
-                        ObjectiveSpec.parse(f"{text}-{gran}-mml"), grid, labels
-                    ).value
-                    hard = evaluate(
-                        ObjectiveSpec.parse(f"{text}-{gran}-hardem"), grid, labels
-                    ).value
-                    assert soft >= hard - 1e-9
+        passes(diagnostics._check_mml_bound, 36, 150)
 
     def test_position_marginal_dominates_span_marginal(self):
-        rng = np.random.default_rng(37)
-        for _ in range(150):
-            grid, labels = random_instance(rng, max_tokens=4)
-            for text in ("H2-P", "H2-D", "H3-D"):
-                span = evaluate(
-                    ObjectiveSpec.parse(f"{text}-span-mml"), grid, labels
-                ).value
-                pos = evaluate(
-                    ObjectiveSpec.parse(f"{text}-pos-mml"), grid, labels
-                ).value
-                assert pos >= span - 1e-9
+        passes(diagnostics._check_position_bound, 37, 150)
 
 
 class TestGradients:
     def test_finite_differences_every_cell(self):
-        rng = np.random.default_rng(38)
-        for spec in ALL_SPECS:
-            worst = 0.0
-            for _ in range(3):
-                grid, labels = random_instance(rng, max_tokens=4)
-                worst = max(worst, grad_check(spec, grid, labels))
-            assert worst < 1e-5, f"{spec}: {worst:.2e}"
+        passes(diagnostics._check_gradients, 38, 3)
 
     def test_tempered_gradients(self):
         rng = np.random.default_rng(39)
