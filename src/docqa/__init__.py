@@ -24,14 +24,12 @@ from .inference import (
 from .labeling import (
     ConsistentLabelSet,
     SpanLabel,
-    counts,
     find_consistent_spans_exact,
     find_consistent_spans_rouge,
     load_labels,
     save_labels,
 )
 from .metrics import (
-    MetricsReport,
     exact_match,
     partition_analysis,
     rouge_l,

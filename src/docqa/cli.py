@@ -26,7 +26,6 @@ from .inference import (
 from .labeling import (
     DEFAULT_MAX_SPAN_LENGTH,
     DEFAULT_ROUGE_THRESHOLD,
-    counts,
     find_consistent_spans_exact,
     find_consistent_spans_rouge,
     load_labels,
@@ -362,25 +361,15 @@ def cmd_eval(args) -> int:
         save_predictions(predictions, args.pred_out)
     answers = [answer for answer, _ in predictions.values()]
     per_example = score_answers(answers, golds)
+    payload = {"aggregates": summarize(per_example), "count": len(answers)}
     if args.partition:
         labels = _labels_for(pairs, args.labels, DEFAULT_MAX_SPAN_LENGTH)
-        report = partition_analysis(
+        payload["subsets"] = partition_analysis(
             per_example,
-            [counts(l) for l in labels],
+            [(len(p.answers), l.total_spans) for p, l in zip(pairs, labels)],
             answer_threshold=args.answer_threshold,
             span_threshold=args.span_threshold,
         )
-        for subset in report.subsets.values():
-            subset.delta = None  # em and f1 are two metrics, not two systems
-    else:
-        report = summarize(per_example)
-    payload = report.to_dict()
-    payload["aggregates"] = {
-        name: 100.0 * value for name, value in payload["aggregates"].items()
-    }
-    if "subsets" in payload:
-        for subset in payload["subsets"].values():
-            subset["means"] = {n: 100.0 * v for n, v in subset["means"].items()}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -70,7 +70,7 @@ def random_instance(
 
     Each paragraph draws zero to three spans of up to max_span_length tokens.
     With ensure_positive an instance that drew none gets the span (0, 0, 0)
-    without a further draw.  The label set records one answer string.
+    without a further draw.
     """
     token_counts = _random_sizes(rng, max_paragraphs, max_tokens)
     grid = _filled_grid(token_counts, lambda n: rng.normal(0.0, score_scale, n))
@@ -83,7 +83,7 @@ def random_instance(
     if ensure_positive and not chosen:
         chosen.add((0, 0, 0))
     spans = [SpanLabel(k, i, j, matched_string="x") for k, i, j in sorted(chosen)]
-    return grid, ConsistentLabelSet.from_spans(len(token_counts), spans, num_answers=1)
+    return grid, ConsistentLabelSet.from_spans(len(token_counts), spans)
 
 
 RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]

@@ -44,18 +44,22 @@ class SpanLabel:
 class ConsistentLabelSet:
     """All weakly labeled spans for one pair, grouped by paragraph.
 
-    num_answers records the size of the (normalized) answer string set the
-    spans were matched against.
+    Each span sits under its own paragraph and appears once: a span filed
+    under another paragraph, or a (paragraph, begin, end) that repeats,
+    raises ValueError.
     """
 
     spans_by_paragraph: tuple[tuple[SpanLabel, ...], ...]
-    num_answers: int
 
     def __post_init__(self):
         for k, spans in enumerate(self.spans_by_paragraph):
+            seen = set()
             for span in spans:
                 if span.paragraph != k:
                     raise ValueError("span filed under the wrong paragraph")
+                if (span.begin, span.end) in seen:
+                    raise ValueError(f"span {list(span.triple())} repeats")
+                seen.add((span.begin, span.end))
 
     @property
     def n_paragraphs(self) -> int:
@@ -73,9 +77,7 @@ class ConsistentLabelSet:
         return [s for spans in self.spans_by_paragraph for s in spans]
 
     @classmethod
-    def from_spans(
-        cls, n_paragraphs: int, spans: Iterable[SpanLabel], num_answers: int
-    ) -> "ConsistentLabelSet":
+    def from_spans(cls, n_paragraphs: int, spans: Iterable[SpanLabel]) -> "ConsistentLabelSet":
         grouped: list[list[SpanLabel]] = [[] for _ in range(n_paragraphs)]
         for span in spans:
             if span.paragraph >= n_paragraphs:
@@ -83,15 +85,7 @@ class ConsistentLabelSet:
             grouped[span.paragraph].append(span)
         for bucket in grouped:
             bucket.sort(key=lambda s: (s.begin, s.end))
-        return cls(
-            spans_by_paragraph=tuple(tuple(b) for b in grouped),
-            num_answers=num_answers,
-        )
-
-
-def counts(labels: ConsistentLabelSet) -> tuple[int, int]:
-    """(answer string count, consistent span count) used for partitioned scoring."""
-    return (labels.num_answers, labels.total_spans)
+        return cls(spans_by_paragraph=tuple(tuple(b) for b in grouped))
 
 
 def _begins(keys: Sequence[int], article: np.ndarray, s: int, max_span_length: int) -> range:
@@ -161,41 +155,45 @@ def find_consistent_spans_exact(
                 for j, text in matches
                 if j < lo + i + max_span_length
             )
-    return ConsistentLabelSet.from_spans(
-        len(pair.paragraphs), spans, num_answers=len(pair.answers)
-    )
+    return ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
 
 
 def _rouge_scores(
     words: Sequence[int],
     s: int,
     stop: int,
-    references: list[tuple[str, list[int], set[int]]],
-) -> list[tuple[float, str]]:
-    """(best similarity, its normalized answer) of each span [s, j], s <= j < stop.
+    references: list[tuple[list[int], set[int]]],
+) -> list[float]:
+    """The best similarity to any reference of each span [s, j], s <= j < stop.
 
     words and each reference hold WordTable keys.  Carries one LCS row per
     reference across the ends, stepping it only for words the reference holds
     (any other word leaves the row as it was).  An empty word (key 0) adds
     nothing, so its span repeats the previous entry.
     """
-    rows = [[0] * (len(reference) + 1) for _, reference, _ in references]
+    rows = [[0] * (len(reference) + 1) for reference, _ in references]
     out = []
     length = 0
-    score, matched = 0.0, ""
+    score = 0.0
     for j in range(s, stop):
         word = words[j]
         if word:
             length += 1
-            score, matched = 0.0, ""
-            for k, (normalized, reference, vocabulary) in enumerate(references):
+            score = 0.0
+            for k, (reference, vocabulary) in enumerate(references):
                 if word in vocabulary:
                     rows[k] = lcs_row_step(rows[k], word, reference)
                 value = rouge_f(rows[k][-1], length, len(reference))
                 if value > score:
-                    score, matched = value, normalized
-        out.append((score, matched))
+                    score = value
+        out.append(score)
     return out
+
+
+def _text(names: Sequence[str], words: Sequence[int], s: int, j: int) -> str:
+    """The normalized text of every span [i, j] whose begin i walks up to s:
+    the non-empty words of keys words[s : j + 1], joined by spaces."""
+    return " ".join(names[w] for w in words[s : j + 1] if w)
 
 
 def find_consistent_spans_rouge(
@@ -209,9 +207,9 @@ def find_consistent_spans_rouge(
     threshold, and always keeps each paragraph's best-scoring span when its
     similarity is positive, even below the threshold.  A span of similarity 0
     is never kept, so threshold 0 keeps exactly the spans of positive
-    similarity.  Ties go to the earliest (begin, end), and between answers to
-    the first raw answer string.  Similarity is metrics.rouge_l, computed on
-    the span's normalized words.
+    similarity.  Ties go to the earliest (begin, end).  Similarity is
+    metrics.rouge_l, computed on the span's normalized words, and each label's
+    matched string is that normalized text, as for exact labels.
 
     Spans are scored per first word: for each position s whose word a
     normalized text can start with, and that some answer word follows within
@@ -228,13 +226,12 @@ def find_consistent_spans_rouge(
     table = pair.table
     references = []
     for answer in pair.answers.raw:
-        target = normalize_string(answer)
-        reference = [table.keys.get(word, -1) for word in target.split()]
-        references.append((target, reference, set(reference)))
+        reference = [table.keys.get(word, -1) for word in normalize_string(answer).split()]
+        references.append((reference, set(reference)))
     # Spans sharing no word with any answer score 0 and are never kept, so a
     # first word s needs a word some answer holds before its stop.
     is_held = np.zeros(len(table.keys), bool)
-    is_held[[key for _, reference, _ in references for key in reference if key >= 0]] = True
+    is_held[[key for reference, _ in references for key in reference if key >= 0]] = True
     held = np.flatnonzero(is_held[table.key_of][table.ids])
     positions = np.arange(len(table.ids))
     next_held = np.append(held, len(positions))[np.searchsorted(held, positions)]
@@ -245,6 +242,7 @@ def find_consistent_spans_rouge(
     reach = next_held < np.minimum(positions + max_span_length, ends)
     firsts = np.flatnonzero(can_start[table.key_of][table.ids] & reach)
     cuts = np.searchsorted(firsts, table.starts).tolist()
+    names = list(table.keys)
     spans = []
     for k in range(len(pair.paragraphs)):
         if cuts[k] == cuts[k + 1]:
@@ -258,20 +256,19 @@ def find_consistent_spans_rouge(
             scores = _rouge_scores(words, s, stop, references)
             for i in _begins(words, table.article, s, max_span_length):
                 for j in range(s, min(i + max_span_length, n)):
-                    score, matched = scores[j - s]
+                    score = scores[j - s]
                     if score <= 0.0:
                         continue
                     if score > best_score:
-                        best_score, best = score, (i, j, matched)
+                        best_score, best = score, (i, j, s)
                     if score >= threshold:
-                        spans.append(SpanLabel(k, i, j, matched_string=matched))
+                        spans.append(SpanLabel(k, i, j, _text(names, words, s, j)))
         # Each (begin, end) is scored once, so the best span is already kept
         # exactly when it reaches the threshold.
         if best is not None and best_score < threshold:
-            spans.append(SpanLabel(k, *best))
-    return ConsistentLabelSet.from_spans(
-        len(pair.paragraphs), spans, num_answers=len(pair.answers)
-    )
+            i, j, s = best
+            spans.append(SpanLabel(k, i, j, _text(names, words, s, j)))
+    return ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
 
 
 def save_labels(
@@ -358,8 +355,6 @@ def load_labels(
     Bad lines and spans fail as read_span_records describes.
     """
     return [
-        ConsistentLabelSet.from_spans(
-            len(pair.paragraphs), spans, num_answers=len(pair.answers)
-        )
+        ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
         for pair, (_, spans) in zip(pairs, read_span_records(pairs, path, "spans"))
     ]

@@ -1,9 +1,8 @@
-"""Answer-string metrics and the partitioned evaluation report."""
+"""Answer-string metrics, and their means in points, whole or partitioned."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import normalize_string
@@ -83,47 +82,18 @@ def rouge_l(prediction: str, reference: str) -> float:
     return rouge_f(_lcs_length(a, b), len(a), len(b))
 
 
-@dataclass
-class SubsetReport:
-    """Metric means over one slice of the evaluation set."""
+def summarize(per_example: Mapping[str, Sequence[float]]) -> dict[str, float]:
+    """Each column's mean in points (100 times the mean); 0.0 for an empty column.
 
-    size: int
-    means: dict[str, float]
-    delta: float | None = None
-
-
-@dataclass
-class MetricsReport:
-    """Per-system aggregate scores, optionally broken out by subset."""
-
-    per_example: dict[str, tuple[float, ...]]
-    aggregates: dict[str, float]
-    subsets: dict[str, SubsetReport] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "aggregates": dict(self.aggregates),
-            "count": len(next(iter(self.per_example.values()), ())),
-        }
-        if self.subsets:
-            out["subsets"] = {
-                name: {"size": s.size, "means": dict(s.means), "delta": s.delta}
-                for name, s in self.subsets.items()
-            }
-        return out
-
-
-def summarize(per_example: Mapping[str, Sequence[float]]) -> MetricsReport:
-    """Mean each system's per-example scores; empty input yields an empty report."""
-    columns = {name: tuple(values) for name, values in per_example.items()}
-    sizes = {len(v) for v in columns.values()}
-    if len(sizes) > 1:
-        raise ValueError("all systems must score the same examples")
-    aggregates = {}
-    for name, values in columns.items():
-        if values:
-            aggregates[name] = float(sum(values) / len(values))
-    return MetricsReport(per_example=columns, aggregates=aggregates)
+    All columns must score the same examples: differing lengths raise
+    ValueError.
+    """
+    if len({len(v) for v in per_example.values()}) > 1:
+        raise ValueError("all columns must score the same examples")
+    return {
+        name: 100.0 * (sum(values) / len(values)) if len(values) else 0.0
+        for name, values in per_example.items()
+    }
 
 
 def _subset_key(
@@ -136,41 +106,29 @@ def _subset_key(
 
 def partition_analysis(
     per_example: Mapping[str, Sequence[float]],
-    labels: Sequence[tuple[int, int]],
+    counts: Sequence[tuple[int, int]],
     answer_threshold: int = DEFAULT_ANSWER_THRESHOLD,
     span_threshold: int = DEFAULT_SPAN_THRESHOLD,
-) -> MetricsReport:
+) -> dict[str, dict]:
     """Slice scores by answer-set size and consistent-span count.
 
-    labels supplies one (number of answer strings, number of consistent spans)
-    pair per example.  Subsets are keyed ss, sl, ls, ll where the
-    first letter says whether the answer set stayed at or under
-    answer_threshold and the second does the same for spans.  With exactly two
-    systems each subset also reports the mean difference, second minus first.
+    counts supplies one (number of answer strings, number of consistent spans)
+    pair per example.  Returns {"size": n, "means": summarize(members)} under
+    each of ss, sl, ls, ll, where the first letter says whether the answer set
+    stayed at or under answer_threshold and the second does the same for
+    spans.  An empty subset has size 0 and means of 0.0.
     """
-    report = summarize(per_example)
-    columns = report.per_example
-    n = len(next(iter(columns.values()), ()))
-    if len(labels) != n:
-        raise ValueError("labels must align with the scored examples")
-    names = list(columns)
-    subsets: dict[str, SubsetReport] = {}
-    for key in ("ss", "sl", "ls", "ll"):
-        members = [
-            i
-            for i, (n_answers, n_spans) in enumerate(labels)
-            if _subset_key(n_answers, n_spans, answer_threshold, span_threshold) == key
-        ]
-        if not members:
-            subsets[key] = SubsetReport(size=0, means={})
-            continue
-        means = {
-            name: float(sum(columns[name][i] for i in members) / len(members))
-            for name in names
+    if any(len(values) != len(counts) for values in per_example.values()):
+        raise ValueError("counts must align with the scored examples")
+    members: dict[str, list[int]] = {key: [] for key in ("ss", "sl", "ls", "ll")}
+    for i, (n_answers, n_spans) in enumerate(counts):
+        members[_subset_key(n_answers, n_spans, answer_threshold, span_threshold)].append(i)
+    return {
+        key: {
+            "size": len(indices),
+            "means": summarize(
+                {name: [values[i] for i in indices] for name, values in per_example.items()}
+            ),
         }
-        delta = None
-        if len(names) == 2:
-            delta = means[names[1]] - means[names[0]]
-        subsets[key] = SubsetReport(size=len(members), means=means, delta=delta)
-    report.subsets = subsets
-    return report
+        for key, indices in members.items()
+    }

@@ -407,9 +407,7 @@ def evaluate_checkpoint(
 def _mean_points(
     decoded: Sequence[tuple[str, float]], gold_strings: Sequence[set[str]]
 ) -> dict[str, float]:
-    scores = score_answers([answer for answer, _ in decoded], gold_strings)
-    means = summarize(scores).aggregates
-    return {name: 100.0 * means.get(name, 0.0) for name in scores}
+    return summarize(score_answers([answer for answer, _ in decoded], gold_strings))
 
 
 def _check_aligned(answers: int, gold_strings: Sequence[set[str]]) -> None:

@@ -462,6 +462,9 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert set(report["subsets"]) == {"ss", "sl", "ls", "ll"}
         assert sum(s["size"] for s in report["subsets"].values()) == 12
+        for subset in report["subsets"].values():
+            assert set(subset) == {"size", "means"}
+            assert set(subset["means"]) == {"em", "f1"}
 
     def test_space_follows_the_checkpoint_unless_given(self, workspace, tmp_path, caplog):
         # the workspace checkpoint is H2-P from the CLI; a library-trained
@@ -537,6 +540,14 @@ class TestEval:
         assert reported == _mean_points(decoded, [{gold} for gold in golds])
         assert reported["em"] == 100.0 * (1 / 3)
         assert _mean_points([], []) == {"em": 0.0, "f1": 0.0}
+
+    def test_empty_dataset_and_empty_subsets_report_zero(self, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        assert main(["eval", str(data), "--pred", str(data), "--partition"]) == 0
+        zero = {"em": 0.0, "f1": 0.0}
+        subsets = {key: {"size": 0, "means": zero} for key in ("ss", "sl", "ls", "ll")}
+        assert json.loads(capsys.readouterr().out) == {"aggregates": zero, "count": 0, "subsets": subsets}
 
     @pytest.mark.parametrize("paragraphs", [["!!! ,,,"], []], ids=["punctuation", "none"])
     def test_document_without_paragraphs_scores_zero(self, workspace, tmp_path, paragraphs):

@@ -123,14 +123,15 @@ class TestLcsFold:
 
 class TestSummarize:
     def test_means(self):
-        report = summarize({"em": [1.0, 0.0], "f1": [1.0, 0.5]})
-        np.testing.assert_allclose(report.aggregates["em"], 0.5)
-        np.testing.assert_allclose(report.aggregates["f1"], 0.75)
+        means = summarize({"em": [1.0, 0.0], "f1": [1.0, 0.5]})
+        assert means == {"em": 50.0, "f1": 75.0}
 
-    def test_empty_set_gives_empty_report(self):
-        report = summarize({"em": []})
-        assert report.aggregates == {}
-        assert report.to_dict()["count"] == 0
+    def test_points_are_one_hundred_times_the_mean(self):
+        # 100 * (1 / 3) is 33.33333333333333; 100 * 1 / 3 would be 33.333333333333336
+        assert summarize({"em": [1.0, 0.0, 0.0]})["em"] == 100.0 * (1 / 3)
+
+    def test_empty_column_scores_zero(self):
+        assert summarize({"em": [], "f1": []}) == {"em": 0.0, "f1": 0.0}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -141,29 +142,31 @@ class TestPartitionAnalysis:
     def test_subset_assignment(self):
         scores = {"a": [1.0, 1.0, 0.0, 0.0], "b": [0.0, 1.0, 1.0, 0.0]}
         labels = [(1, 3), (2, 7), (1, 9), (4, 2)]
-        report = partition_analysis(scores, labels)
-        assert report.subsets["ss"].size == 1
-        assert report.subsets["ls"].size == 1
-        assert report.subsets["sl"].size == 1
-        assert report.subsets["ll"].size == 1
-        np.testing.assert_allclose(report.subsets["ss"].delta, 0.0 - 1.0)
-        np.testing.assert_allclose(report.subsets["ll"].delta, 1.0 - 1.0)
-        np.testing.assert_allclose(report.subsets["sl"].delta, 1.0 - 0.0)
-        np.testing.assert_allclose(report.subsets["ls"].delta, 0.0 - 0.0)
+        subsets = partition_analysis(scores, labels)
+        assert subsets == {
+            "ss": {"size": 1, "means": {"a": 100.0, "b": 0.0}},
+            "sl": {"size": 1, "means": {"a": 0.0, "b": 100.0}},
+            "ls": {"size": 1, "means": {"a": 0.0, "b": 0.0}},
+            "ll": {"size": 1, "means": {"a": 100.0, "b": 100.0}},
+        }
 
     def test_sizes_sum_to_total(self):
         rng = np.random.default_rng(21)
         n = 50
         scores = {"only": list(rng.random(n))}
         labels = [(int(rng.integers(1, 4)), int(rng.integers(0, 12))) for _ in range(n)]
-        report = partition_analysis(scores, labels)
-        assert sum(s.size for s in report.subsets.values()) == n
+        subsets = partition_analysis(scores, labels)
+        assert sum(s["size"] for s in subsets.values()) == n
 
     def test_thresholds_are_inclusive(self):
         scores = {"m": [1.0]}
-        report = partition_analysis(scores, [(1, 5)], answer_threshold=1, span_threshold=5)
-        assert report.subsets["ss"].size == 1
+        subsets = partition_analysis(scores, [(1, 5)], answer_threshold=1, span_threshold=5)
+        assert subsets["ss"]["size"] == 1
 
-    def test_delta_needs_two_systems(self):
-        report = partition_analysis({"only": [1.0]}, [(1, 1)])
-        assert report.subsets["ss"].delta is None
+    def test_empty_subset_scores_zero(self):
+        subsets = partition_analysis({"em": [1.0]}, [(1, 1)])
+        assert subsets["ll"] == {"size": 0, "means": {"em": 0.0}}
+
+    def test_counts_must_align(self):
+        with pytest.raises(ValueError):
+            partition_analysis({"em": [1.0, 0.0]}, [(1, 1)])

@@ -35,7 +35,7 @@ def two_span_case():
     grid.begin[0][:] = [0.4, -0.2, 0.0]
     grid.end[0][:] = [0.1, 0.3, -0.5]
     labels = ConsistentLabelSet.from_spans(
-        1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 1, 1, "y")], num_answers=1
+        1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 1, 1, "y")]
     )
     return grid, labels
 
@@ -126,7 +126,7 @@ class TestFixtures:
 
     def test_uniform_scores_single_paragraph(self):
         grid = ScoreGrid.zeros([2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")], 1)
+        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")])
         result = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
         np.testing.assert_allclose(result.value, 2 * math.log(1 / 3), atol=1e-12)
         doc = evaluate(ObjectiveSpec.parse("H1-D-span-mml"), grid, labels)
@@ -176,7 +176,7 @@ class TestIdentities:
                     spans.append(SpanLabel(k, b, b, "s"))
             if not spans:
                 spans = [SpanLabel(0, 0, 0, "s")]
-            labels = ConsistentLabelSet.from_spans(n_par, spans, 1)
+            labels = ConsistentLabelSet.from_spans(n_par, spans)
             h1 = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
             for text in ("H2-P-span-mml", "H2-P-span-hardem", "H2-P-pos-mml"):
                 other = evaluate(ObjectiveSpec.parse(text), grid, labels)
@@ -230,7 +230,7 @@ class TestNegativeParagraphs:
         grid.end[0][:] = [0.1, 0.3, -0.5]
         grid.begin[1][:] = [1.0, -1.0, 0.5, 0.2]
         grid.end[1][:] = [0.0, 0.3, -0.7, 1.1]
-        labels = ConsistentLabelSet.from_spans(2, [SpanLabel(0, 0, 1, "x")], 1)
+        labels = ConsistentLabelSet.from_spans(2, [SpanLabel(0, 0, 1, "x")])
         with_neg = evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)
         # the negative paragraph multiplies in its null begin and end mass
         null = grid.sizes[1] - 1
@@ -240,7 +240,7 @@ class TestNegativeParagraphs:
         alone = evaluate(
             ObjectiveSpec.parse("H2-P-span-mml"),
             short,
-            ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 1, "x")], 1),
+            ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 1, "x")]),
         )
         np.testing.assert_allclose(
             with_neg.value,
@@ -257,7 +257,7 @@ class TestNegativeParagraphs:
             grid.sizes + (4,),
         )
         wider_labels = ConsistentLabelSet.from_spans(
-            grid.n_paragraphs + 1, list(spans), 1
+            grid.n_paragraphs + 1, list(spans)
         )
         base = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
         wide = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), wider, wider_labels)
@@ -303,7 +303,7 @@ class TestHardSelection:
     def test_tie_breaks_to_first_listed(self):
         grid = ScoreGrid.zeros([3])
         labels = ConsistentLabelSet.from_spans(
-            1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 2, 2, "y")], 1
+            1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 2, 2, "y")]
         )
         assert committed_slots("H2-P-span-hardem", grid, labels) == ([(0, 0)], [(0, 0)])
 
@@ -322,7 +322,6 @@ class TestHardSelection:
                 SpanLabel(1, 0, 0, "x"),
                 SpanLabel(1, 0, 2, "x"),
             ],
-            1,
         )
         per_paragraph = ([(0, 2), (1, 0)], [(0, 2), (1, 0)])
         expected = {
@@ -470,7 +469,7 @@ class TestSpecParsing:
 class TestLabelValidation:
     def test_document_space_needs_a_span(self):
         grid = ScoreGrid.zeros([2, 2])
-        labels = ConsistentLabelSet.from_spans(2, [], 0)
+        labels = ConsistentLabelSet.from_spans(2, [])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
         # paragraph space happily scores the all-null outcome
@@ -479,12 +478,12 @@ class TestLabelValidation:
 
     def test_paragraph_count_mismatch(self):
         grid = ScoreGrid.zeros([2, 2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")], 1)
+        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)
 
     def test_span_outside_paragraph(self):
         grid = ScoreGrid.zeros([2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 1, 3, "x")], 1)
+        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 1, 3, "x")])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)

@@ -127,7 +127,7 @@ def test_dataset_round_trip(pairs):
 @PROPERTY_SETTINGS
 def test_labels_round_trip(pairs, data):
     labels = [
-        ConsistentLabelSet.from_spans(len(pair.paragraphs), drawn_spans(data, pair), len(pair.answers))
+        ConsistentLabelSet.from_spans(len(pair.paragraphs), drawn_spans(data, pair))
         for pair in pairs
     ]
     with tempfile.TemporaryDirectory() as root:
