@@ -385,6 +385,14 @@ def _load_profile(path) -> NoiseProfile:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _dev_split(profile: NoiseProfile) -> tuple[list, list, list]:
+    """generate's held-out split of a profile, empty when the profile asks for
+    no dev documents."""
+    if not profile.dev_documents:
+        return [], [], []
+    return generate(dev_profile(profile), id_prefix="dev")
+
+
 def cmd_grid(args) -> int:
     if bool(args.data) == bool(args.profile):
         raise UsageError("exactly one of --data and --profile is required")
@@ -412,7 +420,7 @@ def cmd_grid(args) -> int:
     else:
         profile = _load_profile(args.profile)
         train_pairs, train_labels, train_truth = generate(profile, id_prefix="train")
-        dev_pairs, _, dev_truth = generate(dev_profile(profile), id_prefix="dev")
+        dev_pairs, _, dev_truth = _dev_split(profile)
     if args.infer == "both":
         inference = [
             InferenceSpec(aggregation=AnswerAggregation.SUM),
@@ -461,8 +469,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_pairs, train_labels, train_truth = generate(profile, id_prefix="train")
-    dev = dev_profile(profile)
-    dev_pairs, dev_labels, dev_truth = generate(dev, id_prefix="dev")
+    dev_pairs, dev_labels, dev_truth = _dev_split(profile)
     save_dataset(train_pairs, out / "train.jsonl")
     save_labels(train_pairs, train_labels, out / "labels_train.jsonl")
     save_truth(train_pairs, train_truth, out / "truth_train.jsonl")

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import string
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,6 +113,43 @@ class AnswerStringSet:
         return len(self.normalized)
 
 
+class SpanKeys(NamedTuple):
+    """How decoding keys spans, over a WordTable's paragraph positions.
+
+    sequence holds the keys of the non-empty words in position order, first[i]
+    the first position at or after i whose word is neither empty nor one of
+    ARTICLES (len(ids) where none follows), and upto[i] the count of
+    non-empty words up to and including position i.  Span [i, j] of one
+    paragraph normalizes to the words of sequence[upto[first[i]] - 1 :
+    upto[j]], or to "" when first[i] > j.
+    """
+
+    sequence: np.ndarray
+    first: np.ndarray
+    upto: np.ndarray
+
+
+class GridLayout(NamedTuple):
+    """Where a WordTable's positions sit in a score grid.
+
+    counts holds tokens per paragraph and sizes the grid's slots per
+    paragraph, its tokens and its null slot.  gather[h, k, p] indexes the
+    grid vector at position p of paragraph k in half h (begin, then end),
+    padded to the longest paragraph; where pad[k, p], p lies past the
+    paragraph and gather reads its null slot.  occurrences[k, w] counts word w
+    in paragraph k, and slots maps each slot of one grid half, token slots and
+    null slots in grid order, to a column of a table that holds one column
+    per word followed by one per paragraph null slot.
+    """
+
+    counts: np.ndarray
+    sizes: tuple[int, ...]
+    gather: np.ndarray
+    pad: np.ndarray
+    occurrences: np.ndarray
+    slots: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class WordTable:
     """A pair's words and normalized words, indexed once when the pair is built.
@@ -130,6 +168,13 @@ class WordTable:
     ARTICLES.  For every span of positions, joining the words of its non-zero
     keys with single spaces and dropping leading ARTICLES gives exactly
     normalize_string of the span's words joined by spaces.
+
+    span_keys and grid_layout derive from these fields alone.  Each is
+    computed on its first read and kept for the table's life, so a pair is
+    laid out once however often it is scored or decoded, and building,
+    loading or labeling a pair computes neither.  Their arrays are read-only,
+    in the narrowest dtype that holds their values.  A pickle carries the
+    fields only, so its copy lays itself out anew.
     """
 
     words: tuple[str, ...]
@@ -142,6 +187,58 @@ class WordTable:
 
     def paragraph(self, k: int) -> np.ndarray:
         return self.ids[self.starts[k] : self.starts[k + 1]]
+
+    def __getstate__(self) -> dict:
+        """The fields alone: the layouts cached beside them stay behind."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def span_keys(self) -> SpanKeys:
+        key = self.key_of[self.ids]
+        nonempty = key != 0
+        size = len(key)
+        dtype = np.min_scalar_type(size)
+        can_lead = ~self.article
+        can_lead[0] = False
+        at_word = np.where(can_lead[key], np.arange(size, dtype=dtype), dtype.type(size))
+        return SpanKeys(
+            sequence=_read_only(key[nonempty]),
+            first=_read_only(np.minimum.accumulate(at_word[::-1])[::-1]),
+            upto=_read_only(np.add.accumulate(nonempty, dtype=dtype)),
+        )
+
+    @cached_property
+    def grid_layout(self) -> GridLayout:
+        starts = np.array(self.starts)
+        counts = starts[1:] - starts[:-1]
+        n, n_words, size = len(counts), len(self.words), len(self.ids)
+        longest = counts.max(initial=0)
+        # Paragraph k's slots in a grid half start at starts[k] + k, and its
+        # null slot ends them.
+        heads = starts[:-1] + np.arange(n)
+        at = np.minimum(np.arange(longest), counts[:, None])
+        begin = at + heads[:, None]
+        cells = (np.arange(n) * n_words).repeat(counts) + self.ids
+        occurrences = np.bincount(cells, minlength=n * n_words).reshape(n, n_words)
+        nulls = heads + counts
+        is_token = np.ones(size + n, bool)
+        is_token[nulls] = False
+        slots = np.empty(size + n, np.min_scalar_type(n_words + n))
+        slots[is_token] = self.ids
+        slots[nulls] = np.arange(n_words, n_words + n)
+        return GridLayout(
+            counts=_read_only(counts),
+            sizes=tuple((counts + 1).tolist()),
+            gather=_read_only(np.array((begin, begin + size + n), np.min_scalar_type(2 * (size + n)))),
+            pad=_read_only(np.arange(longest) >= counts[:, None]),
+            occurrences=_read_only(occurrences.astype(np.min_scalar_type(longest))),
+            slots=_read_only(slots),
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:

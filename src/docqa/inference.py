@@ -169,52 +169,42 @@ def candidates(
     Pair: each of the top_k ranked begins of a paragraph takes the top_k
     ranked ends among its next max_answer_length positions, in end rank
     order, so candidates run by paragraph, then begin rank, then end rank.
-    Key: over the document's positions, from the pair's WordTable, two arrays
-    give each position's first word at or after it that is neither empty nor
-    one of ARTICLES, and the count of non-empty words up to it.  A span's
-    string is then the non-empty words from its begin's first word to its
-    end, a slice of the sequence of non-empty words; spans with no such
+    Key: a span's string is the non-empty words from its begin's first word
+    (the first at or after it that is neither empty nor one of ARTICLES) to
+    its end, a slice of the sequence of non-empty words; spans with no such
     first word are skipped.
+    Only the ranking and pairing depend on probs.  The padded table's gather
+    index and pad mask, and the span keys, are read from the pair's WordTable
+    (grid_layout and span_keys), which lays them out once per pair.
     top_k=None takes every position.  A top_k or max_answer_length below one
     raises ValueError, as InferenceSpec does; a grid that does not match the
     pair, or that holds NaN, raises InferenceError.
     """
     _check_sizes(top_k, max_answer_length)
-    counts = probs.token_counts()
-    if counts != pair.paragraph_lengths():
+    layout, keys = pair.table.grid_layout, pair.table.span_keys
+    if probs.sizes != layout.sizes:
         raise InferenceError("probability grid does not match the document")
     if np.isnan(probs.vector).any():
         raise InferenceError("probability grid holds NaN")
-    n, longest = len(counts), max(counts)
+    n, longest = layout.pad.shape
     top = longest if top_k is None else min(top_k, longest)
     span = min(max_answer_length, longest)
     width = longest + span  # room in a row for a window from any position
-    lengths = np.array(counts)[:, None]
+    lengths = layout.counts[:, None]
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot; their sort keys become +inf, which ranks them
     # after every position of their row.
-    at = np.minimum(np.arange(longest), lengths)
-    table = probs.vector[np.reshape(probs.offsets[: 2 * n], (2, n, 1)) + at]
+    table = np.take(probs.vector, layout.gather)
     order = -table
-    order[:, at == lengths] = np.inf
+    order[:, layout.pad] = np.inf
     ranked = _rank_top(order, top)
     begins, ends = ranked
     rows = np.arange(n)[:, None]
-    # Key: over the document's positions, paragraphs concatenated, the first
-    # word at or after each position that is neither empty nor an article
-    # (size where none follows), and the count of non-empty words up to each.
-    word_table = pair.table
-    key = word_table.key_of[word_table.ids]
-    nonempty = key != 0
-    can_lead = ~word_table.article
-    can_lead[0] = False
-    size = len(key)
-    at_word = np.where(can_lead[key], np.arange(size), size)
-    first = np.minimum.accumulate(at_word[::-1])[::-1]
-    upto = np.cumsum(nonempty)
-    starts = np.array(word_table.starts[:-1])[:, None]
+    # Key: each ranked begin's first word over the document's positions,
+    # paragraphs concatenated.
+    starts = np.array(pair.table.starts[:-1])[:, None]
     flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
-    lead = np.take(first, flat_begins, mode="clip")
+    lead = np.take(keys.first, flat_begins, mode="clip")
     # Pair: each top end's index into the ranked ends, flattened, at its
     # position; every other position, pads included, holds n * top.  A window
     # drops the offsets before its begin's first word.
@@ -229,10 +219,10 @@ def candidates(
     begin = np.flatnonzero(kept) // span
     end = index[kept]
     return Candidates(
-        words=tuple(word_table.keys),
-        sequence=key[nonempty],
-        lo=upto[lead.ravel()[begin]] - 1,
-        hi=upto[(starts + ends).ravel()[end]],
+        words=tuple(pair.table.keys),
+        sequence=keys.sequence,
+        lo=keys.upto[lead.ravel()[begin]] - 1,
+        hi=keys.upto[(starts + ends).ravel()[end]],
         log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].ravel()[end],
     )
 

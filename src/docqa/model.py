@@ -57,40 +57,26 @@ class Vocabulary:
     def encode(self, pair: DocumentQuestionPair) -> "EncodedPair":
         """The pair's word ids under this vocabulary, in the scorer's layout.
 
-        Each of the pair's distinct words is looked up once.  The encoding
-        keeps the WordTable's own position ids rather than a vocabulary id per
-        token, and maps each slot of a grid half to a column of a table that
-        holds one score per distinct word plus one per paragraph null slot.
+        Each of the pair's distinct words is looked up once.  Every other
+        field is the pair's WordTable's own: its position ids rather than a
+        vocabulary id per token, and from its grid_layout, laid out once per
+        pair, the map from each slot of a grid half to a column of a table
+        that holds one score per distinct word plus one per paragraph null
+        slot.
         """
         table = pair.table
+        layout = table.grid_layout
         get = self._index.get
-        n_words = len(table.words)
-        words = np.fromiter(map(get, table.words, repeat(0)), np.int64, n_words)
-        starts = np.array(table.starts)
-        counts = starts[1:] - starts[:-1]
-        n_paragraphs = len(counts)
-        columns = n_words + n_paragraphs
-        occurrences = np.bincount(
-            np.repeat(np.arange(0, n_paragraphs * n_words, n_words), counts) + table.ids,
-            minlength=n_paragraphs * n_words,
-        )
-        nulls = starts[1:] + np.arange(n_paragraphs)
-        is_token = np.ones(len(table.ids) + n_paragraphs, bool)
-        is_token[nulls] = False
-        slots = np.empty(is_token.shape, np.min_scalar_type(columns))
-        slots[is_token] = table.ids
-        slots[nulls] = np.arange(n_words, columns)
+        words = np.fromiter(map(get, table.words, repeat(0)), np.int64, len(table.words))
         return EncodedPair(
             vocab=self,
             words=words,
             ids=table.ids,
             question_ids=table.question,
-            counts=counts,
-            sizes=tuple((counts + 1).tolist()),
-            occurrences=occurrences.reshape(n_paragraphs, n_words).astype(
-                np.min_scalar_type(counts.max(initial=0))
-            ),
-            slots=slots,
+            counts=layout.counts,
+            sizes=layout.sizes,
+            occurrences=layout.occurrences,
+            slots=layout.slots,
         )
 
     @classmethod
@@ -125,7 +111,9 @@ class EncodedPair:
     score grid's slots per paragraph, and occurrences[k, w] how often word w
     occurs in paragraph k.  slots maps each slot of one grid half, token
     slots and null slots in grid order, to a column of a table that holds one
-    column per word followed by one per paragraph null slot.
+    column per word followed by one per paragraph null slot.  All but words
+    are the WordTable's own read-only arrays (see GridLayout), shared by every
+    encoding of the pair.
     """
 
     vocab: Vocabulary
@@ -223,7 +211,8 @@ class ToyScorer:
 
         Each word's four head scores are computed once; a null slot is its
         paragraph's mean per-token null-head score.  A plain pair is encoded
-        on the call.
+        on the call, which looks its words up and reads the rest from its
+        WordTable's grid_layout.
         """
         doc = self._encoded(pair)
         _, weights, bias = self._fold(doc)

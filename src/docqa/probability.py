@@ -76,10 +76,6 @@ class ScoreGrid:
     def n_paragraphs(self) -> int:
         return len(self.sizes)
 
-    def token_counts(self) -> tuple[int, ...]:
-        """Positions per paragraph, excluding the null slot."""
-        return tuple(s - 1 for s in self.sizes)
-
 
 class LogProbGrid(ScoreGrid):
     """Log probabilities for begin and end positions under one space, laid out

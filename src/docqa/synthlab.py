@@ -71,8 +71,10 @@ class NoiseProfile:
         for rate in (self.alias_rate, self.distractor_rate, self.multi_answer_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")
-        if self.documents < 1 or self.dev_documents < 0:
+        if self.documents < 1:
             raise ValueError("need at least one training document")
+        if self.dev_documents < 0:
+            raise ValueError("dev_documents must not be negative")
         if not 1 <= self.paragraphs_per_document <= 8:
             raise ValueError("paragraphs per document must lie in [1, 8]")
         if not 1 <= self.question_length <= CUES_PER_TOPIC:
@@ -275,12 +277,13 @@ def generate(
 
 
 def dev_profile(profile: NoiseProfile) -> NoiseProfile:
-    """The same corpus distribution with fresh randomness for held-out data."""
-    return replace(
-        profile,
-        documents=max(1, profile.dev_documents),
-        seed=profile.seed + 7919,
-    )
+    """The same corpus distribution with fresh randomness for held-out data.
+
+    A profile with dev_documents 0 has no held-out data and raises ValueError.
+    """
+    if not profile.dev_documents:
+        raise ValueError("profile has no dev documents")
+    return replace(profile, documents=profile.dev_documents, seed=profile.seed + 7919)
 
 
 def save_truth(

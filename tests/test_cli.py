@@ -86,6 +86,15 @@ class TestSimulate:
         assert written == NoiseProfile(seed=4)
         assert len((out / "train.jsonl").read_text().splitlines()) == NoiseProfile().documents
 
+    def test_zero_dev_documents_write_an_empty_dev_split(self, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"documents": 3, "dev_documents": 0}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--profile", str(profile), "--out", str(out)]) == 0
+        assert len((out / "train.jsonl").read_text().splitlines()) == 3
+        for name in ("dev.jsonl", "labels_dev.jsonl", "truth_dev.jsonl"):
+            assert (out / name).read_text() == ""
+
     def test_seed_zero_overrides_profile_seed(self, workspace, tmp_path):
         out = tmp_path / "seed0"
         status = main(
@@ -719,6 +728,8 @@ class TestBadRecordFiles:
             ('{"mention_counts": {"1": 0.5}}', "field 'mention_counts' must be a list"),
             ("[400]", "profile must be a JSON object"),
             ('{"alias_rate": 2.0}', "rates must lie in [0, 1]"),
+            ('{"documents": 0}', "need at least one training document"),
+            ('{"dev_documents": -1}', "dev_documents must not be negative"),
             ("{", "Expecting property name"),
         ],
     )
@@ -834,6 +845,18 @@ class TestGrid:
         assert len(lines) == 1 + 2 * 2  # two combos, both decoders
         printed = capsys.readouterr().out
         assert "mean EM" in printed
+
+    def test_profile_without_dev_documents_scores_zero(self, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"documents": 4, "dev_documents": 0}))
+        table = tmp_path / "grid.json"
+        argv = ["grid", "--profile", str(profile), "--specs", "H2-P-span-mml", "--seeds", "0"]
+        assert main([*argv, "--epochs", "1", "--out", str(table)]) == 0
+        rows = json.loads(table.read_text())
+        assert [(row["inference"], row["em"], row["f1"]) for row in rows] == [
+            ("sum", 0.0, 0.0),
+            ("max", 0.0, 0.0),
+        ]
 
     def test_data_dir_grid(self, workspace, tmp_path):
         table = tmp_path / "grid.json"

@@ -1,27 +1,34 @@
 import dataclasses
 import json
+import pickle
 import string
 import sys
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from docqa.corpus import (
+    ARTICLES,
     AnswerStringSet,
     DatasetParseError,
     DatasetSchemaError,
     DocumentQuestionPair,
     Paragraph,
     Token,
+    WordTable,
     load_dataset,
     make_pair,
     normalize_string,
     save_dataset,
 )
+from docqa.diagnostics import RAW_TOKENS, random_scored_pair
 from docqa.inference import AnswerAggregation, score_strings
 from docqa.labeling import find_consistent_spans_exact, find_consistent_spans_rouge
 from docqa.model import ToyScorer, Vocabulary
 from docqa.probability import SpaceKind, log_partition
+from docqa.synthlab import NoiseProfile, generate
 
 PUNCTUATION = str.maketrans("", "", string.punctuation)
 
@@ -338,6 +345,129 @@ class TestWordTable:
         probs = log_partition(scorer.score(loaded), SpaceKind.PARAGRAPH)
         scored = score_strings(probs, loaded, AnswerAggregation.SUM, None, max_answer_length=2)
         assert set(scored) == {*words, *(" ".join(words[i : i + 2]) for i in range(299))}
+
+
+LAYOUTS = [name for name, value in vars(WordTable).items() if isinstance(value, cached_property)]
+
+
+def computed_layouts(pair):
+    return set(LAYOUTS) & set(vars(pair.table))
+
+
+def laid_out(table):
+    """Every field of the table's layouts, by name."""
+    return {**table.span_keys._asdict(), **table.grid_layout._asdict()}
+
+
+def oracle_layouts(pair):
+    """Every layout of the pair's table, from its tokens by plain loops."""
+    normalized = [t.text.lower().translate(PUNCTUATION) for p in pair.paragraphs for t in p.tokens]
+    size, counts = len(normalized), [len(p) for p in pair.paragraphs]
+    n, longest = len(counts), max(counts, default=0)
+    offsets = list(accumulate([c + 1 for c in counts] * 2, initial=0))
+    words = pair.table.words
+    slots = []
+    for k, paragraph in enumerate(pair.paragraphs):
+        slots += [words.index(t.text) for t in paragraph.tokens] + [len(words) + k]
+    return {
+        "sequence": [pair.table.keys[w] for w in normalized if w],
+        "first": [
+            next((j for j in range(i, size) if normalized[j] not in ARTICLES | {""}), size)
+            for i in range(size)
+        ],
+        "upto": list(accumulate(map(bool, normalized))),
+        "counts": counts,
+        "sizes": tuple(c + 1 for c in counts),
+        "gather": [
+            [[offsets[h * n + k] + min(p, c) for p in range(longest)] for k, c in enumerate(counts)]
+            for h in range(2)
+        ],
+        "pad": [[p >= c for p in range(longest)] for c in counts],
+        "occurrences": [[[t.text for t in p.tokens].count(w) for w in words] for p in pair.paragraphs],
+        "slots": slots,
+    }
+
+
+def assert_layouts_match_oracle(pair):
+    table, expected = pair.table, oracle_layouts(pair)
+    layouts = laid_out(table)
+    assert sorted(expected) == sorted(layouts)
+    for name, value in expected.items():
+        mine = layouts[name]
+        assert (mine if name == "sizes" else mine.tolist()) == value, name
+    size, n = len(table.ids), len(layouts["counts"])
+    dtypes = {
+        "sequence": table.key_of.dtype,
+        "first": np.min_scalar_type(size),
+        "upto": np.min_scalar_type(size),
+        "gather": np.min_scalar_type(2 * (size + n)),
+        "occurrences": np.min_scalar_type(max(expected["counts"], default=0)),
+        "slots": np.min_scalar_type(len(table.words) + n),
+    }
+    for name, dtype in dtypes.items():
+        assert layouts[name].dtype == dtype, name
+    # SpanKeys' invariant: span [i, j] normalizes to a slice of sequence.
+    names = list(table.keys)
+    sequence, first, upto = table.span_keys
+    for k, paragraph in enumerate(pair.paragraphs):
+        texts = [t.text for t in paragraph.tokens]
+        for i in range(len(texts)):
+            for j in range(i, min(i + 8, len(texts))):
+                at, end = table.starts[k] + i, table.starts[k] + j
+                lead = first[at]
+                keys = sequence[upto[lead] - 1 : upto[end]] if lead <= end else []
+                assert " ".join(names[key] for key in keys) == normalize_string(" ".join(texts[i : j + 1]))
+
+
+class TestLayouts:
+    def test_building_loading_generating_and_labeling_lay_out_nothing(self, tmp_path):
+        pairs, _, _ = generate(NoiseProfile(documents=3, tokens_per_paragraph=20))
+        pairs.append(make_pair(*TestWordTable.CASES[1][0]))
+        save_dataset(pairs, tmp_path / "d.jsonl")
+        loaded = load_dataset(tmp_path / "d.jsonl")
+        replaced = dataclasses.replace(pairs[0], id="other")
+        for pair in [*pairs, *loaded, replaced]:
+            find_consistent_spans_exact(pair)
+            find_consistent_spans_rouge(pair)
+            assert computed_layouts(pair) == set()
+
+    def test_layouts_match_the_oracle(self):
+        rng = np.random.default_rng(71)
+        for _ in range(150):
+            pair, _ = random_scored_pair(rng, max_tokens=20)
+            assert_layouts_match_oracle(pair)
+        for args, caps in TestWordTable.CASES:
+            assert_layouts_match_oracle(make_pair(*args, **caps))
+        assert_layouts_match_oracle(make_pair("none", "q", ["!! ,"], []))
+        # the loader's largest document: 8 x 400 tokens, so positions need uint16
+        paragraphs = [[RAW_TOKENS[i] for i in rng.integers(0, len(RAW_TOKENS), 400)] for _ in range(8)]
+        long = make_pair("long", "q", paragraphs, [])
+        assert_layouts_match_oracle(long)
+        assert long.table.span_keys.first.dtype == long.table.grid_layout.gather.dtype == np.uint16
+
+    def test_layouts_are_read_only(self):
+        pair, _ = random_scored_pair(np.random.default_rng(72))
+        for name, value in laid_out(pair.table).items():
+            if name == "sizes":
+                assert isinstance(value, tuple)
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
+    def test_replace_and_pickle_lay_out_anew(self):
+        pair, grid = random_scored_pair(np.random.default_rng(73), max_tokens=20)
+        probs = log_partition(grid, SpaceKind.PARAGRAPH)
+        decoded = score_strings(probs, pair, AnswerAggregation.SUM, None)
+        assert computed_layouts(pair) == set(LAYOUTS)
+        assert not set(LAYOUTS) & set(vars(dataclasses.replace(pair.table)))
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy == pair and computed_layouts(copy) == set()
+        assert score_strings(probs, copy, AnswerAggregation.SUM, None) == decoded
+        theirs = laid_out(pair.table)
+        for name, value in laid_out(copy.table).items():
+            if name != "sizes":
+                np.testing.assert_array_equal(value, theirs[name])
+                assert not value.flags.writeable
 
 
 def pairs_holding(*words):

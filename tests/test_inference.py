@@ -440,6 +440,30 @@ class TestTopKAgainstExhaustive:
         np.testing.assert_allclose(big.score, slow.score, atol=1e-12)
 
 
+class TestRepeatedDecoding:
+    def test_a_pair_decodes_again_as_a_fresh_pair(self):
+        """The second decode of a pair reads the layouts the first laid out;
+        it must match a fresh copy's decode bit for bit at every top_k."""
+        rng = np.random.default_rng(62)
+        for _ in range(30):
+            pair, grid = random_scored_pair(rng, max_tokens=16)
+            texts = [[t.text for t in p.tokens] for p in pair.paragraphs]
+            longest = max(map(len, texts))
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                for top_k in range(1, longest + 1):
+                    candidates(probs, pair, top_k)
+                    again = candidates(probs, pair, top_k)
+                    fresh = candidates(probs, make_pair("f", "q", texts, ["rome"]), top_k)
+                    assert again.words == fresh.words
+                    for name in ("sequence", "lo", "hi", "log_p"):
+                        mine, theirs = getattr(again, name), getattr(fresh, name)
+                        assert mine.dtype == theirs.dtype
+                        assert mine.tobytes() == theirs.tobytes()
+                    for aggregation in AnswerAggregation if len(fresh.log_p) else ():
+                        assert repr(again.best(aggregation)) == repr(fresh.best(aggregation))
+
+
 class TestMemory:
     def test_exhaustive_peak_on_largest_document(self):
         # 8 x 400 tokens, the loader's largest document.  Pairing every begin

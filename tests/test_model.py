@@ -138,7 +138,7 @@ class TestScoring:
     def test_grid_shape_includes_null_slot(self):
         pair, scorer = build_scorer()
         grid = scorer.score(pair)
-        assert grid.token_counts() == tuple(len(p) for p in pair.paragraphs)
+        assert grid.sizes == tuple(len(p) + 1 for p in pair.paragraphs)
         for k, paragraph in enumerate(pair.paragraphs):
             assert grid.begin[k].shape == (len(paragraph) + 1,)
 

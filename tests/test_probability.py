@@ -253,9 +253,6 @@ class TestScoreGrid:
         vec[3] = 7.0
         assert shared.begin[1][0] == 7.0
 
-    def test_token_counts(self):
-        assert fixture_grid().token_counts() == (2, 1)
-
     def test_shapes_validated(self):
         # a paragraph without a position, and a vector that is not flat
         with pytest.raises(ValueError):

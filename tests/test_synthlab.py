@@ -184,6 +184,13 @@ class TestProfile:
         train_pairs, _, _ = generate(profile)
         assert dev_pairs[0].paragraphs[0].tokens != train_pairs[0].paragraphs[0].tokens
 
+    def test_dev_documents_may_be_zero_but_not_negative(self):
+        profile = small_profile(dev_documents=0)
+        with pytest.raises(ValueError, match="profile has no dev documents"):
+            dev_profile(profile)
+        with pytest.raises(ValueError, match="dev_documents must not be negative"):
+            small_profile(dev_documents=-1)
+
 
 class TestTruthFiles:
     def test_round_trip(self, tmp_path):
@@ -334,8 +341,34 @@ class TestGrid:
             config=TrainConfig(epochs=1),
         )
         serial = run_grid(pairs, labels, truths, **kwargs)
+        # The serial run laid the pairs out; the workers receive them so.
+        assert {"span_keys", "grid_layout"} <= set(vars(pairs[0].table))
         parallel = run_grid(pairs, labels, truths, jobs=2, **kwargs)
         assert serial == parallel
+
+    def test_rows_do_not_depend_on_layouts_laid_out_before(self):
+        """Cells that share pairs reuse each pair's layouts; every row equals
+        the row of a run on fresh copies of the corpora."""
+        profile = small_profile(documents=20, dev_documents=8, seed=14)
+        kwargs = dict(
+            inference_specs=[
+                InferenceSpec(aggregation=AnswerAggregation.SUM),
+                InferenceSpec(aggregation=AnswerAggregation.MAX),
+            ],
+            config=TrainConfig(epochs=1),
+        )
+
+        def grid(combos, seeds):
+            pairs, labels, truths = generate(profile)
+            dev_pairs, _, dev_truths = generate(dev_profile(profile), id_prefix="dev")
+            return run_grid(
+                pairs, labels, truths, combos, seeds=seeds,
+                dev_pairs=dev_pairs, dev_truths=dev_truths, **kwargs,
+            )
+
+        combos, seeds = ["H2-P-pos-mml", "H3-D-pos-mml"], [0, 1]
+        fresh = [row for combo in combos for seed in seeds for row in grid([combo], [seed])]
+        assert grid(combos, seeds) == fresh
 
     def test_each_dev_document_scored_once_per_cell(self, monkeypatch):
         profile = small_profile(documents=20, dev_documents=10, seed=13)
