@@ -180,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="break metrics out by answer-set size and span count",
     )
-    p_eval.add_argument("--labels", help="labels for the partition breakdown")
+    p_eval.add_argument(
+        "--labels", help="labels for --partition (default: exact matcher)"
+    )
     p_eval.add_argument(
         "--answer-threshold",
         type=_int_at_least(0, "non-negative", "answer threshold"),
@@ -337,6 +339,8 @@ def _eval_space(args, checkpoint) -> SpaceKind:
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.pred):
         raise UsageError("exactly one of --ckpt and --pred is required")
+    if args.labels and not args.partition:
+        raise UsageError("--labels needs --partition")
     pairs = _load_pairs(args)
     if args.truth:
         truths = load_truth(pairs, args.truth)
@@ -479,13 +483,9 @@ def cmd_simulate(args) -> int:
     (out / "profile.json").write_text(profile.to_json() + "\n", encoding="utf-8")
     positive = alias_only = 0
     for labels, truth in zip(train_labels, train_truth):
-        correct_paragraphs = {s.paragraph for s in truth.correct_spans}
-        for k in range(labels.n_paragraphs):
-            if labels.is_null(k):
-                continue
-            positive += 1
-            if k not in correct_paragraphs:
-                alias_only += 1
+        labeled = {s.paragraph for s in labels.spans}
+        positive += len(labeled)
+        alias_only += len(labeled - {s.paragraph for s in truth.correct_spans})
     fraction = alias_only / positive if positive else 0.0
     logger.info(
         "wrote %d train / %d dev documents to %s", len(train_pairs), len(dev_pairs), out

@@ -82,8 +82,8 @@ def random_instance(
             chosen.add((k, i, j))
     if ensure_positive and not chosen:
         chosen.add((0, 0, 0))
-    spans = [SpanLabel(k, i, j, matched_string="x") for k, i, j in sorted(chosen)]
-    return grid, ConsistentLabelSet.from_spans(len(token_counts), spans)
+    spans = [SpanLabel(k, i, j, matched_string="x") for k, i, j in chosen]
+    return grid, ConsistentLabelSet(len(token_counts), spans)
 
 
 RAW_TOKENS = ["rome", "pisa", "Rome.", "lake", ",", "--", "The", "an", "shore"]

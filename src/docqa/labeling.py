@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,52 +41,43 @@ class SpanLabel:
         return (self.paragraph, self.begin, self.end)
 
 
+_TRIPLE = attrgetter("paragraph", "begin", "end")
+
+
 @dataclass(frozen=True)
 class ConsistentLabelSet:
-    """All weakly labeled spans for one pair, grouped by paragraph.
+    """All weakly labeled spans of one pair, in (paragraph, begin, end) order.
 
-    Each span sits under its own paragraph and appears once: a span filed
-    under another paragraph, or a (paragraph, begin, end) that repeats,
-    raises ValueError.
+    The constructor sorts the spans.  A negative n_paragraphs, a span whose
+    paragraph is not below n_paragraphs, or a (paragraph, begin, end) that
+    repeats raises ValueError.
     """
 
-    spans_by_paragraph: tuple[tuple[SpanLabel, ...], ...]
+    n_paragraphs: int
+    spans: tuple[SpanLabel, ...]
 
     def __post_init__(self):
-        for k, spans in enumerate(self.spans_by_paragraph):
-            seen = set()
-            for span in spans:
-                if span.paragraph != k:
-                    raise ValueError("span filed under the wrong paragraph")
-                if (span.begin, span.end) in seen:
-                    raise ValueError(f"span {list(span.triple())} repeats")
-                seen.add((span.begin, span.end))
-
-    @property
-    def n_paragraphs(self) -> int:
-        return len(self.spans_by_paragraph)
+        if self.n_paragraphs < 0:
+            raise ValueError("n_paragraphs must not be negative")
+        spans = sorted(self.spans, key=_TRIPLE)
+        triples = list(map(_TRIPLE, spans))
+        if triples and triples[-1][0] >= self.n_paragraphs:
+            raise ValueError("span paragraph index out of range")
+        if len(set(triples)) < len(triples):
+            repeat = next(b for a, b in zip(triples, triples[1:]) if a == b)
+            raise ValueError(f"span {list(repeat)} repeats")
+        object.__setattr__(self, "spans", tuple(spans))
 
     @property
     def total_spans(self) -> int:
-        return sum(len(s) for s in self.spans_by_paragraph)
+        return len(self.spans)
 
     def is_null(self, k: int) -> bool:
         """True when paragraph k has no consistent span."""
-        return not self.spans_by_paragraph[k]
+        return all(span.paragraph != k for span in self.spans)
 
     def all_spans(self) -> list[SpanLabel]:
-        return [s for spans in self.spans_by_paragraph for s in spans]
-
-    @classmethod
-    def from_spans(cls, n_paragraphs: int, spans: Iterable[SpanLabel]) -> "ConsistentLabelSet":
-        grouped: list[list[SpanLabel]] = [[] for _ in range(n_paragraphs)]
-        for span in spans:
-            if span.paragraph >= n_paragraphs:
-                raise ValueError("span paragraph index out of range")
-            grouped[span.paragraph].append(span)
-        for bucket in grouped:
-            bucket.sort(key=lambda s: (s.begin, s.end))
-        return cls(spans_by_paragraph=tuple(tuple(b) for b in grouped))
+        return list(self.spans)
 
 
 def _begins(keys: Sequence[int], article: np.ndarray, s: int, max_span_length: int) -> range:
@@ -155,7 +147,7 @@ def find_consistent_spans_exact(
                 for j, text in matches
                 if j < lo + i + max_span_length
             )
-    return ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
+    return ConsistentLabelSet(len(pair.paragraphs), spans)
 
 
 def _rouge_scores(
@@ -268,7 +260,7 @@ def find_consistent_spans_rouge(
         if best is not None and best_score < threshold:
             i, j, s = best
             spans.append(SpanLabel(k, i, j, _text(names, words, s, j)))
-    return ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
+    return ConsistentLabelSet(len(pair.paragraphs), spans)
 
 
 def save_labels(
@@ -355,6 +347,6 @@ def load_labels(
     Bad lines and spans fail as read_span_records describes.
     """
     return [
-        ConsistentLabelSet.from_spans(len(pair.paragraphs), spans)
+        ConsistentLabelSet(len(pair.paragraphs), spans)
         for pair, (_, spans) in zip(pairs, read_span_records(pairs, path, "spans"))
     ]

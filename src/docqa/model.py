@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair
+from .corpus import DocumentQuestionPair, WordTable
 from .probability import ScoreGrid
 
 UNKNOWN_TOKEN = "<unk>"
@@ -55,29 +55,12 @@ class Vocabulary:
         return self._index.get(text, 0)
 
     def encode(self, pair: DocumentQuestionPair) -> "EncodedPair":
-        """The pair's word ids under this vocabulary, in the scorer's layout.
-
-        Each of the pair's distinct words is looked up once.  Every other
-        field is the pair's WordTable's own: its position ids rather than a
-        vocabulary id per token, and from its grid_layout, laid out once per
-        pair, the map from each slot of a grid half to a column of a table
-        that holds one score per distinct word plus one per paragraph null
-        slot.
-        """
+        """The vocabulary id of each of the pair's distinct words, looked up
+        once, with the pair's WordTable."""
         table = pair.table
-        layout = table.grid_layout
         get = self._index.get
         words = np.fromiter(map(get, table.words, repeat(0)), np.int64, len(table.words))
-        return EncodedPair(
-            vocab=self,
-            words=words,
-            ids=table.ids,
-            question_ids=table.question,
-            counts=layout.counts,
-            sizes=layout.sizes,
-            occurrences=layout.occurrences,
-            slots=layout.slots,
-        )
+        return EncodedPair(vocab=self, words=words, table=table)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[DocumentQuestionPair]) -> "Vocabulary":
@@ -104,26 +87,16 @@ class Vocabulary:
 class EncodedPair:
     """One pair's words under one vocabulary.
 
-    words holds the vocabulary id of each word of the pair's WordTable, and
-    ids and question_ids are the table's own arrays of word positions: its
-    paragraph tokens in paragraph order and its question, so words[ids] are
-    the tokens' vocabulary ids.  counts holds tokens per paragraph, sizes the
-    score grid's slots per paragraph, and occurrences[k, w] how often word w
-    occurs in paragraph k.  slots maps each slot of one grid half, token
-    slots and null slots in grid order, to a column of a table that holds one
-    column per word followed by one per paragraph null slot.  All but words
-    are the WordTable's own read-only arrays (see GridLayout), shared by every
-    encoding of the pair.
+    words holds the vocabulary id of each word of table, the pair's own
+    WordTable, so words[table.ids] are the paragraph tokens' vocabulary ids
+    and words[table.question] the question's.  The scorer reads everything
+    else from the table and its grid_layout, laid out once per pair and
+    shared by every encoding of it.
     """
 
     vocab: Vocabulary
     words: np.ndarray
-    ids: np.ndarray
-    question_ids: np.ndarray
-    counts: np.ndarray
-    sizes: tuple[int, ...]
-    occurrences: np.ndarray
-    slots: np.ndarray
+    table: WordTable
 
 
 class ToyScorer:
@@ -202,26 +175,28 @@ class ToyScorer:
 
     def _fold(self, doc: EncodedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Question mean qbar, then W (4, dim) and c (4,) of the four heads."""
-        n_question = max(1, len(doc.question_ids))
-        qbar = self.embedding[doc.words[doc.question_ids]].sum(axis=0) / n_question
+        question = doc.table.question
+        qbar = self.embedding[doc.words[question]].sum(axis=0) / max(1, len(question))
         return qbar, self._heads[:, 0] + qbar * self._heads[:, 2], self._heads[:, 1] @ qbar
 
     def score(self, pair: DocumentQuestionPair | EncodedPair) -> ScoreGrid:
         """Fill the begin/end score grid, one trailing null slot per paragraph.
 
         Each word's four head scores are computed once; a null slot is its
-        paragraph's mean per-token null-head score.  A plain pair is encoded
-        on the call, which looks its words up and reads the rest from its
-        WordTable's grid_layout.
+        paragraph's mean per-token null-head score.  The WordTable's
+        grid_layout maps each grid slot to a column of a table that holds one
+        score per word, then one per paragraph null slot.  A plain pair is
+        encoded on the call, which looks its words up.
         """
         doc = self._encoded(pair)
+        layout = doc.table.grid_layout
         _, weights, bias = self._fold(doc)
         per_word = weights @ self.embedding[doc.words].T
         n_words = len(doc.words)
-        table = np.empty((2, n_words + len(doc.counts)))
+        table = np.empty((2, n_words + len(layout.counts)))
         table[:, :n_words] = per_word[:2] + bias[:2, None]
-        table[:, n_words:] = per_word[2:] @ doc.occurrences.T / doc.counts + bias[2:, None]
-        return ScoreGrid(np.take(table, doc.slots, axis=1).ravel(), doc.sizes)
+        table[:, n_words:] = per_word[2:] @ layout.occurrences.T / layout.counts + bias[2:, None]
+        return ScoreGrid(np.take(table, layout.slots, axis=1).ravel(), layout.sizes)
 
     def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
         """Push a score-grid gradient back onto a vector laid out like params.
@@ -233,23 +208,24 @@ class ToyScorer:
         rows.  This equals the per-token gradient up to the order of summation.
         """
         doc = self._encoded(pair)
+        layout = doc.table.grid_layout
         qbar, weights, _ = self._fold(doc)
         n_words = len(doc.words)
-        columns = n_words + len(doc.counts)
+        columns = n_words + len(layout.counts)
         halves = grad.vector.reshape(2, -1)
-        sums = np.stack([np.bincount(doc.slots, weights=h, minlength=columns) for h in halves])
+        sums = np.stack([np.bincount(layout.slots, weights=h, minlength=columns) for h in halves])
         g = np.empty((4, n_words))
         g[:2] = sums[:, :n_words]
-        g[2:] = sums[:, n_words:] / doc.counts @ doc.occurrences
+        g[2:] = sums[:, n_words:] / layout.counts @ layout.occurrences
         g_x = g @ self.embedding[doc.words]
         g_sum = g.sum(axis=1)
         out = np.empty_like(self.params)
         split = self.embedding.size
         out[split:] = np.stack([g_x, g_sum[:, None] * qbar, g_x * qbar], axis=1).ravel()
         d_qbar = g_sum @ self._heads[:, 1] + (g_x * self._heads[:, 2]).sum(axis=0)
-        n_question = len(doc.question_ids)
-        shared = np.broadcast_to(d_qbar / max(1, n_question), (n_question, self.dim))
-        ids = np.concatenate([doc.words, doc.words[doc.question_ids]])
+        question = doc.words[doc.table.question]
+        shared = np.broadcast_to(d_qbar / max(1, len(question)), (len(question), self.dim))
+        ids = np.concatenate([doc.words, question])
         d_rows = np.concatenate([g.T @ weights, shared])
         # One scatter that adds every row's gradient onto the flat embedding:
         # unknown words share row 0, so rows must never be assigned.

@@ -190,7 +190,7 @@ def evaluate(
     sizes = grid.sizes
     key = _GROUP_KEY[spec.hypothesis]
     grouped: dict[int, list[tuple[int, int, int]]] = {}
-    for rank, span in enumerate(labels.all_spans()):
+    for rank, span in enumerate(labels.spans):
         if span.end >= sizes[span.paragraph] - 1:
             raise LabelError(
                 f"span {span.triple()} exceeds paragraph length {sizes[span.paragraph] - 1}"
@@ -209,7 +209,8 @@ def evaluate(
     # outcome, which marginalizing resolves to itself with weight one.
     latent = 0 if spec.hypothesis is Hypothesis.ALL_MENTIONS else len(groups)
     if spec.space is SpaceKind.PARAGRAPH:
-        groups += [[(k, sizes[k] - 1, sizes[k] - 1)] for k in range(n) if labels.is_null(k)]
+        labeled = {span.paragraph for span in labels.spans}
+        groups += [[(k, sizes[k] - 1, sizes[k] - 1)] for k in range(n) if k not in labeled]
 
     # Whole spans pair begins[g][i] with ends[g][i]; positions are distinct.
     if spec.granularity is Granularity.SPAN:

@@ -89,6 +89,8 @@ class NoiseProfile:
             raise ValueError("tokens_per_paragraph too small for the mention load")
         if self.vocab_size < 60:
             raise ValueError("vocab_size must be at least 60")
+        if self.seed < 0:
+            raise ValueError(f"field 'seed' must be a non-negative integer, got {self.seed}")
 
     def to_json(self) -> str:
         record = asdict(self)
@@ -267,9 +269,7 @@ def generate(
             answers=answers,
         )
         label_set = find_consistent_spans_exact(pair)
-        correct = tuple(
-            s for s in label_set.all_spans() if s.matched_string in gold_strings
-        )
+        correct = tuple(s for s in label_set.spans if s.matched_string in gold_strings)
         pairs.append(pair)
         labels.append(label_set)
         truths.append(SyntheticTruth(gold_answer=base, correct_spans=correct))

@@ -237,9 +237,9 @@ def pretrain_clean(
     Empty data returns the untouched initialization.
     """
     for label_set in labels:
-        for spans in label_set.spans_by_paragraph:
-            if len(spans) > 1:
-                raise LabelError("clean pretraining expects at most one span per paragraph")
+        paragraphs = [span.paragraph for span in label_set.spans]
+        if len(set(paragraphs)) < len(paragraphs):
+            raise LabelError("clean pretraining expects at most one span per paragraph")
     specs = [ObjectiveSpec.parse(PRETRAIN_OBJECTIVE)]
     entry = {"pretraining": True}
     return _fit(config, specs, [1.0], config.pretrain_epochs, pairs, labels, entry, vocab=vocab)

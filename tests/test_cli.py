@@ -267,6 +267,10 @@ class TestOptionRanges:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {fault}\n"
 
+    def test_eval_labels_need_partition(self, capsys):
+        assert run([*self.EVAL, "--labels", "missing.jsonl"]) == 2
+        assert capsys.readouterr().err == "error: --labels needs --partition\n"
+
     @pytest.mark.parametrize("argv", [TRAIN, GRID])
     def test_shared_defaults_are_train_configs(self, argv):
         args = build_parser().parse_args(argv)
@@ -730,6 +734,7 @@ class TestBadRecordFiles:
             ('{"alias_rate": 2.0}', "rates must lie in [0, 1]"),
             ('{"documents": 0}', "need at least one training document"),
             ('{"dev_documents": -1}', "dev_documents must not be negative"),
+            ('{"seed": -1}', "field 'seed' must be a non-negative integer, got -1"),
             ("{", "Expecting property name"),
         ],
     )

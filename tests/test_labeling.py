@@ -301,7 +301,7 @@ class TestLabelSet:
             SpanLabel(0, 1, 4, "x"),
             SpanLabel(0, 3, 4, "x"),
         ]
-        labels = ConsistentLabelSet.from_spans(2, spans)
+        labels = ConsistentLabelSet(2, spans)
         assert label_positions(labels, 0) == ((1, 3), (2, 4))
         assert label_positions(labels, 1) == ((), ())
         assert labels.is_null(1)
@@ -309,7 +309,7 @@ class TestLabelSet:
 
     def test_wrong_paragraph_rejected(self):
         with pytest.raises(ValueError):
-            ConsistentLabelSet.from_spans(1, [SpanLabel(3, 0, 0, "x")])
+            ConsistentLabelSet(1, [SpanLabel(3, 0, 0, "x")])
 
     @pytest.mark.parametrize(
         "spans",
@@ -321,14 +321,29 @@ class TestLabelSet:
     )
     def test_repeated_span_rejected(self, spans):
         with pytest.raises(ValueError, match=r"span \[\d, 0, \d\] repeats"):
-            ConsistentLabelSet.from_spans(2, spans)
-        grouped = [tuple(s for s in spans if s.paragraph == k) for k in range(2)]
-        with pytest.raises(ValueError, match="repeats"):
-            ConsistentLabelSet(spans_by_paragraph=tuple(grouped))
+            ConsistentLabelSet(2, spans)
 
     def test_same_offsets_in_two_paragraphs_allowed(self):
-        labels = ConsistentLabelSet.from_spans(2, [SpanLabel(0, 0, 1, "x"), SpanLabel(1, 0, 1, "x")])
+        labels = ConsistentLabelSet(2, [SpanLabel(0, 0, 1, "x"), SpanLabel(1, 0, 1, "x")])
         assert labels.total_spans == 2
+
+    def test_spans_sorted_by_paragraph_begin_end(self):
+        spans = [
+            SpanLabel(1, 0, 0, "a"),
+            SpanLabel(0, 2, 3, "b"),
+            SpanLabel(0, 2, 2, "c"),
+            SpanLabel(0, 0, 5, "d"),
+        ]
+        labels = ConsistentLabelSet(2, spans)
+        assert [s.triple() for s in labels.spans] == [(0, 0, 5), (0, 2, 2), (0, 2, 3), (1, 0, 0)]
+        assert labels.all_spans() == list(labels.spans)
+        assert labels == ConsistentLabelSet(2, tuple(reversed(spans)))
+        assert labels != ConsistentLabelSet(3, spans)
+
+    def test_negative_paragraph_count_rejected(self):
+        with pytest.raises(ValueError, match="n_paragraphs"):
+            ConsistentLabelSet(-1, [])
+        assert ConsistentLabelSet(0, []).total_spans == 0
 
     def test_round_trip_through_file(self, tmp_path):
         pair = make_pair(

@@ -298,25 +298,13 @@ class TestEncoding:
         for _, scorer, pair in oracle_cases():
             doc = scorer.vocab.encode(pair)
             tokens = [t for p in pair.paragraphs for t in p.tokens]
-            assert doc.words[doc.ids].tolist() == [scorer.vocab.id_of(t.text) for t in tokens]
-            assert doc.words[doc.question_ids].tolist() == [
+            # the encoding keeps the pair's own word table; its layouts are the
+            # table's (see the layout oracle in test_corpus)
+            assert doc.table is pair.table
+            assert doc.words[doc.table.ids].tolist() == [scorer.vocab.id_of(t.text) for t in tokens]
+            assert doc.words[doc.table.question].tolist() == [
                 scorer.vocab.id_of(t.text) for t in pair.question
             ]
-            # the encoding keeps the word table's position ids, not a copy
-            assert np.shares_memory(doc.ids, pair.table.ids)
-            assert doc.question_ids is pair.table.question
-            assert doc.counts.tolist() == [len(p) for p in pair.paragraphs]
-            assert doc.sizes == tuple(len(p) + 1 for p in pair.paragraphs)
-            for k, paragraph in enumerate(pair.paragraphs):
-                ids = [pair.table.words.index(t.text) for t in paragraph.tokens]
-                assert doc.occurrences[k].tolist() == np.bincount(
-                    ids, minlength=len(doc.words)
-                ).tolist()
-            # a grid half reads each paragraph's words, then its null column
-            slots = []
-            for k in range(len(pair.paragraphs)):
-                slots += [*pair.table.paragraph(k).tolist(), len(doc.words) + k]
-            assert doc.slots.tolist() == slots
 
     def test_vocabulary_and_encoding_equal_per_token_lookups_on_random_pairs(self):
         # The vocabulary sees half the pairs, so the other half holds unknown words.
@@ -339,11 +327,11 @@ class TestEncoding:
             doc = vocab.encode(pair)
             expected = [vocab.id_of(t.text) for p in pair.paragraphs for t in p.tokens]
             assert doc.words.dtype == np.int64
-            assert doc.words[doc.ids].tolist() == expected
-            assert doc.words[doc.question_ids].tolist() == [
+            assert doc.words[doc.table.ids].tolist() == expected
+            assert doc.words[doc.table.question].tolist() == [
                 vocab.id_of(t.text) for t in pair.question
             ]
-            assert np.shares_memory(doc.ids, pair.table.ids)
+            assert doc.table is pair.table
             unknown += expected.count(0)
         assert unknown > 0
 
@@ -371,7 +359,7 @@ class TestEncoding:
         pair, scorer = build_scorer()
         empty = make_pair("x", "which town", ["!!! ,,,"], ["delft"])
         assert empty.paragraphs == ()
-        assert scorer.vocab.encode(empty).ids.shape == (0,)
+        assert scorer.vocab.encode(empty).table.ids.shape == (0,)
         with pytest.raises(ValueError, match="at least one paragraph"):
             scorer.score(empty)
 

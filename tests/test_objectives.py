@@ -34,7 +34,7 @@ def two_span_case():
     grid = ScoreGrid.zeros([2])
     grid.begin[0][:] = [0.4, -0.2, 0.0]
     grid.end[0][:] = [0.1, 0.3, -0.5]
-    labels = ConsistentLabelSet.from_spans(
+    labels = ConsistentLabelSet(
         1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 1, 1, "y")]
     )
     return grid, labels
@@ -53,26 +53,31 @@ def probability_tables(grid, space):
     return pb, pe
 
 
+def paragraph_spans(labels, k):
+    """Paragraph k's spans, in label order."""
+    return [s for s in labels.spans if s.paragraph == k]
+
+
 def label_positions(labels, k):
     """The distinct begin offsets and the distinct end offsets of paragraph k's
     spans, each ascending."""
-    spans = labels.spans_by_paragraph[k]
+    spans = paragraph_spans(labels, k)
     return tuple(sorted({s.begin for s in spans})), tuple(sorted({s.end for s in spans}))
 
 
 def oracle_value(spec, grid, labels):
     """Evaluate the objective straight from its probability definition."""
     pb, pe = probability_tables(grid, spec.space)
-    positive = [k for k in range(grid.n_paragraphs) if labels.spans_by_paragraph[k]]
+    positive = [k for k in range(grid.n_paragraphs) if paragraph_spans(labels, k)]
     reduce = sum if spec.aggregation is Aggregation.MML else max
     total = 0.0
     if spec.hypothesis is Hypothesis.ALL_MENTIONS:
         for k in positive:
-            for s in labels.spans_by_paragraph[k]:
+            for s in paragraph_spans(labels, k):
                 total += math.log(pb[k][s.begin]) + math.log(pe[k][s.end])
     elif spec.hypothesis is Hypothesis.PER_PARAGRAPH:
         for k in positive:
-            spans = labels.spans_by_paragraph[k]
+            spans = paragraph_spans(labels, k)
             if spec.granularity is Granularity.SPAN:
                 total += math.log(reduce(pb[k][s.begin] * pe[k][s.end] for s in spans))
             else:
@@ -85,7 +90,7 @@ def oracle_value(spec, grid, labels):
                 reduce(
                     pb[k][s.begin] * pe[k][s.end]
                     for k in positive
-                    for s in labels.spans_by_paragraph[k]
+                    for s in paragraph_spans(labels, k)
                 )
             )
         else:
@@ -126,7 +131,7 @@ class TestFixtures:
 
     def test_uniform_scores_single_paragraph(self):
         grid = ScoreGrid.zeros([2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")])
+        labels = ConsistentLabelSet(1, [SpanLabel(0, 0, 0, "x")])
         result = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
         np.testing.assert_allclose(result.value, 2 * math.log(1 / 3), atol=1e-12)
         doc = evaluate(ObjectiveSpec.parse("H1-D-span-mml"), grid, labels)
@@ -176,7 +181,7 @@ class TestIdentities:
                     spans.append(SpanLabel(k, b, b, "s"))
             if not spans:
                 spans = [SpanLabel(0, 0, 0, "s")]
-            labels = ConsistentLabelSet.from_spans(n_par, spans)
+            labels = ConsistentLabelSet(n_par, spans)
             h1 = evaluate(ObjectiveSpec.parse("H1-P-span-mml"), grid, labels)
             for text in ("H2-P-span-mml", "H2-P-span-hardem", "H2-P-pos-mml"):
                 other = evaluate(ObjectiveSpec.parse(text), grid, labels)
@@ -230,7 +235,7 @@ class TestNegativeParagraphs:
         grid.end[0][:] = [0.1, 0.3, -0.5]
         grid.begin[1][:] = [1.0, -1.0, 0.5, 0.2]
         grid.end[1][:] = [0.0, 0.3, -0.7, 1.1]
-        labels = ConsistentLabelSet.from_spans(2, [SpanLabel(0, 0, 1, "x")])
+        labels = ConsistentLabelSet(2, [SpanLabel(0, 0, 1, "x")])
         with_neg = evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)
         # the negative paragraph multiplies in its null begin and end mass
         null = grid.sizes[1] - 1
@@ -240,7 +245,7 @@ class TestNegativeParagraphs:
         alone = evaluate(
             ObjectiveSpec.parse("H2-P-span-mml"),
             short,
-            ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 1, "x")]),
+            ConsistentLabelSet(1, [SpanLabel(0, 0, 1, "x")]),
         )
         np.testing.assert_allclose(
             with_neg.value,
@@ -256,7 +261,7 @@ class TestNegativeParagraphs:
             np.concatenate([*grid.begin, np.zeros(4), *grid.end, np.zeros(4)]),
             grid.sizes + (4,),
         )
-        wider_labels = ConsistentLabelSet.from_spans(
+        wider_labels = ConsistentLabelSet(
             grid.n_paragraphs + 1, list(spans)
         )
         base = evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
@@ -302,7 +307,7 @@ class TestHardSelection:
 
     def test_tie_breaks_to_first_listed(self):
         grid = ScoreGrid.zeros([3])
-        labels = ConsistentLabelSet.from_spans(
+        labels = ConsistentLabelSet(
             1, [SpanLabel(0, 0, 0, "x"), SpanLabel(0, 2, 2, "y")]
         )
         assert committed_slots("H2-P-span-hardem", grid, labels) == ([(0, 0)], [(0, 0)])
@@ -314,7 +319,7 @@ class TestHardSelection:
         grid.end[0][:] = [0.0, -1.0, 1.0, 0.0]
         grid.begin[1][:] = [2.0, 0.0, 0.0, 0.0]
         grid.end[1][:] = [2.0, 0.0, 2.0, 0.0]
-        labels = ConsistentLabelSet.from_spans(
+        labels = ConsistentLabelSet(
             2,
             [
                 SpanLabel(0, 1, 1, "x"),
@@ -469,7 +474,7 @@ class TestSpecParsing:
 class TestLabelValidation:
     def test_document_space_needs_a_span(self):
         grid = ScoreGrid.zeros([2, 2])
-        labels = ConsistentLabelSet.from_spans(2, [])
+        labels = ConsistentLabelSet(2, [])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-D-span-mml"), grid, labels)
         # paragraph space happily scores the all-null outcome
@@ -478,12 +483,12 @@ class TestLabelValidation:
 
     def test_paragraph_count_mismatch(self):
         grid = ScoreGrid.zeros([2, 2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")])
+        labels = ConsistentLabelSet(1, [SpanLabel(0, 0, 0, "x")])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)
 
     def test_span_outside_paragraph(self):
         grid = ScoreGrid.zeros([2])
-        labels = ConsistentLabelSet.from_spans(1, [SpanLabel(0, 1, 3, "x")])
+        labels = ConsistentLabelSet(1, [SpanLabel(0, 1, 3, "x")])
         with pytest.raises(LabelError):
             evaluate(ObjectiveSpec.parse("H2-P-span-mml"), grid, labels)

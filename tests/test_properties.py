@@ -127,7 +127,7 @@ def test_dataset_round_trip(pairs):
 @PROPERTY_SETTINGS
 def test_labels_round_trip(pairs, data):
     labels = [
-        ConsistentLabelSet.from_spans(len(pair.paragraphs), drawn_spans(data, pair))
+        ConsistentLabelSet(len(pair.paragraphs), drawn_spans(data, pair))
         for pair in pairs
     ]
     with tempfile.TemporaryDirectory() as root:
@@ -235,7 +235,7 @@ def profiles(draw):
         distractor_rate=draw(RATES),
         multi_answer_rate=draw(RATES),
         mention_counts=tuple(mention_counts),
-        seed=draw(st.integers(-(2**70), 2**70)),
+        seed=draw(st.integers(0, 2**70)),
     )
 
 

@@ -123,7 +123,7 @@ class TestGeneration:
         alias_only = 0
         for label_set, truth in zip(labels, truths):
             genuine_paragraphs = {s.paragraph for s in truth.correct_spans}
-            for k in range(len(label_set.spans_by_paragraph)):
+            for k in range(label_set.n_paragraphs):
                 if label_set.is_null(k):
                     continue
                 positives += 1
@@ -173,6 +173,8 @@ class TestProfile:
             small_profile(tokens_per_paragraph=4, mention_counts=((3, 1.0),))
         with pytest.raises(ValueError):
             small_profile(mention_counts=())
+        with pytest.raises(ValueError, match="field 'seed' must be a non-negative integer, got -1"):
+            small_profile(seed=-1)
 
     def test_dev_profile_changes_seed_and_size(self):
         profile = small_profile()

@@ -336,6 +336,6 @@ class TestAlignment:
 
     def test_label_paragraph_mismatch_surfaces(self):
         pairs, _ = tiny_dataset()
-        bad = [ConsistentLabelSet.from_spans(1, [SpanLabel(0, 0, 0, "x")])] * len(pairs)
+        bad = [ConsistentLabelSet(1, [SpanLabel(0, 0, 0, "x")])] * len(pairs)
         with pytest.raises(LabelError):
             train(TrainConfig(epochs=1), pairs, bad)
