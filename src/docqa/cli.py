@@ -180,9 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="break metrics out by answer-set size and span count",
     )
-    p_eval.add_argument(
-        "--labels", help="labels for --partition (default: exact matcher)"
-    )
+    p_eval.add_argument("--labels", help="labels for --partition (default: exact matcher)")
     p_eval.add_argument(
         "--answer-threshold",
         type=_int_at_least(0, "non-negative", "answer threshold"),

@@ -21,6 +21,7 @@ import json
 import math
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,17 +147,12 @@ def test_cli_outputs_match_golden_files(tmp_path):
 
 
 if __name__ == "__main__":
-    # Regenerate: run every step in a fresh directory under tests/golden/,
-    # then keep only the compared outputs beside profile.json.
-    work = GOLDEN / "_work"
-    shutil.rmtree(work, ignore_errors=True)
-    work.mkdir()
-    try:
-        run_steps(work)
+    # Regenerate: run every step in a fresh directory, then keep only the
+    # compared outputs beside profile.json.
+    with tempfile.TemporaryDirectory() as work:
+        run_steps(Path(work))
         shutil.rmtree(GOLDEN / "data", ignore_errors=True)
         (GOLDEN / "data").mkdir()
         for name in (*EXACT_FILES, *PREDICTIONS, "checkpoint.json", "grid.json"):
-            shutil.copyfile(work / name, GOLDEN / name)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+            shutil.copyfile(Path(work) / name, GOLDEN / name)
     print(f"wrote golden files under {GOLDEN}", file=sys.stderr)
