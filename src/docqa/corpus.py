@@ -212,7 +212,7 @@ class WordTable:
         starts = np.array(self.starts)
         counts = starts[1:] - starts[:-1]
         n, n_words, size = len(counts), len(self.words), len(self.ids)
-        longest = counts.max(initial=0)
+        longest = np.maximum.reduce(counts, initial=0)
         # Paragraph k's slots in a grid half start at starts[k] + k, and its
         # null slot ends them.
         heads = starts[:-1] + np.arange(n)

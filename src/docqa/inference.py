@@ -6,13 +6,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .corpus import DocumentQuestionPair
 from .probability import LogProbGrid, logsumexp_runs
 
 DEFAULT_TOP_K = 20
 DEFAULT_MAX_ANSWER_LENGTH = 8
+
+# Decoding runs once per document on small arrays, so it calls array methods
+# (a.take, a.nonzero) and ufunc reductions (np.maximum.reduce) directly:
+# numpy's module wrappers and ndarray.max, .any and .sum each cost a Python
+# frame before they reach C.
 
 
 class AnswerAggregation(Enum):
@@ -88,36 +92,34 @@ class Candidates:
         the order of their key rows, not of first sight.
 
         Equal strings are found by one stable np.lexsort of the candidates'
-        key rows, zero padded, so each string's mentions form one run in
-        candidate order.  Only strings with two or more mentions go through
-        logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x, bit for
-        bit, -inf included.
+        key rows, zero padded and read by one gather of the sequence, so each
+        string's mentions form one run in candidate order.  Only strings with
+        two or more mentions go through logsumexp_runs: the log-sum-exp of
+        one entry x is 0.0 + x, bit for bit, -inf included.
         """
         if not len(self.log_p):
             return np.empty(0, np.intp), np.empty(0)
         # Each candidate's row: the width keys from its lo, zeroed from its hi
-        # on, read through a strided view of the sequence padded with zeros.
-        lengths = self.hi - self.lo
-        width = int(lengths.max())
-        padded = np.concatenate((self.sequence, np.zeros(width, self.sequence.dtype)))
-        step = padded.strides * 2
-        keys = as_strided(padded, (len(padded) - width + 1, width), step)[self.lo]
-        keys[np.arange(width) >= lengths[:, None]] = 0
+        # on; clipped reads past the sequence's end are zeroed too.
+        width = int(np.maximum.reduce(self.hi - self.lo))
+        at = self.lo[:, None] + np.arange(width)
+        keys = self.sequence.take(at, mode="clip")
+        keys[at >= self.hi[:, None]] = 0
         by_key = np.lexsort(keys.T[::-1])
         rows = keys[by_key]
         cut = np.ones(len(rows) + 1, bool)  # before each run, and after the last
-        cut[1:-1] = (rows[1:] != rows[:-1]).any(axis=1)
-        bounds = np.flatnonzero(cut)
+        cut[1:-1] = np.logical_or.reduce(rows[1:] != rows[:-1], axis=1)
+        bounds = cut.nonzero()[0]
         heads = bounds[:-1]
         log_p = self.log_p[by_key]
         if aggregation is AnswerAggregation.MAX:
             return by_key[heads], np.maximum.reduceat(log_p, heads)
         scores = log_p[heads] + 0.0  # as logsumexp of one entry, which turns -0.0 into 0.0
-        sizes = np.diff(bounds)
+        sizes = bounds[1:] - heads
         shared = sizes > 1
-        if shared.any():
+        if np.logical_or.reduce(shared):
             runs = sizes[shared]
-            scores[shared] = logsumexp_runs(log_p[np.repeat(shared, sizes)], np.cumsum(runs) - runs)
+            scores[shared] = logsumexp_runs(log_p[shared.repeat(sizes)], runs.cumsum() - runs)
         return by_key[heads], scores
 
     def best(self, aggregation: AnswerAggregation) -> Prediction:
@@ -130,26 +132,27 @@ class Candidates:
         if not len(self.log_p):
             raise InferenceError("no candidate answer string")
         if aggregation is AnswerAggregation.MAX:
-            top = self.log_p.max()
-            tied = np.flatnonzero(self.log_p == top).tolist()
+            top = np.maximum.reduce(self.log_p)
+            tied = (self.log_p == top).nonzero()[0].tolist()
             return Prediction(answer=min({self.text(c) for c in tied}), score=float(top))
         first, scores = self.pooled(aggregation)
-        top = scores.max()
-        tied = np.flatnonzero(scores == top).tolist()
+        top = np.maximum.reduce(scores)
+        tied = (scores == top).nonzero()[0].tolist()
         return Prediction(answer=min(self.text(first[g]) for g in tied), score=float(top))
 
 
 def _rank_top(order: np.ndarray, top: int) -> np.ndarray:
     """The first top positions of every row's stable ascending order of the
     last axis: np.argsort(order, kind="stable")[..., :top] for keys without
-    NaN.  Keys greater than a row's top-th smallest, found by np.partition,
-    are set to +inf in place.  At least top keys stay as they were, in the
-    same relative order, so the stable sort ranks them first, and it gallops
-    over the masked rest instead of ordering it.
+    NaN.  Keys greater than a row's top-th smallest, found by partitioning a
+    copy, are set to +inf in place.  At least top keys stay as they were, in
+    the same relative order, so the stable sort ranks them first, and it
+    gallops over the masked rest instead of ordering it.
     """
-    kth = np.partition(order, top - 1, axis=-1)[..., top - 1 : top]
-    order[order > kth] = np.inf
-    return np.argsort(order, axis=-1, kind="stable")[..., :top]
+    kth = order.copy()
+    kth.partition(top - 1, axis=-1)
+    order[order > kth[..., top - 1 : top]] = np.inf
+    return order.argsort(axis=-1, kind="stable")[..., :top]
 
 
 def candidates(
@@ -184,7 +187,7 @@ def candidates(
     layout, keys = pair.table.grid_layout, pair.table.span_keys
     if probs.sizes != layout.sizes:
         raise InferenceError("probability grid does not match the document")
-    if np.isnan(probs.vector).any():
+    if np.logical_or.reduce(np.isnan(probs.vector)):
         raise InferenceError("probability grid holds NaN")
     n, longest = layout.pad.shape
     top = longest if top_k is None else min(top_k, longest)
@@ -194,7 +197,7 @@ def candidates(
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot; their sort keys become +inf, which ranks them
     # after every position of their row.
-    table = np.take(probs.vector, layout.gather)
+    table = probs.vector.take(layout.gather)
     order = -table
     order[:, layout.pad] = np.inf
     ranked = _rank_top(order, top)
@@ -204,7 +207,7 @@ def candidates(
     # paragraphs concatenated.
     starts = np.array(pair.table.starts[:-1])[:, None]
     flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
-    lead = np.take(keys.first, flat_begins, mode="clip")
+    lead = keys.first.take(flat_begins, mode="clip")
     # Pair: each top end's index into the ranked ends, flattened, at its
     # position; every other position, pads included, holds n * top.  A window
     # drops the offsets before its begin's first word.
@@ -216,7 +219,7 @@ def candidates(
     index[np.arange(span) < (lead - flat_begins)[:, :, None]] = none
     index.sort(axis=-1)
     kept = index < none
-    begin = np.flatnonzero(kept) // span
+    begin = kept.ravel().nonzero()[0] // span
     end = index[kept]
     return Candidates(
         words=tuple(pair.table.keys),
@@ -242,7 +245,7 @@ def score_strings(
     """
     found = candidates(probs, pair, top_k, max_answer_length)
     first, scores = found.pooled(aggregation)
-    by_sight = np.argsort(first)
+    by_sight = first.argsort()
     return dict(zip(map(found.text, first[by_sight].tolist()), scores[by_sight].tolist()))
 
 

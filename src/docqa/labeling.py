@@ -111,8 +111,9 @@ def find_consistent_spans_exact(
     matches nothing.  One gather over the document's word ids finds the
     positions s that hold some answer's first word, and only the keys around
     them are read.  From s, the scan grows the key tuple of each span [s, j],
-    notes the ends whose tuple is an answer, then walks back over the empty
-    words and articles before s to the begins that share them.
+    and stops before it would hold more keys than the longest answer, notes
+    the ends whose tuple is an answer, then walks back over the empty words
+    and articles before s to the begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -122,6 +123,7 @@ def find_consistent_spans_exact(
         keyed = tuple(table.keys.get(word, -1) for word in answer.split())
         if keyed and -1 not in keyed:
             targets[keyed] = answer
+    longest = max(map(len, targets), default=0)
     is_first = np.zeros(len(table.keys), bool)
     is_first[[keyed[0] for keyed in targets]] = True
     hits = np.flatnonzero(is_first[table.key_of][table.ids])
@@ -135,7 +137,10 @@ def find_consistent_spans_exact(
         keys = [key_of[w] for w in table.ids[lo:stop].tolist()]
         matches, keyed = [], ()
         for j, key in enumerate(keys[s - lo :], start=s):
-            keyed += (key,) if key else ()
+            if key:
+                if len(keyed) == longest:
+                    break  # no answer holds more words
+                keyed += (key,)
             if keyed in targets:
                 matches.append((j, targets[keyed]))
         if not matches:

@@ -18,8 +18,10 @@ def exact_match(prediction: str, golds: Iterable[str]) -> float:
 
 
 def _f1_bags(pred_tokens: list[str], gold_tokens: list[str]) -> float:
+    if pred_tokens == gold_tokens:
+        return 1.0  # what the formula gives for equal bags, exactly
     if not pred_tokens or not gold_tokens:
-        return float(pred_tokens == gold_tokens)
+        return 0.0
     overlap = Counter(pred_tokens) & Counter(gold_tokens)
     common = sum(overlap.values())
     if common == 0:

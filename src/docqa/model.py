@@ -176,7 +176,7 @@ class ToyScorer:
     def _fold(self, doc: EncodedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Question mean qbar, then W (4, dim) and c (4,) of the four heads."""
         question = doc.table.question
-        qbar = self.embedding[doc.words[question]].sum(axis=0) / max(1, len(question))
+        qbar = np.add.reduce(self.embedding[doc.words[question]], axis=0) / max(1, len(question))
         return qbar, self._heads[:, 0] + qbar * self._heads[:, 2], self._heads[:, 1] @ qbar
 
     def score(self, pair: DocumentQuestionPair | EncodedPair) -> ScoreGrid:
@@ -196,7 +196,7 @@ class ToyScorer:
         table = np.empty((2, n_words + len(layout.counts)))
         table[:, :n_words] = per_word[:2] + bias[:2, None]
         table[:, n_words:] = per_word[2:] @ layout.occurrences.T / layout.counts + bias[2:, None]
-        return ScoreGrid(np.take(table, layout.slots, axis=1).ravel(), layout.sizes)
+        return ScoreGrid(table.take(layout.slots, axis=1).ravel(), layout.sizes)
 
     def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
         """Push a score-grid gradient back onto a vector laid out like params.

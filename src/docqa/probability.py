@@ -9,6 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
+# log_partition runs once per document per scoring, so its hot path calls
+# array methods and ufunc reductions (np.add.reduce) directly: numpy's module
+# wrappers and ndarray.max and .sum each cost a Python frame before they
+# reach C.
+
 
 class SpaceKind(Enum):
     """Which pool of positions competes for probability mass.
@@ -95,13 +100,13 @@ def logsumexp(a: np.ndarray) -> np.float64:
     bit-identical to the reference log-sum-exp that the tests compare against.
     A non-finite maximum (all -inf, +inf or nan) falls back to the direct sum.
     """
-    top = a.max()
+    top = np.maximum.reduce(a)
     if not math.isfinite(top):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.log(np.exp(a).sum())
+            return np.log(np.add.reduce(np.exp(a)))
     mask = a == top
     count = np.float64(np.count_nonzero(mask))
-    rest = np.exp(np.where(mask, -np.inf, a) - top).sum()
+    rest = np.add.reduce(np.exp(np.where(mask, -np.inf, a) - top))
     return np.log1p(rest / count) + np.log(count) + top
 
 
@@ -125,7 +130,7 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
     is_term = np.ones(len(padded), bool)
     is_term[leads] = False
     with np.errstate(invalid="ignore", divide="ignore"):
-        shifted = a - np.repeat(top, sizes)
+        shifted = a - top.repeat(sizes)
         # a - top is 0 exactly where a equals a finite top.
         mask = shifted == 0
         count = np.add.reduceat(mask, heads, dtype=np.intp)
@@ -134,7 +139,7 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
         padded[is_term] = terms
         rest = np.add.reduceat(padded, leads)
         out = np.log1p(rest / count) + np.log(count) + top
-    for g in np.flatnonzero(~np.isfinite(top)).tolist():
+    for g in (~np.isfinite(top)).nonzero()[0].tolist():
         out[g] = logsumexp(a[heads[g] : heads[g] + sizes[g]])
     return out
 
@@ -148,14 +153,16 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     """
     if space is SpaceKind.PARAGRAPH:
         zs = logsumexp_runs(grid.vector, np.array(grid.offsets[:-1]))
-        log = grid.vector - np.repeat(zs, grid.sizes * 2)
+        log = grid.vector - zs.repeat(grid.sizes * 2)
     elif space is SpaceKind.DOCUMENT:
         positions = np.ones(grid.vector.shape, dtype=bool)
         positions[np.subtract(grid.offsets[1:], 1)] = False  # the null slots
-        scores = grid.vector[positions]
-        zb, ze = (logsumexp(side) for side in np.split(scores, 2))
+        scores = grid.vector[positions]  # a copy, so each half is normalized in place
+        half = len(scores) // 2
+        for side in (scores[:half], scores[half:]):
+            side -= logsumexp(side)
         log = np.full(grid.vector.shape, -np.inf)
-        log[positions] = scores - np.repeat([zb, ze], scores.shape[0] // 2)
+        log[positions] = scores
     else:
         raise ValueError(f"unknown space {space!r}")
     return LogProbGrid(log, grid.sizes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -82,8 +83,12 @@ class NoiseProfile:
         if not self.mention_counts:
             raise ValueError("mention_counts must not be empty")
         for count, weight in self.mention_counts:
-            if count < 1 or weight <= 0:
-                raise ValueError("mention counts need count >= 1 and positive weight")
+            if count < 1 or not 0 < weight < math.inf:
+                raise ValueError(
+                    "field 'mention_counts' needs counts >= 1 and positive, finite weights"
+                )
+        if not math.isfinite(sum(w for _, w in self.mention_counts)):
+            raise ValueError("field 'mention_counts' has weights whose sum is not finite")
         longest = 4 * max(c for c, _ in self.mention_counts)
         if not longest + 4 <= self.tokens_per_paragraph <= 400:
             raise ValueError("tokens_per_paragraph too small for the mention load")
@@ -209,6 +214,20 @@ def _assemble(rng, filler_pool, segments: list[list[str]], length: int) -> list[
     return out
 
 
+def _mention_count_draw(mention_counts: Sequence[tuple[int, float]]):
+    """A function of a Generator that draws one count of mention_counts by
+    its weight, as rng.choice(counts, p=weights / weights.sum()) does: one
+    rng.random() searched in choice's own normalized cumulative weights, the
+    same draw and the same generator state after it, without the checks of p
+    that choice repeats on every call (NoiseProfile has made them).
+    """
+    counts = [c for c, _ in mention_counts]
+    weights = np.array([w for _, w in mention_counts], dtype=np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return lambda rng: counts[cdf.searchsorted(rng.random(), side="right")]
+
+
 def generate(
     profile: NoiseProfile, id_prefix: str = "doc"
 ) -> tuple[list[DocumentQuestionPair], list[ConsistentLabelSet], list[SyntheticTruth]]:
@@ -221,9 +240,7 @@ def generate(
     universe = _build_universe(profile)
     n_topics = len(universe.answers)
     rng = np.random.default_rng(profile.seed)
-    counts = np.array([c for c, _ in profile.mention_counts])
-    weights = np.array([w for _, w in profile.mention_counts], dtype=np.float64)
-    weights = weights / weights.sum()
+    draw_mentions = _mention_count_draw(profile.mention_counts)
 
     pairs, labels, truths = [], [], []
     for doc_index in range(profile.documents):
@@ -245,7 +262,7 @@ def generate(
         for role in roles:
             segments: list[list[str]] = []
             if role == "correct":
-                n_mentions = int(rng.choice(counts, p=weights))
+                n_mentions = draw_mentions(rng)
                 for _ in range(n_mentions):
                     mention = [base]
                     if multi and rng.random() < 0.5:

@@ -735,6 +735,9 @@ class TestBadRecordFiles:
             ('{"documents": 0}', "need at least one training document"),
             ('{"dev_documents": -1}', "dev_documents must not be negative"),
             ('{"seed": -1}', "field 'seed' must be a non-negative integer, got -1"),
+            ('{"mention_counts": [[1, NaN]]}', "field 'mention_counts' needs counts >= 1 and positive, finite weights"),
+            ('{"mention_counts": [[1, 0.5], [2, Infinity]]}', "field 'mention_counts' needs counts >= 1 and positive, finite weights"),
+            ('{"mention_counts": [[2, 1e308], [3, 1e308]]}', "field 'mention_counts' has weights whose sum is not finite"),
             ("{", "Expecting property name"),
         ],
     )

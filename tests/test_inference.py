@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from docqa.corpus import make_pair, normalize_string
+from docqa.corpus import load_dataset, make_pair, normalize_string, save_dataset
 from docqa.diagnostics import RAW_TOKENS, random_scored_pair
 from docqa.inference import (
     AnswerAggregation,
@@ -15,7 +17,10 @@ from docqa.inference import (
     predict,
     score_strings,
 )
+from docqa.metrics import exact_match, token_f1
+from docqa.model import ToyScorer, Vocabulary
 from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition, logsumexp
+from docqa.synthlab import NoiseProfile, generate
 
 
 def scored_pair(texts, scores_begin, scores_end):
@@ -462,6 +467,44 @@ class TestRepeatedDecoding:
                         assert mine.tobytes() == theirs.tobytes()
                     for aggregation in AnswerAggregation if len(fresh.log_p) else ():
                         assert repr(again.best(aggregation)) == repr(fresh.best(aggregation))
+
+
+class TestNoNumpyWrappers:
+    def test_decode_path_enters_no_numpy_wrapper(self, tmp_path):
+        """Scoring, normalizing, decoding and scoring the answer of a freshly
+        loaded pair, layouts and encoding included, calls numpy only through
+        C entry points: no frame of numpy's fromnumeric.py or _methods.py."""
+        profile = NoiseProfile(
+            vocab_size=80, documents=6, paragraphs_per_document=4, tokens_per_paragraph=40,
+            alias_rate=0.4, multi_answer_rate=0.5, seed=27,
+        )
+        save_dataset(generate(profile)[0], tmp_path / "data.jsonl")
+        pairs = load_dataset(tmp_path / "data.jsonl")
+        vocab = Vocabulary.from_pairs(pairs)
+        rng = np.random.default_rng(27)
+        scorer = ToyScorer(vocab, rng.normal(size=(len(vocab), 8)), *rng.normal(size=(4, 24)))
+        specs = [InferenceSpec(aggregation=a) for a in AnswerAggregation]
+        wrappers = []
+
+        def record(frame, event, arg):
+            path = Path(frame.f_code.co_filename)
+            if event == "call" and "numpy" in path.parts:
+                if path.name in ("fromnumeric.py", "_methods.py"):
+                    wrappers.append(f"{path.name}:{frame.f_code.co_name}")
+
+        for pair in pairs:
+            sys.setprofile(record)
+            try:
+                grid = scorer.score(pair)
+                for space in SpaceKind:
+                    probs = log_partition(grid, space)
+                    for spec in specs:
+                        answer = predict(probs, pair, spec).answer
+                        exact_match(answer, pair.answers.raw)
+                        token_f1(answer, pair.answers.raw)
+            finally:
+                sys.setprofile(None)
+        assert wrappers == []
 
 
 class TestMemory:

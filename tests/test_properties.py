@@ -1,6 +1,7 @@
 """Property-based checks: per-token normalization, the decoder's top-k
 ranking, and round trips of the JSONL file formats and the noise profile."""
 
+import math
 import string
 import tempfile
 from pathlib import Path
@@ -221,7 +222,7 @@ def profiles(draw):
             ),
             min_size=1,
             max_size=4,
-        )
+        ).filter(lambda pairs: math.isfinite(sum(weight for _, weight in pairs)))
     )
     longest = 4 * max(count for count, _ in mention_counts)
     return NoiseProfile(

@@ -154,6 +154,29 @@ class TestGeneration:
         assert [p.id for p in pairs] == ["syn00000", "syn00001", "syn00002"]
 
 
+class TestMentionCountDraw:
+    @pytest.mark.parametrize(
+        "mention_counts",
+        [
+            ((1, 0.5), (2, 0.3), (3, 0.2)),
+            ((2, 0.4), (3, 0.4), (4, 0.2)),
+            ((1, 1.0),),
+            ((3, 7.0), (1, 1e-9), (2, 2.5)),
+            tuple((c, float(c % 3 + 1)) for c in range(1, 12)),
+        ],
+    )
+    def test_draws_as_generator_choice(self, mention_counts):
+        counts = np.array([c for c, _ in mention_counts])
+        weights = np.array([w for _, w in mention_counts])
+        draw = synthlab._mention_count_draw(mention_counts)
+        for seed in (0, 3, 7, 4242):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [draw(rng) for _ in range(300)]
+            expected = [int(reference.choice(counts, p=weights / weights.sum())) for _ in range(300)]
+            assert drawn == expected
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestProfile:
     def test_json_round_trip(self):
         profile = small_profile(alias_rate=0.25, mention_counts=((1, 0.7), (2, 0.3)))
@@ -175,6 +198,11 @@ class TestProfile:
             small_profile(mention_counts=())
         with pytest.raises(ValueError, match="field 'seed' must be a non-negative integer, got -1"):
             small_profile(seed=-1)
+        for weight in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="positive, finite weights"):
+                small_profile(mention_counts=((1, 0.5), (2, weight)))
+        with pytest.raises(ValueError, match="weights whose sum is not finite"):
+            small_profile(mention_counts=((2, 1e308), (3, 1e308)))
 
     def test_dev_profile_changes_seed_and_size(self):
         profile = small_profile()
