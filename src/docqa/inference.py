@@ -18,6 +18,11 @@ DEFAULT_MAX_ANSWER_LENGTH = 8
 # numpy's module wrappers and ndarray.max, .any and .sum each cost a Python
 # frame before they reach C.
 
+# The grid runs, the benchmark and the oracle diagnostic decode every grid
+# under both aggregations, and building the candidates is the largest share
+# of a decode, so candidates keeps what it builds with the read-only grid,
+# at most once per pair, top_k and length cap.
+
 
 class AnswerAggregation(Enum):
     """How multiple mentions of one answer string pool their probability."""
@@ -181,9 +186,30 @@ def candidates(
     (grid_layout and span_keys), which lays them out once per pair.
     top_k=None takes every position.  A top_k or max_answer_length below one
     raises ValueError, as InferenceSpec does; a grid that does not match the
-    pair, or that holds NaN, raises InferenceError.
+    pair, or that holds NaN, raises InferenceError, on every call.
+
+    The candidates are kept with probs, whose log probabilities cannot
+    change, under the pair's WordTable (by identity), top_k and
+    max_answer_length: a second call with the same arguments returns the same
+    read-only Candidates without building them again.  top_k=None and a top_k
+    covering every position are kept apart.  Nothing is kept when building
+    raises.
     """
     _check_sizes(top_k, max_answer_length)
+    key = (pair.table, top_k, max_answer_length)
+    found = probs._decoded.get(key)
+    if found is None:
+        found = _build_candidates(probs, pair, top_k, max_answer_length)
+        for array in (found.lo, found.hi, found.log_p):
+            array.flags.writeable = False
+        probs._decoded[key] = found
+    return found
+
+
+def _build_candidates(
+    probs: LogProbGrid, pair: DocumentQuestionPair, top_k: int | None, max_answer_length: int
+) -> Candidates:
+    """The body of candidates, run once per kept entry."""
     layout, keys = pair.table.grid_layout, pair.table.span_keys
     if probs.sizes != layout.sizes:
         raise InferenceError("probability grid does not match the document")

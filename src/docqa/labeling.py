@@ -126,11 +126,11 @@ def find_consistent_spans_exact(
     longest = max(map(len, targets), default=0)
     is_first = np.zeros(len(table.keys), bool)
     is_first[[keyed[0] for keyed in targets]] = True
-    hits = np.flatnonzero(is_first[table.key_of][table.ids])
+    hits = is_first[table.key_of][table.ids].nonzero()[0]
     key_of = table.key_of.tolist()
     starts = table.starts
     spans = []
-    for s, k in zip(hits.tolist(), (np.searchsorted(starts, hits, "right") - 1).tolist()):
+    for s, k in zip(hits.tolist(), (np.array(starts).searchsorted(hits, "right") - 1).tolist()):
         # The keys of paragraph k from the furthest begin to the furthest end.
         lo = max(starts[k], s - max_span_length + 1)
         stop = min(starts[k + 1], s + max_span_length)

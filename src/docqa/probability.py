@@ -85,7 +85,19 @@ class ScoreGrid:
 class LogProbGrid(ScoreGrid):
     """Log probabilities for begin and end positions under one space, laid out
     like the ScoreGrid they normalize.  Under DOCUMENT the null slots hold -inf.
+
+    The grid takes its own copy of the vector and marks it read-only, so its
+    begin and end views are read-only too and writing the source array later
+    leaves the grid as it was.  A grid that cannot change can keep what is
+    decoded from it: inference.candidates stores the candidates it builds in
+    the grid's private _decoded dict, empty at construction, and looks them
+    up there before building them again.
     """
+
+    def __init__(self, vector: np.ndarray, sizes: Sequence[int]):
+        super().__init__(np.array(vector, dtype=np.float64), sizes)
+        self.vector.flags.writeable = False
+        self._decoded: dict = {}
 
     # Aliases of begin and end that the bench still reads.
     log_begin = ScoreGrid.begin
@@ -105,8 +117,10 @@ def logsumexp(a: np.ndarray) -> np.float64:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.log(np.add.reduce(np.exp(a)))
     mask = a == top
-    count = np.float64(np.count_nonzero(mask))
-    rest = np.add.reduce(np.exp(np.where(mask, -np.inf, a) - top))
+    count = np.add.reduce(mask, dtype=np.float64)
+    terms = np.exp(a - top)
+    terms[mask] = 0.0  # the tied terms, counted above
+    rest = np.add.reduce(terms)
     return np.log1p(rest / count) + np.log(count) + top
 
 

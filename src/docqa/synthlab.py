@@ -28,8 +28,7 @@ from .corpus import (
     read_json_lines,
     write_json_lines,
 )
-# predict stays importable here: the benchmark's tracer wraps synthlab.predict.
-from .inference import InferenceError, InferenceSpec, candidates, predict  # noqa: F401
+from .inference import InferenceError, InferenceSpec, predict
 from .labeling import (
     ConsistentLabelSet,
     SpanLabel,
@@ -43,6 +42,7 @@ from .probability import SpaceKind, log_partition
 from .training import TrainConfig, train
 
 CUES_PER_TOPIC = 4
+_BAD_MENTION_COUNTS = "field 'mention_counts' needs counts >= 1 and positive, finite weights"
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class NoiseProfile:
             raise ValueError("mention_counts must not be empty")
         for count, weight in self.mention_counts:
             if count < 1 or not 0 < weight < math.inf:
-                raise ValueError(
-                    "field 'mention_counts' needs counts >= 1 and positive, finite weights"
-                )
+                raise ValueError(_BAD_MENTION_COUNTS)
         if not math.isfinite(sum(w for _, w in self.mention_counts)):
             raise ValueError("field 'mention_counts' has weights whose sum is not finite")
         longest = 4 * max(c for c, _ in self.mention_counts)
@@ -126,7 +124,10 @@ class NoiseProfile:
                     raise ValueError(
                         "field 'mention_counts' must be a list of [count, weight] pairs"
                     )
-                record[key] = tuple((c, float(w)) for c, w in value)
+                try:
+                    record[key] = tuple((c, float(w)) for c, w in value)
+                except OverflowError:
+                    raise ValueError(_BAD_MENTION_COUNTS) from None
             elif not _is_number(value, type(defaults[key])):
                 kind = "an integer" if type(defaults[key]) is int else "a number"
                 raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
@@ -382,9 +383,10 @@ def _decode_specs(
     specs: Sequence[InferenceSpec],
     space: SpaceKind,
 ) -> list[list[tuple[str, float]]]:
-    """decode_corpus for each spec.  Each pair is scored and normalized once,
-    its candidates are built once per distinct (top_k, max_answer_length), and
-    each spec only pools them with its aggregation."""
+    """decode_corpus for each spec.  Each pair is scored and normalized once
+    and decoded by predict under each spec; the grid keeps the candidates
+    predict builds (see inference.candidates), so specs that differ only in
+    aggregation build them once and only pool them apart."""
     scorer = checkpoint.to_scorer()
     out: list[list[tuple[str, float]]] = [[] for _ in specs]
     failed = ("", float("-inf"))
@@ -394,13 +396,9 @@ def _decode_specs(
                 decoded.append(failed)
             continue
         probs = log_partition(scorer.score(pair), space)
-        found = {}
         for spec, decoded in zip(specs, out):
-            shape = (spec.top_k, spec.max_answer_length)
             try:
-                if shape not in found:
-                    found[shape] = candidates(probs, pair, *shape)
-                prediction = found[shape].best(spec.aggregation)
+                prediction = predict(probs, pair, spec)
                 decoded.append((prediction.answer, prediction.score))
             except InferenceError:
                 decoded.append(failed)

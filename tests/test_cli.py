@@ -738,6 +738,11 @@ class TestBadRecordFiles:
             ('{"mention_counts": [[1, NaN]]}', "field 'mention_counts' needs counts >= 1 and positive, finite weights"),
             ('{"mention_counts": [[1, 0.5], [2, Infinity]]}', "field 'mention_counts' needs counts >= 1 and positive, finite weights"),
             ('{"mention_counts": [[2, 1e308], [3, 1e308]]}', "field 'mention_counts' has weights whose sum is not finite"),
+            pytest.param(
+                '{"mention_counts": [[1, 1' + "0" * 400 + "]]}",
+                "field 'mention_counts' needs counts >= 1 and positive, finite weights",
+                id="integer-weight-beyond-float-range",
+            ),
             ("{", "Expecting property name"),
         ],
     )

@@ -17,6 +17,7 @@ from docqa.inference import (
     predict,
     score_strings,
 )
+from docqa.labeling import find_consistent_spans_exact
 from docqa.metrics import exact_match, token_f1
 from docqa.model import ToyScorer, Vocabulary
 from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition, logsumexp
@@ -401,6 +402,95 @@ class TestNaNGrid:
                     score_strings(probs, pair, aggregation)
 
 
+class TestKeptCandidates:
+    """A LogProbGrid is a read-only copy of its vector and keeps the
+    candidates built from it, once per pair, top_k and length cap."""
+
+    @staticmethod
+    def probs(space=SpaceKind.PARAGRAPH):
+        pair, grid = scored_pair(
+            ["rome pisa lake", "rome"], [[1.0, 0.0, 2.0], [0.5]], [[0.0, 0.0, 3.0], [0.0]]
+        )
+        return pair, log_partition(grid, space)
+
+    def test_equal_arguments_return_the_same_candidates(self):
+        pair, probs = self.probs()
+        found = candidates(probs, pair, 2, 3)
+        assert candidates(probs, pair, 2, 3) is found
+        assert candidates(probs, pair, 3, 3) is not found
+        assert candidates(probs, pair, 2, 2) is not found
+        for array in (found.lo, found.hi, found.log_p):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_each_pair_gets_its_own_answer(self):
+        # equal paragraph lengths, so one grid fits both pairs
+        rome = make_pair("a", "q", [["rome", "pisa", "lake"]], ["rome"])
+        oslo = make_pair("b", "q", [["oslo", "bern", "riga"]], ["oslo"])
+        grid = ScoreGrid.zeros([3])
+        grid.begin[0][1] = grid.end[0][1] = 4.0
+        probs = log_partition(grid, SpaceKind.PARAGRAPH)
+        for aggregation in AnswerAggregation:
+            spec = InferenceSpec(aggregation=aggregation, max_answer_length=1)
+            assert predict(probs, rome, spec).answer == "pisa"
+            assert predict(probs, oslo, spec).answer == "bern"
+            assert predict(probs, rome, spec).answer == "pisa"
+
+    def test_writing_the_source_vector_changes_no_decode(self):
+        pair, probs = self.probs()
+        source = probs.vector.copy()
+        grid = LogProbGrid(source, probs.sizes)
+        # the same paragraphs with "rome" ahead of "lake"
+        other = log_partition(
+            scored_pair(["rome pisa lake", "rome"], [[3.0], [0.0]], [[3.0], [0.0]])[1],
+            SpaceKind.PARAGRAPH,
+        ).vector
+        assert predict(LogProbGrid(other, probs.sizes), pair, InferenceSpec()).answer == "rome"
+        assert predict(grid, pair, InferenceSpec()).answer == "lake"
+        source[:] = other
+        for top_k in (20, 1):  # candidates kept before the write, then built after it
+            for aggregation in AnswerAggregation:
+                spec = InferenceSpec(aggregation, top_k)
+                assert predict(grid, pair, spec) == predict(probs, pair, spec)
+        assert grid.vector.tobytes() == probs.vector.tobytes()
+
+    def test_grid_and_its_views_are_read_only(self):
+        for space in SpaceKind:
+            pair, probs = self.probs(space)
+            for view in (probs.vector, probs.begin[1], probs.end[0], probs.log_begin[0]):
+                with pytest.raises(ValueError):
+                    view[0] = 0.0
+            with pytest.raises(ValueError):
+                probs.vector += 1.0
+
+    def test_every_position_is_kept_apart_from_none(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            pair, grid = random_scored_pair(rng, max_tokens=12)
+            longest = max(len(p.tokens) for p in pair.paragraphs)
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                every = candidates(probs, pair, None, 3)
+                top = candidates(probs, pair, longest, 3)
+                assert every is not top
+                assert candidates(probs, pair, None, 3) is every
+                for aggregation in AnswerAggregation if len(every.log_p) else ():
+                    assert repr(every.best(aggregation)) == repr(top.best(aggregation))
+
+    def test_nan_grid_raises_on_every_call(self):
+        pair, probs = self.probs()
+        vector = probs.vector.copy()
+        vector[1] = np.nan
+        grid = LogProbGrid(vector, probs.sizes)
+        for _ in range(3):
+            with pytest.raises(InferenceError, match="NaN"):
+                candidates(grid, pair)
+            for aggregation in AnswerAggregation:
+                with pytest.raises(InferenceError, match="NaN"):
+                    predict(grid, pair, InferenceSpec(aggregation))
+
+
 class TestTopKAgainstExhaustive:
     def test_truncated_top_k_never_outscores_exhaustive(self):
         # paragraphs of 10-40 tokens from 6 words, so strings pool several
@@ -458,7 +548,8 @@ class TestRepeatedDecoding:
                 probs = log_partition(grid, space)
                 for top_k in range(1, longest + 1):
                     candidates(probs, pair, top_k)
-                    again = candidates(probs, pair, top_k)
+                    # a new grid keeps no candidates, so this builds them again
+                    again = candidates(LogProbGrid(probs.vector, probs.sizes), pair, top_k)
                     fresh = candidates(probs, make_pair("f", "q", texts, ["rome"]), top_k)
                     assert again.words == fresh.words
                     for name in ("sequence", "lo", "hi", "log_p"):
@@ -471,9 +562,10 @@ class TestRepeatedDecoding:
 
 class TestNoNumpyWrappers:
     def test_decode_path_enters_no_numpy_wrapper(self, tmp_path):
-        """Scoring, normalizing, decoding and scoring the answer of a freshly
-        loaded pair, layouts and encoding included, calls numpy only through
-        C entry points: no frame of numpy's fromnumeric.py or _methods.py."""
+        """Labeling, scoring, normalizing, decoding and scoring the answer of a
+        freshly loaded pair, layouts and encoding included, calls numpy only
+        through C entry points: no frame of numpy's fromnumeric.py or
+        _methods.py."""
         profile = NoiseProfile(
             vocab_size=80, documents=6, paragraphs_per_document=4, tokens_per_paragraph=40,
             alias_rate=0.4, multi_answer_rate=0.5, seed=27,
@@ -495,6 +587,7 @@ class TestNoNumpyWrappers:
         for pair in pairs:
             sys.setprofile(record)
             try:
+                find_consistent_spans_exact(pair)
                 grid = scorer.score(pair)
                 for space in SpaceKind:
                     probs = log_partition(grid, space)
@@ -521,10 +614,11 @@ class TestMemory:
         grid = ScoreGrid.zeros([400] * 8)
         grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
         probs = log_partition(grid, SpaceKind.DOCUMENT)
-        exhaustive_predict(probs, pair, AnswerAggregation.SUM)
+        exhaustive_predict(probs, pair, AnswerAggregation.SUM)  # lays out the pair
+        fresh = LogProbGrid(probs.vector, probs.sizes)  # keeps no candidates yet
         tracemalloc.start()
         try:
-            exhaustive_predict(probs, pair, AnswerAggregation.SUM)
+            exhaustive_predict(fresh, pair, AnswerAggregation.SUM)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

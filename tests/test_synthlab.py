@@ -203,6 +203,9 @@ class TestProfile:
                 small_profile(mention_counts=((1, 0.5), (2, weight)))
         with pytest.raises(ValueError, match="weights whose sum is not finite"):
             small_profile(mention_counts=((2, 1e308), (3, 1e308)))
+        # a JSON integer weight beyond float range: float() overflows
+        with pytest.raises(ValueError, match="'mention_counts' needs .* finite weights"):
+            NoiseProfile.from_json('{"mention_counts": [[1, 1' + "0" * 400 + "]]}")
 
     def test_dev_profile_changes_seed_and_size(self):
         profile = small_profile()
