@@ -15,8 +15,8 @@ DEFAULT_MAX_ANSWER_LENGTH = 8
 
 # Decoding runs once per document on small arrays, so it calls array methods
 # (a.take, a.nonzero) and ufunc reductions (np.maximum.reduce) directly:
-# numpy's module wrappers and ndarray.max, .any and .sum each cost a Python
-# frame before they reach C.
+# numpy's module wrappers (np.where, np.full, np.ones) and ndarray.max, .any
+# and .sum each cost a Python frame before they reach C.
 
 # The grid runs, the benchmark and the oracle diagnostic decode every grid
 # under both aggregations, and building the candidates is the largest share
@@ -94,26 +94,40 @@ class Candidates:
         """(first, scores): for each distinct string, its first candidate and
         its pooled log score, the maximum of its mentions or
         probability.logsumexp over them in candidate order.  Strings come in
-        the order of their key rows, not of first sight.
+        no meaningful order (that of their packed rows), not of first sight.
 
-        Equal strings are found by one stable np.lexsort of the candidates'
-        key rows, zero padded and read by one gather of the sequence, so each
-        string's mentions form one run in candidate order.  Only strings with
-        two or more mentions go through logsumexp_runs: the log-sum-exp of
-        one entry x is 0.0 + x, bit for bit, -inf included.
+        Equal strings are found by one stable sort of the candidates' key
+        rows, so each string's mentions form one run in candidate order.  A
+        row is the candidate's keys, read by one gather of the sequence, zero
+        padded to whole 8-byte words and read as uint64: keys are never 0, so
+        two rows are equal exactly when their strings are.  A row of one word
+        (up to 8 uint8 or 4 uint16 keys) sorts as one column; wider rows go
+        through np.lexsort.  Only strings with two or more mentions go through
+        logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x, bit for
+        bit, -inf included.
         """
         if not len(self.log_p):
             return np.empty(0, np.intp), np.empty(0)
-        # Each candidate's row: the width keys from its lo, zeroed from its hi
-        # on; clipped reads past the sequence's end are zeroed too.
-        width = int(np.maximum.reduce(self.hi - self.lo))
-        at = self.lo[:, None] + np.arange(width)
+        # Each candidate's row: the keys from its lo, zeroed from its hi on;
+        # clipped reads past the sequence's end are zeroed too.
+        per_word = 8 // self.sequence.itemsize
+        words = -(-int(np.maximum.reduce(self.hi - self.lo)) // per_word)
+        at = self.lo[:, None] + np.arange(words * per_word)
         keys = self.sequence.take(at, mode="clip")
         keys[at >= self.hi[:, None]] = 0
-        by_key = np.lexsort(keys.T[::-1])
-        rows = keys[by_key]
-        cut = np.ones(len(rows) + 1, bool)  # before each run, and after the last
-        cut[1:-1] = np.logical_or.reduce(rows[1:] != rows[:-1], axis=1)
+        packed = keys.view(np.uint64)
+        if words == 1:
+            packed = packed.ravel()
+            by_key = packed.argsort(kind="stable")
+            rows = packed[by_key]
+            differs = rows[1:] != rows[:-1]
+        else:
+            by_key = np.lexsort(packed.T)
+            rows = packed[by_key]
+            differs = np.logical_or.reduce(rows[1:] != rows[:-1], axis=1)
+        cut = np.empty(len(rows) + 1, bool)  # before each run, and after the last
+        cut[0] = cut[-1] = True
+        cut[1:-1] = differs
         bounds = cut.nonzero()[0]
         heads = bounds[:-1]
         log_p = self.log_p[by_key]
@@ -238,8 +252,11 @@ def _build_candidates(
     # position; every other position, pads included, holds n * top.  A window
     # drops the offsets before its begin's first word.
     none = n * top
-    end_index = np.full((n, width), none)
-    end_index[rows, ends] = np.where(np.arange(top) < lengths, np.arange(none).reshape(n, top), none)
+    end_index = np.empty((n, width), np.intp)
+    end_index.fill(none)
+    flat_ends = np.arange(none).reshape(n, top)
+    flat_ends[np.arange(top) >= lengths] = none  # ranks past a paragraph's length are its pads
+    end_index[rows, ends] = flat_ends
     windows = (begins + rows * width)[:, :, None] + np.arange(span)
     index = end_index.ravel()[windows]
     index[np.arange(span) < (lead - flat_begins)[:, :, None]] = none

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -108,12 +109,13 @@ def find_consistent_spans_exact(
     non-empty, non-article word at or after i.  So spans are compared as
     tuples of WordTable keys, answers included: each answer word is looked up
     in the table's keys once, and an answer holding a word the document lacks
-    matches nothing.  One gather over the document's word ids finds the
-    positions s that hold some answer's first word, and only the keys around
-    them are read.  From s, the scan grows the key tuple of each span [s, j],
-    and stops before it would hold more keys than the longest answer, notes
-    the ends whose tuple is an answer, then walks back over the empty words
-    and articles before s to the begins that share them.
+    matches nothing.  One gather reads the key of every position of the
+    document once; it finds the positions s that hold some answer's first
+    word, and only the keys around them are sliced from it.  From s, the scan
+    grows the key tuple of each span [s, j], and stops before it would hold
+    more keys than the longest answer, notes the ends whose tuple is an
+    answer, then walks back over the empty words and articles before s to the
+    begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
@@ -126,15 +128,15 @@ def find_consistent_spans_exact(
     longest = max(map(len, targets), default=0)
     is_first = np.zeros(len(table.keys), bool)
     is_first[[keyed[0] for keyed in targets]] = True
-    hits = is_first[table.key_of][table.ids].nonzero()[0]
-    key_of = table.key_of.tolist()
+    position_keys = table.key_of.take(table.ids)
     starts = table.starts
     spans = []
-    for s, k in zip(hits.tolist(), (np.array(starts).searchsorted(hits, "right") - 1).tolist()):
+    for s in is_first.take(position_keys).nonzero()[0].tolist():
+        k = bisect_right(starts, s) - 1
         # The keys of paragraph k from the furthest begin to the furthest end.
         lo = max(starts[k], s - max_span_length + 1)
         stop = min(starts[k + 1], s + max_span_length)
-        keys = [key_of[w] for w in table.ids[lo:stop].tolist()]
+        keys = position_keys[lo:stop].tolist()
         matches, keyed = [], ()
         for j, key in enumerate(keys[s - lo :], start=s):
             if key:

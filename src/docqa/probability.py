@@ -11,8 +11,8 @@ import numpy as np
 
 # log_partition runs once per document per scoring, so its hot path calls
 # array methods and ufunc reductions (np.add.reduce) directly: numpy's module
-# wrappers and ndarray.max and .sum each cost a Python frame before they
-# reach C.
+# wrappers, np.ones, np.full, np.errstate and ndarray.max and .sum each cost a
+# Python frame before they reach C.
 
 
 class SpaceKind(Enum):
@@ -86,16 +86,30 @@ class LogProbGrid(ScoreGrid):
     """Log probabilities for begin and end positions under one space, laid out
     like the ScoreGrid they normalize.  Under DOCUMENT the null slots hold -inf.
 
-    The grid takes its own copy of the vector and marks it read-only, so its
-    begin and end views are read-only too and writing the source array later
-    leaves the grid as it was.  A grid that cannot change can keep what is
-    decoded from it: inference.candidates stores the candidates it builds in
-    the grid's private _decoded dict, empty at construction, and looks them
-    up there before building them again.
+    The constructor takes its own copy of the vector and marks it read-only,
+    so its begin and end views are read-only too and writing the source array
+    later leaves the grid as it was.  log_partition instead hands over the
+    array it has just built, which nothing else holds, without a second copy.
+    A grid that cannot change can keep what is decoded from it:
+    inference.candidates stores the candidates it builds in the grid's
+    private _decoded dict, empty at construction, and looks them up there
+    before building them again.
     """
 
     def __init__(self, vector: np.ndarray, sizes: Sequence[int]):
         super().__init__(np.array(vector, dtype=np.float64), sizes)
+        self._seal()
+
+    @classmethod
+    def _taking(cls, vector: np.ndarray, like: ScoreGrid) -> "LogProbGrid":
+        """A grid laid out like `like` that owns vector, a new float64 array
+        of like's length, without copying or checking it again."""
+        grid = cls.__new__(cls)
+        grid.vector, grid.sizes, grid.offsets = vector, like.sizes, like.offsets
+        grid._seal()
+        return grid
+
+    def _seal(self) -> None:
         self.vector.flags.writeable = False
         self._decoded: dict = {}
 
@@ -128,34 +142,52 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """logsumexp of each run a[heads[g] : heads[g + 1]], the last run ending
     with a, bit-identical to calling logsumexp on each run.
 
+    heads must start at 0 and strictly increase, so the runs cover a and none
+    is empty; no heads (with an empty a) give no runs and an empty result.
     The maxima, counts and exponentials are those logsumexp computes, taken
     for every run at once.  Each run's exponentials are summed by one
     np.add.reduceat over a copy in which a zero leads every run: reduceat
     keeps a segment's first entry and adds numpy's pairwise sum of the rest,
-    so 0 plus that sum is what ndarray.sum gives for the run.  A run with a
-    non-finite maximum goes through logsumexp itself.
+    so 0 plus that sum is what ndarray.sum gives for the run.  Only when some
+    run's maximum is non-finite (all -inf, +inf or nan) are floating-point
+    warnings silenced, and those runs go through logsumexp itself.
     """
-    sizes = np.empty_like(heads)
-    sizes[:-1] = heads[1:] - heads[:-1]
-    sizes[-1] = len(a) - heads[-1]
+    if not len(heads):
+        return np.empty(0)
+    sizes = np.empty(len(heads), np.intp)
+    sizes[:-1] = heads[1:]
+    sizes[-1] = len(a)
+    sizes -= heads
     top = np.maximum.reduceat(a, heads)
-    leads = heads + np.arange(len(heads))
-    padded = np.zeros(len(a) + len(heads))
-    is_term = np.ones(len(padded), bool)
-    is_term[leads] = False
+    finite = np.isfinite(top)
+    if np.logical_and.reduce(finite):
+        return _logsumexp_runs(a, heads, sizes, top)
     with np.errstate(invalid="ignore", divide="ignore"):
-        shifted = a - top.repeat(sizes)
-        # a - top is 0 exactly where a equals a finite top.
-        mask = shifted == 0
-        count = np.add.reduceat(mask, heads, dtype=np.intp)
-        terms = np.exp(shifted)
-        terms[mask] = 0.0
-        padded[is_term] = terms
-        rest = np.add.reduceat(padded, leads)
-        out = np.log1p(rest / count) + np.log(count) + top
-    for g in (~np.isfinite(top)).nonzero()[0].tolist():
+        out = _logsumexp_runs(a, heads, sizes, top)
+    for g in (~finite).nonzero()[0].tolist():
         out[g] = logsumexp(a[heads[g] : heads[g] + sizes[g]])
     return out
+
+
+def _logsumexp_runs(
+    a: np.ndarray, heads: np.ndarray, sizes: np.ndarray, top: np.ndarray
+) -> np.ndarray:
+    """The body of logsumexp_runs, exact for the runs whose maximum top[g] is
+    finite."""
+    leads = heads + np.arange(len(heads))
+    padded = np.zeros(len(a) + len(heads))
+    is_term = np.empty(len(padded), bool)
+    is_term.fill(True)
+    is_term[leads] = False
+    shifted = a - top.repeat(sizes)
+    # a - top is 0 exactly where a equals a finite top.
+    mask = shifted == 0
+    count = np.add.reduceat(mask, heads, dtype=np.intp)
+    terms = np.exp(shifted)
+    terms[mask] = 0.0
+    padded[is_term] = terms
+    rest = np.add.reduceat(padded, leads)
+    return np.log1p(rest / count) + np.log(count) + top
 
 
 def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
@@ -169,14 +201,15 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
         zs = logsumexp_runs(grid.vector, np.array(grid.offsets[:-1]))
         log = grid.vector - zs.repeat(grid.sizes * 2)
     elif space is SpaceKind.DOCUMENT:
-        positions = np.ones(grid.vector.shape, dtype=bool)
+        positions = np.empty(grid.vector.shape, bool)
+        positions.fill(True)
         positions[np.subtract(grid.offsets[1:], 1)] = False  # the null slots
-        scores = grid.vector[positions]  # a copy, so each half is normalized in place
+        scores = grid.vector[positions]  # a copy, so both halves are normalized in place
         half = len(scores) // 2
-        for side in (scores[:half], scores[half:]):
-            side -= logsumexp(side)
-        log = np.full(grid.vector.shape, -np.inf)
+        scores -= logsumexp_runs(scores, np.array((0, half))).repeat(half)
+        log = np.empty(grid.vector.shape)
+        log.fill(-np.inf)
         log[positions] = scores
     else:
         raise ValueError(f"unknown space {space!r}")
-    return LogProbGrid(log, grid.sizes)
+    return LogProbGrid._taking(log, grid)

@@ -275,6 +275,66 @@ class TestPoolingPaths:
         assert singles > 200 and shared > 200
 
 
+class TestPackedPooling:
+    """pooled groups spans by their key rows read as uint64 words: 8 uint8 or
+    4 uint16 keys a word.  Rows of one, two and three words, and strings that
+    share their first word of keys and differ in a later one, must group
+    exactly as their texts do."""
+
+    PHRASE = [f"p{i}" for i in range(8)]
+
+    def document(self, rng, n_words):
+        # four paragraphs of 90 words drawn from n_words, each with the phrase's
+        # first 4 or all 8 words, then "x" or "y", spliced in twice
+        words = [f"w{i}" for i in range(n_words)]
+        drawn = rng.permutation(words * (1 + 360 // n_words))[:360].tolist()
+        paragraphs = [drawn[i : i + 90] for i in range(0, 360, 90)]
+        for k, paragraph in enumerate(paragraphs):
+            for shared in (4, 8):
+                for last in ("x", "y"):
+                    at = int(rng.integers(len(paragraph)))
+                    paragraph[at:at] = self.PHRASE[:shared] + [last]
+        return make_pair("packed", "q", paragraphs, ["x"])
+
+    @staticmethod
+    def brute_force(found, aggregation):
+        """Each candidate text's log probabilities in candidate order, pooled."""
+        groups = {}
+        for c, log_p in enumerate(found.log_p.tolist()):
+            groups.setdefault(found.text(c), []).append(log_p)
+        if aggregation is AnswerAggregation.MAX:
+            return {text: max(logs) for text, logs in groups.items()}
+        return {text: float(logsumexp(np.array(logs))) for text, logs in groups.items()}
+
+    @pytest.mark.parametrize("n_words, dtype", [(40, np.uint8), (300, np.uint16)])
+    def test_rows_of_one_to_three_words_match_oracles(self, n_words, dtype):
+        rng = np.random.default_rng(67)
+        pair = self.document(rng, n_words)
+        assert pair.table.span_keys.sequence.dtype == dtype
+        grid = ScoreGrid.zeros(pair.paragraph_lengths())
+        grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
+        split = 0
+        for max_answer_length in (3, 8, 9, 12):
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                found = candidates(probs, pair, None, max_answer_length)
+                for aggregation in AnswerAggregation:
+                    scores = score_strings(probs, pair, aggregation, None, max_answer_length)
+                    want = self.brute_force(found, aggregation)
+                    assert list(scores.items()) == list(want.items())
+                    for top_k in (10, None):
+                        got = decode(probs, pair, aggregation, top_k, max_answer_length)
+                        best = oracle_predict(probs, pair, aggregation, top_k, max_answer_length)
+                        assert (got.answer, got.score) == best
+                # the strings that agree in their first word and differ after it
+                for shared in (4, 8):
+                    if shared < max_answer_length:
+                        phrase = " ".join(self.PHRASE[:shared])
+                        assert {f"{phrase} x", f"{phrase} y"} <= set(scores)
+                        split += 1
+        assert split == 10
+
+
 class TestAggregationFlip:
     def build(self):
         # "rome" appears twice with moderate mass, "pisa" once with the most:
@@ -598,6 +658,44 @@ class TestNoNumpyWrappers:
             finally:
                 sys.setprofile(None)
         assert wrappers == []
+
+    def test_laid_out_pairs_enter_no_numpy_python_frame(self):
+        """Once a pair's layouts are built, scoring it, normalizing the grid in
+        both spaces and decoding it under both aggregations enters no frame of
+        any numpy .py file.  The once-per-pair layouts (span_keys, grid_layout)
+        may; they are built before profiling.  One frame stays by design: a
+        key row wider than one uint64 word (here, more than 8 keys under a
+        length cap of 9) is grouped by np.lexsort, whose Python dispatcher
+        runs before the C sort."""
+        profile = NoiseProfile(
+            vocab_size=80, documents=6, paragraphs_per_document=4, tokens_per_paragraph=40,
+            alias_rate=0.4, multi_answer_rate=0.5, seed=27,
+        )
+        pairs = generate(profile)[0]
+        vocab = Vocabulary.from_pairs(pairs)
+        rng = np.random.default_rng(27)
+        scorer = ToyScorer(vocab, rng.normal(size=(len(vocab), 8)), *rng.normal(size=(4, 24)))
+        frames = {8: [], 9: []}
+        for pair in pairs:
+            pair.table.span_keys, pair.table.grid_layout  # laid out before profiling
+            for cap, entered in frames.items():
+
+                def record(frame, event, arg):
+                    path = Path(frame.f_code.co_filename)
+                    if event == "call" and "numpy" in path.parts and path.suffix == ".py":
+                        entered.append(f"{path.name}:{frame.f_code.co_name}")
+
+                sys.setprofile(record)
+                try:
+                    grid = scorer.score(pair)
+                    for space in SpaceKind:
+                        probs = log_partition(grid, space)
+                        for aggregation in AnswerAggregation:
+                            predict(probs, pair, InferenceSpec(aggregation, max_answer_length=cap))
+                finally:
+                    sys.setprofile(None)
+        assert frames[8] == []
+        assert frames[9] and set(frames[9]) == {"multiarray.py:lexsort"}
 
 
 class TestMemory:

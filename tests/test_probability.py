@@ -202,6 +202,35 @@ class TestLogSumExp:
             want = [probability.logsumexp(run) for run in np.split(a, heads[1:])]
             np.testing.assert_array_equal(got, want, err_msg=repr((a, heads)))
 
+    def test_runs_of_nothing(self):
+        got = probability.logsumexp_runs(np.empty(0), np.empty(0, np.intp))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_runs_with_non_finite_maxima(self):
+        # a run whose maximum is +inf, -inf or nan goes through logsumexp with
+        # warnings silenced; finite runs beside it, -inf entries included,
+        # raise none either way
+        runs = [
+            [0.5, -np.inf, 2.0],
+            [np.inf, 1.0],
+            [-np.inf, -np.inf],
+            [np.nan, 3.0, 3.0],
+            [np.inf, -np.inf, np.inf],
+            [-1.0],
+            [-np.inf],
+        ]
+        a = np.concatenate(runs)
+        heads = np.cumsum([len(run) for run in runs]) - [len(run) for run in runs]
+        with np.errstate(all="raise"):
+            got = probability.logsumexp_runs(a, heads)
+            finite = probability.logsumexp_runs(a[:3], np.array([0]))
+        with np.errstate(all="ignore"):
+            want = [probability.logsumexp(np.array(run)) for run in runs]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:3], [logsumexp(runs[0]), np.inf, -np.inf])
+        assert np.isnan(got[3]) and got[4] == np.inf
+        assert finite == got[0]
+
 
 class TestSpanProb:
     def test_factorizes(self):
