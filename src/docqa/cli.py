@@ -118,6 +118,16 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=_count, default=defaults.embedding_dim)
 
 
+def _training_settings(args) -> dict:
+    """The TrainConfig keywords of the flags _add_training_flags adds."""
+    return dict(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        embedding_dim=args.dim,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="docqa",
@@ -270,15 +280,12 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         objectives=tuple(str(s) for s in specs),
         weights=weights,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
         seed=args.seed,
-        embedding_dim=args.dim,
         momentum=args.momentum,
         hardem_temperature_ramp=args.hardem_ramp,
         pretrain_path=args.pretrain,
         pretrain_epochs=args.pretrain_epochs,
+        **_training_settings(args),
     )
 
 
@@ -353,12 +360,12 @@ def cmd_eval(args) -> int:
             top_k=args.top_k,
             max_answer_length=args.max_answer_length,
         )
-        decoded = decode_corpus(checkpoint, pairs, spec, space)
-        found = {pair.id: p for pair, p in zip(pairs, decoded)}
+        decoded = decode_corpus(checkpoint, pairs, [spec], space)[0]
+        predictions = {pair.id: p for pair, p in zip(pairs, decoded)}
         logger.info("decoded %d pairs in space %s", len(pairs), space.value)
     else:
         found = load_predictions(args.pred)
-    predictions = {pair.id: found.get(pair.id, ("", float("-inf"))) for pair in pairs}
+        predictions = {pair.id: found.get(pair.id, ("", float("-inf"))) for pair in pairs}
     if args.pred_out:
         save_predictions(predictions, args.pred_out)
     answers = [answer for answer, _ in predictions.values()]
@@ -404,12 +411,7 @@ def cmd_grid(args) -> int:
     for combo in combos:
         parse_combo(combo)  # an ObjectiveSpecError is a usage error
     try:
-        config = TrainConfig(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            embedding_dim=args.dim,
-        )
+        config = TrainConfig(**_training_settings(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.data:

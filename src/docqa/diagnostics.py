@@ -59,28 +59,24 @@ def _filled_grid(sizes: list[int], draw: Callable[[int], np.ndarray]) -> ScoreGr
 
 
 def random_instance(
-    rng: np.random.Generator,
-    max_paragraphs: int = 3,
-    max_tokens: int = 6,
-    score_scale: float = 3.0,
-    max_span_length: int = 3,
-    ensure_positive: bool = True,
+    rng: np.random.Generator, max_tokens: int = 6
 ) -> tuple[ScoreGrid, ConsistentLabelSet]:
     """A random score grid with a random consistent label set over it.
 
-    Each paragraph draws zero to three spans of up to max_span_length tokens.
-    With ensure_positive an instance that drew none gets the span (0, 0, 0)
-    without a further draw.
+    The grid has one to three paragraphs of one to max_tokens tokens, with
+    scores drawn normal with scale 3.  Each paragraph draws zero to three
+    spans of up to three tokens; an instance that drew none gets the span
+    (0, 0, 0) without a further draw, so every instance has a positive span.
     """
-    token_counts = _random_sizes(rng, max_paragraphs, max_tokens)
-    grid = _filled_grid(token_counts, lambda n: rng.normal(0.0, score_scale, n))
+    token_counts = _random_sizes(rng, 3, max_tokens)
+    grid = _filled_grid(token_counts, lambda n: rng.normal(0.0, 3.0, n))
     chosen = set()
     for k, n in enumerate(token_counts):
         for _ in range(int(rng.integers(0, 4))):
             i = int(rng.integers(0, n))
-            j = int(rng.integers(i, min(i + max_span_length, n)))
+            j = int(rng.integers(i, min(i + 3, n)))
             chosen.add((k, i, j))
-    if ensure_positive and not chosen:
+    if not chosen:
         chosen.add((0, 0, 0))
     spans = [SpanLabel(k, i, j, matched_string="x") for k, i, j in chosen]
     return grid, ConsistentLabelSet(len(token_counts), spans)

@@ -73,10 +73,6 @@ class ConsistentLabelSet:
     def total_spans(self) -> int:
         return len(self.spans)
 
-    def is_null(self, k: int) -> bool:
-        """True when paragraph k has no consistent span."""
-        return all(span.paragraph != k for span in self.spans)
-
     def all_spans(self) -> list[SpanLabel]:
         return list(self.spans)
 

@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -369,24 +370,17 @@ def inference_space(combo: str) -> SpaceKind:
 def decode_corpus(
     checkpoint: Checkpoint,
     pairs: Sequence[DocumentQuestionPair],
-    spec: InferenceSpec,
-    space: SpaceKind,
-) -> list[tuple[str, float]]:
-    """(answer, log score) per pair; ("", -inf) when no candidate decodes,
-    as for a pair without paragraphs."""
-    return _decode_specs(checkpoint, pairs, [spec], space)[0]
-
-
-def _decode_specs(
-    checkpoint: Checkpoint,
-    pairs: Sequence[DocumentQuestionPair],
     specs: Sequence[InferenceSpec],
     space: SpaceKind,
 ) -> list[list[tuple[str, float]]]:
-    """decode_corpus for each spec.  Each pair is scored and normalized once
-    and decoded by predict under each spec; the grid keeps the candidates
-    predict builds (see inference.candidates), so specs that differ only in
-    aggregation build them once and only pool them apart."""
+    """(answer, log score) per pair, one list per spec; ("", -inf) when no
+    candidate decodes, as for a pair without paragraphs.
+
+    Each pair is scored and normalized once and decoded by predict under each
+    spec; the grid keeps the candidates predict builds (see
+    inference.candidates), so specs that differ only in aggregation build
+    them once and only pool them apart.
+    """
     scorer = checkpoint.to_scorer()
     out: list[list[tuple[str, float]]] = [[] for _ in specs]
     failed = ("", float("-inf"))
@@ -419,7 +413,8 @@ def evaluate_checkpoint(
     before any pair is decoded.
     """
     _check_aligned(len(pairs), gold_strings)
-    return _mean_points(decode_corpus(checkpoint, pairs, inference, space), gold_strings)
+    decoded = decode_corpus(checkpoint, pairs, [inference], space)[0]
+    return _mean_points(decoded, gold_strings)
 
 
 def _mean_points(
@@ -452,17 +447,16 @@ def score_answers(
     return scores
 
 
-def _run_cell(args) -> list[dict]:
-    (
-        combo,
-        seed,
-        config,
-        train_pairs,
-        train_labels,
-        dev_pairs,
-        dev_golds,
-        inference_specs,
-    ) = args
+def _run_cell(
+    combo: str,
+    seed: int,
+    config: TrainConfig,
+    train_pairs: Sequence[DocumentQuestionPair],
+    train_labels: Sequence[ConsistentLabelSet],
+    dev_pairs: Sequence[DocumentQuestionPair],
+    dev_golds: Sequence[set[str]],
+    inference_specs: Sequence[InferenceSpec],
+) -> list[dict]:
     specs = parse_combo(combo)
     cell_config = replace(
         config,
@@ -474,7 +468,7 @@ def _run_cell(args) -> list[dict]:
     space = inference_space(combo)
     values = checkpoint.history.get("objective_values", [])
     rows = []
-    decoded = _decode_specs(checkpoint, dev_pairs, inference_specs, space)
+    decoded = decode_corpus(checkpoint, dev_pairs, inference_specs, space)
     for inf_spec, answers in zip(inference_specs, decoded):
         scores = _mean_points(answers, dev_golds)
         rows.append(
@@ -516,16 +510,14 @@ def run_grid(
     if dev_truths is None or len(dev_truths) != len(dev_pairs):
         raise ValueError("held-out pairs need aligned truth records")
     dev_golds = [t.gold_strings() for t in dev_truths]
-    cells = [
-        (combo, seed, config, list(pairs), list(labels), list(dev_pairs), dev_golds, list(inference_specs))
-        for combo in objective_combos
-        for seed in seeds
-    ]
+    combos = [combo for combo in objective_combos for _ in seeds]
+    cell_seeds = [seed for _ in objective_combos for seed in seeds]
+    shared = map(repeat, (config, pairs, labels, dev_pairs, dev_golds, inference_specs))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells))
+            results = list(pool.map(_run_cell, combos, cell_seeds, *shared))
     else:
-        results = [_run_cell(cell) for cell in cells]
+        results = list(map(_run_cell, combos, cell_seeds, *shared))
     return [row for rows in results for row in rows]
 
 

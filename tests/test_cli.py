@@ -4,6 +4,7 @@ import logging
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -351,27 +352,58 @@ class TestTrain:
         )
         assert status == 2
 
+    def _train_argv(self, workspace, out, *extra):
+        return [
+            "train",
+            str(workspace["data"] / "train.jsonl"),
+            "--labels",
+            str(workspace["data"] / "labels_train.jsonl"),
+            "--epochs",
+            "1",
+            "--out",
+            str(out),
+            *extra,
+        ]
+
     def test_warm_start_flag(self, workspace, tmp_path):
-        out = tmp_path / "warm.ckpt"
-        status = main(
-            [
-                "train",
-                str(workspace["data"] / "train.jsonl"),
-                "--labels",
-                str(workspace["data"] / "labels_train.jsonl"),
-                "--pretrain",
-                str(workspace["data"] / "dev.jsonl"),
-                "--pretrain-epochs",
-                "1",
-                "--epochs",
-                "1",
-                "--out",
-                str(out),
-            ]
+        # One mention per positive paragraph and no aliases or nested
+        # variants: every clean paragraph holds at most one span.
+        clean = NoiseProfile(
+            vocab_size=80,
+            documents=12,
+            dev_documents=0,
+            paragraphs_per_document=3,
+            tokens_per_paragraph=24,
+            question_length=3,
+            alias_rate=0.0,
+            multi_answer_rate=0.0,
+            mention_counts=((1, 1.0),),
+            seed=9,
         )
-        # dev labels may hold several spans per paragraph, which the clean
-        # warm start rejects; either a clean pass or that rejection is fine
-        assert status in (0, 1)
+        profile_path = tmp_path / "clean.json"
+        profile_path.write_text(clean.to_json())
+        clean_dir = tmp_path / "clean"
+        assert main(["simulate", "--profile", str(profile_path), "--out", str(clean_dir)]) == 0
+        warm, cold = tmp_path / "warm.ckpt", tmp_path / "cold.ckpt"
+        pretrain = ["--pretrain", str(clean_dir / "train.jsonl"), "--pretrain-epochs", "1"]
+        assert main(self._train_argv(workspace, warm, *pretrain)) == 0
+        assert main(self._train_argv(workspace, cold)) == 0
+        warm_ckpt, cold_ckpt = Checkpoint.load(warm), Checkpoint.load(cold)
+        assert warm_ckpt.history["initialized_from"] is not None
+        assert cold_ckpt.history["initialized_from"] is None
+        assert warm_ckpt.params.keys() == cold_ckpt.params.keys()
+        assert not all(np.array_equal(warm_ckpt.params[k], cold_ckpt.params[k]) for k in cold_ckpt.params)
+
+    def test_warm_start_rejects_several_spans_per_paragraph(self, workspace, tmp_path, capsys):
+        # The dev split has aliases and several mentions per paragraph.
+        argv = self._train_argv(
+            workspace, tmp_path / "warm.ckpt", "--pretrain", str(workspace["data"] / "dev.jsonl")
+        )
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if not line.startswith("INFO ")]
+        assert lines == ["error: clean pretraining expects at most one span per paragraph"]
+        assert not (tmp_path / "warm.ckpt").exists()
 
     def test_divergence_prints_the_error_and_no_numpy_warning(self, workspace, tmp_path, capfd):
         # A fresh process, since pytest would record the warnings in this one.
@@ -481,16 +513,21 @@ class TestEval:
 
     def test_space_follows_the_checkpoint_unless_given(self, workspace, tmp_path, caplog):
         # the workspace checkpoint is H2-P from the CLI; a library-trained
-        # H3-D checkpoint records its objectives too, so auto decodes it in D
+        # H3-D checkpoint records its objectives too, so auto decodes it in D;
+        # a history that lists no objectives decodes in P
         pairs = load_dataset(workspace["data"] / "train.jsonl")
         labels = load_labels(pairs, workspace["data"] / "labels_train.jsonl")
         library = tmp_path / "h3d.ckpt"
-        train(TrainConfig(objectives=("H3-D-pos-mml",), epochs=1), pairs, labels).save(library)
+        checkpoint = train(TrainConfig(objectives=("H3-D-pos-mml",), epochs=1), pairs, labels)
+        checkpoint.save(library)
+        unlisted = tmp_path / "unlisted.ckpt"
+        replace(checkpoint, history={}).save(unlisted)
         cases = [
             (workspace["ckpt"], "auto", "P"),
             (workspace["ckpt"], "D", "D"),
             (library, "auto", "D"),
             (library, "P", "P"),
+            (unlisted, "auto", "P"),
         ]
         for ckpt, flag, expected in cases:
             argv = ["eval", str(workspace["data"] / "dev.jsonl"), "--ckpt", str(ckpt)]

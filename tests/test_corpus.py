@@ -510,6 +510,11 @@ class TestTypes:
             assert others in build().table.words
         assert_rejected("must be non-empty", "")
 
+    @pytest.mark.parametrize("caps", [{"max_paragraphs": 0}, {"max_tokens": 0}])
+    def test_make_pair_caps_below_one_rejected(self, caps):
+        with pytest.raises(ValueError, match="max_paragraphs and max_tokens must be at least 1"):
+            make_pair("x", "who", ["iron"], ["iron"], **caps)
+
     def test_paragraph_needs_tokens(self):
         with pytest.raises(ValueError):
             Paragraph(tokens=())

@@ -89,8 +89,8 @@ class TestExactMatcher:
         )
         labels = find_consistent_spans_exact(pair)
         assert [s.triple() for s in labels.all_spans()] == [(0, 0, 1), (0, 4, 5)]
-        assert labels.is_null(1)
-        assert not labels.is_null(0)
+        assert all(s.paragraph != 1 for s in labels.spans)
+        assert not all(s.paragraph != 0 for s in labels.spans)
 
     def test_nested_answer_variants(self):
         pair = make_pair(
@@ -235,6 +235,18 @@ class TestExactScanEdges:
                 assert triples == oracle_exact(pair, max_span_length)
 
 
+class TestMatcherSettings:
+    @pytest.mark.parametrize("match", [find_consistent_spans_exact, find_consistent_spans_rouge])
+    def test_span_cap_below_one_rejected(self, match):
+        with pytest.raises(ValueError, match="max_span_length must be at least 1"):
+            match(joan_pair(), 0)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.1, float("nan")])
+    def test_rouge_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            find_consistent_spans_rouge(joan_pair(), 8, threshold)
+
+
 class TestRougeMatcher:
     def test_matches_oracle_on_raw_tokens(self):
         rng = np.random.default_rng(17)
@@ -304,8 +316,21 @@ class TestLabelSet:
         labels = ConsistentLabelSet(2, spans)
         assert label_positions(labels, 0) == ((1, 3), (2, 4))
         assert label_positions(labels, 1) == ((), ())
-        assert labels.is_null(1)
+        assert all(s.paragraph != 1 for s in labels.spans)
         assert labels.total_spans == 3
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ((-1, 0, 0), "paragraph index must be non-negative"),
+            ((0, 2, 1), "need 0 <= begin <= end"),
+            ((0, -1, 0), "need 0 <= begin <= end"),
+        ],
+    )
+    def test_bad_span_label_rejected(self, triple, message):
+        with pytest.raises(ValueError) as info:
+            SpanLabel(*triple, "x")
+        assert str(info.value) == message
 
     def test_wrong_paragraph_rejected(self):
         with pytest.raises(ValueError):
@@ -401,6 +426,12 @@ class TestLabelFiles:
             load_labels([joan_pair()], path)
         assert str(info.value).startswith(f"{path}:3: ")
         assert message in str(info.value)
+
+    def test_save_rejects_misaligned_lists(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(ValueError, match="pairs and labels must align"):
+            save_labels([joan_pair()], [], path)
+        assert not path.exists()
 
     def test_last_token_is_inside(self, tmp_path):
         path = tmp_path / "labels.jsonl"

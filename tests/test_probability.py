@@ -298,3 +298,8 @@ class TestScoreGrid:
         assert SpaceKind.parse("D") is SpaceKind.DOCUMENT
         with pytest.raises(ValueError):
             SpaceKind.parse("Q")
+
+    @pytest.mark.parametrize("space", ["P", None])
+    def test_log_partition_rejects_a_value_that_is_no_space(self, space):
+        with pytest.raises(ValueError, match=f"unknown space {space!r}"):
+            log_partition(fixture_grid(), space)

@@ -124,7 +124,7 @@ class TestGeneration:
         for label_set, truth in zip(labels, truths):
             genuine_paragraphs = {s.paragraph for s in truth.correct_spans}
             for k in range(label_set.n_paragraphs):
-                if label_set.is_null(k):
+                if all(s.paragraph != k for s in label_set.spans):
                     continue
                 positives += 1
                 if k not in genuine_paragraphs:
@@ -196,6 +196,9 @@ class TestProfile:
             small_profile(tokens_per_paragraph=4, mention_counts=((3, 1.0),))
         with pytest.raises(ValueError):
             small_profile(mention_counts=())
+        for length in (0, 5):
+            with pytest.raises(ValueError, match=r"question length must lie in \[1, 4\]"):
+                small_profile(question_length=length)
         with pytest.raises(ValueError, match="field 'seed' must be a non-negative integer, got -1"):
             small_profile(seed=-1)
         for weight in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
@@ -286,7 +289,7 @@ class TestEvaluation:
             raise AssertionError("decoded before checking the gold sets")
 
         # The lengths are checked before any pair is decoded.
-        monkeypatch.setattr(synthlab, "_decode_specs", no_decoding)
+        monkeypatch.setattr(synthlab, "decode_corpus", no_decoding)
         with pytest.raises(ValueError, match="20 answers but 5 gold string sets"):
             evaluate_checkpoint(checkpoint, pairs, golds[:5], spec, SpaceKind.PARAGRAPH)
 
@@ -309,9 +312,9 @@ class TestEvaluation:
         spec = InferenceSpec(aggregation=AnswerAggregation.SUM)
         golds = [t.gold_strings() for t in truths]
         for space in SpaceKind:
-            decoded = decode_corpus(checkpoint, [*pairs[:3], empty, pairs[3]], spec, space)
+            [decoded] = decode_corpus(checkpoint, [*pairs[:3], empty, pairs[3]], [spec], space)
             assert decoded[3] == ("", float("-inf"))
-            assert decoded[:3] + decoded[4:] == decode_corpus(checkpoint, pairs[:4], spec, space)
+            assert [decoded[:3] + decoded[4:]] == decode_corpus(checkpoint, pairs[:4], [spec], space)
             alone = evaluate_checkpoint(checkpoint, pairs, golds, spec, space)
             padded = evaluate_checkpoint(checkpoint, [*pairs, empty], [*golds, {"x"}], spec, space)
             for name in ("em", "f1"):
@@ -328,7 +331,7 @@ class TestEvaluation:
         spec = InferenceSpec(aggregation=AnswerAggregation.MAX)
         with np.errstate(over="ignore", invalid="ignore"):
             for space in SpaceKind:
-                assert decode_corpus(huge, pairs, spec, space) == [("", float("-inf"))] * len(pairs)
+                assert decode_corpus(huge, pairs, [spec], space) == [[("", float("-inf"))] * len(pairs)]
 
 
 class TestGrid:

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from docqa import training
 from docqa.corpus import make_pair
 from docqa.labeling import ConsistentLabelSet, SpanLabel, find_consistent_spans_exact
 from docqa.model import Vocabulary
-from docqa.objectives import LabelError, ObjectiveSpec, evaluate
+from docqa.objectives import LabelError, ObjectiveSpec, combine, evaluate
 from docqa.training import (
+    MIN_RAMP_TEMPERATURE,
     TrainConfig,
     TrainingDivergedError,
     pretrain_clean,
@@ -200,6 +202,7 @@ class TestConfig:
             ({"init_scale": 0.0}, "init scale must be positive and finite"),
             ({"init_scale": float("nan")}, "init scale must be positive and finite"),
             ({"init_scale": float("inf")}, "init scale must be positive and finite"),
+            ({"objectives": (), "weights": ()}, "need at least one objective"),
         ],
     )
     def test_rejects_values_training_cannot_use(self, fields, fault):
@@ -256,6 +259,25 @@ class TestTemperatureRamp:
         assert not np.array_equal(
             plain.to_scorer().params, ramped.to_scorer().params
         )
+
+    def test_ramp_over_a_single_step_runs_at_the_floor(self, monkeypatch):
+        # one epoch of one batch: the ramp has no room to anneal
+        pairs, labels = self.multi_mention_dataset()
+        temperatures = []
+
+        def recording(specs, weights, grid, label_set, temperature):
+            temperatures.append(temperature)
+            return combine(specs, weights, grid, label_set, temperature)
+
+        monkeypatch.setattr(training, "combine", recording)
+        config = TrainConfig(
+            objectives=("H2-P-span-hardem",),
+            epochs=1,
+            batch_size=len(pairs),
+            hardem_temperature_ramp=True,
+        )
+        train(config, pairs, labels)
+        assert temperatures == [MIN_RAMP_TEMPERATURE] * len(pairs)
 
     def test_ramp_inert_for_marginal_objectives(self):
         pairs, labels = tiny_dataset()
