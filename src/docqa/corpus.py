@@ -13,6 +13,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .probability import GridShape
+
 DEFAULT_MAX_PARAGRAPHS = 8
 DEFAULT_MAX_TOKENS = 400
 
@@ -122,6 +124,10 @@ class SpanKeys(NamedTuple):
     non-empty words up to and including position i.  Span [i, j] of one
     paragraph normalizes to the words of sequence[upto[first[i]] - 1 :
     upto[j]], or to "" when first[i] > j.
+
+    sequence is the head of a read-only buffer, its base, that pads it with
+    8 zero bytes, so that the 8 bytes from any key on can be read as one
+    word (see inference._packed_rows) without a copy.
     """
 
     sequence: np.ndarray
@@ -132,8 +138,9 @@ class SpanKeys(NamedTuple):
 class GridLayout(NamedTuple):
     """Where a WordTable's positions sit in a score grid.
 
-    counts holds tokens per paragraph and sizes the grid's slots per
-    paragraph, its tokens and its null slot.  gather[h, k, p] indexes the
+    counts holds tokens per paragraph, and shape is the GridShape of every
+    grid scored from the pair, whose sizes count each paragraph's slots, its
+    tokens and its null slot.  gather[h, k, p] indexes the
     grid vector at position p of paragraph k in half h (begin, then end),
     padded to the longest paragraph; where pad[k, p], p lies past the
     paragraph and gather reads its null slot.  occurrences[k, w] counts word w
@@ -143,7 +150,7 @@ class GridLayout(NamedTuple):
     """
 
     counts: np.ndarray
-    sizes: tuple[int, ...]
+    shape: GridShape
     gather: np.ndarray
     pad: np.ndarray
     occurrences: np.ndarray
@@ -201,8 +208,11 @@ class WordTable:
         can_lead = ~self.article
         can_lead[0] = False
         at_word = np.where(can_lead[key], np.arange(size, dtype=dtype), dtype.type(size))
+        sequence = key[nonempty]
+        padded = np.zeros(len(sequence) + 8 // sequence.itemsize, sequence.dtype)
+        padded[: len(sequence)] = sequence
         return SpanKeys(
-            sequence=_read_only(key[nonempty]),
+            sequence=_read_only(_read_only(padded)[: len(sequence)]),
             first=_read_only(np.minimum.accumulate(at_word[::-1])[::-1]),
             upto=_read_only(np.add.accumulate(nonempty, dtype=dtype)),
         )
@@ -228,7 +238,7 @@ class WordTable:
         slots[nulls] = np.arange(n_words, n_words + n)
         return GridLayout(
             counts=_read_only(counts),
-            sizes=tuple((counts + 1).tolist()),
+            shape=GridShape((counts + 1).tolist()),
             gather=_read_only(np.array((begin, begin + size + n), np.min_scalar_type(2 * (size + n)))),
             pad=_read_only(np.arange(longest) >= counts[:, None]),
             occurrences=_read_only(occurrences.astype(np.min_scalar_type(longest))),

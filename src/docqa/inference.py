@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import DocumentQuestionPair
-from .probability import LogProbGrid, logsumexp_runs
+from .probability import GridShape, LogProbGrid, logsumexp_runs
 
 DEFAULT_TOP_K = 20
 DEFAULT_MAX_ANSWER_LENGTH = 8
+_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 # Decoding runs once per document on small arrays, so it calls array methods
 # (a.take, a.nonzero) and ufunc reductions (np.maximum.reduce) directly:
@@ -75,10 +77,10 @@ class Candidates:
     """The candidate spans of one document, in candidate order.
 
     Candidate c's string is the slice sequence[lo[c] : hi[c]] of the
-    document's non-empty normalized word keys, which index words, the pair's
-    WordTable.keys in key order, and log_p[c] is its log probability.  Spans
-    are grouped by string only where pooling reads the groups (see pooled);
-    MAX needs none to find its best string.
+    document's non-empty normalized word keys (SpanKeys.sequence), which
+    index words, the pair's WordTable.keys in key order, and log_p[c] is its
+    log probability.  Spans are grouped by string only where pooling reads
+    the groups (see pooled); MAX needs none to find its best string.
     """
 
     words: tuple[str, ...]
@@ -97,27 +99,16 @@ class Candidates:
         no meaningful order (that of their packed rows), not of first sight.
 
         Equal strings are found by one stable sort of the candidates' key
-        rows, so each string's mentions form one run in candidate order.  A
-        row is the candidate's keys, read by one gather of the sequence, zero
-        padded to whole 8-byte words and read as uint64: keys are never 0, so
-        two rows are equal exactly when their strings are.  A row of one word
-        (up to 8 uint8 or 4 uint16 keys) sorts as one column; wider rows go
-        through np.lexsort.  Only strings with two or more mentions go through
-        logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x, bit for
-        bit, -inf included.
+        rows (see _packed_rows), so each string's mentions form one run in
+        candidate order.  A row of one word sorts as one column; wider rows
+        go through np.lexsort.  Only strings with two or more mentions go
+        through logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x,
+        bit for bit, -inf included.
         """
         if not len(self.log_p):
             return np.empty(0, np.intp), np.empty(0)
-        # Each candidate's row: the keys from its lo, zeroed from its hi on;
-        # clipped reads past the sequence's end are zeroed too.
-        per_word = 8 // self.sequence.itemsize
-        words = -(-int(np.maximum.reduce(self.hi - self.lo)) // per_word)
-        at = self.lo[:, None] + np.arange(words * per_word)
-        keys = self.sequence.take(at, mode="clip")
-        keys[at >= self.hi[:, None]] = 0
-        packed = keys.view(np.uint64)
-        if words == 1:
-            packed = packed.ravel()
+        packed = _packed_rows(self.sequence, self.lo, self.hi)
+        if packed.ndim == 1:
             by_key = packed.argsort(kind="stable")
             rows = packed[by_key]
             differs = rows[1:] != rows[:-1]
@@ -158,6 +149,33 @@ class Candidates:
         top = np.maximum.reduce(scores)
         tied = (scores == top).nonzero()[0].tolist()
         return Prediction(answer=min(self.text(first[g]) for g in tied), score=float(top))
+
+
+def _packed_rows(sequence: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each span's key row: its keys sequence[lo : hi], zero padded to whole
+    8-byte words and read as uint64.  Keys are never 0, so two rows are equal
+    exactly when their strings are.
+
+    When every row fits one word (up to 8 uint8 or 4 uint16 keys) the rows
+    come as one column.  Each is the span's window, the 8 bytes from its
+    first key on read as one little-endian uint64, ANDed with a mask that
+    keeps its own keys' bytes, the low ones.  The windows are a strided view
+    of sequence's base, the buffer that pads it with 8 zero bytes (see
+    SpanKeys), so a window may read past the last key.  Wider rows come as a
+    (spans, words) table read by one clipped gather of the sequence, zeroed
+    from each span's hi on.
+    """
+    size = sequence.itemsize
+    per_word = 8 // size
+    lengths = hi - lo
+    longest = int(np.maximum.reduce(lengths))
+    if longest <= per_word:
+        windows = np.ndarray(len(sequence), "<u8", sequence.base, strides=(size,))
+        return windows.take(lo) & (_ALL_BITS >> ((per_word - lengths) * (8 * size)))
+    at = lo[:, None] + np.arange(-(-longest // per_word) * per_word)
+    rows = sequence.take(at, mode="clip")
+    rows[at >= hi[:, None]] = 0
+    return rows.view(np.uint64)
 
 
 def _rank_top(order: np.ndarray, top: int) -> np.ndarray:
@@ -220,46 +238,98 @@ def candidates(
     return found
 
 
+class _DecodeTables(NamedTuple):
+    """What _build_candidates reads of a GridShape of n paragraphs under one
+    top_k and length cap.
+
+    top is the ranks kept per paragraph and span the length of the window of
+    ends a begin pairs with.  cube is (2, n, longest + 1) when every
+    paragraph has the longest length, so that the padded (2, n, longest)
+    table of begin and end entries is the vector so reshaped, without its
+    null column; it is None when some paragraph is shorter.  rows (n, 1)
+    holds each paragraph's index and starts (n, 1) its first position in
+    the document.  end_slots (n, top) holds each end rank's index into the
+    flattened ranked ends, or n * top for a rank past the paragraph's
+    length.  no_ends (n, longest + span) is the table of ends by position
+    before any is placed, every entry n * top, in the narrowest unsigned
+    dtype that holds n * top; row_offsets (n, 1) is where each of its rows
+    starts once flattened, and window is arange(span).  Every grid of the
+    shape reads these arrays and none writes them.
+    """
+
+    top: int
+    span: int
+    cube: tuple[int, int, int] | None
+    rows: np.ndarray
+    starts: np.ndarray
+    end_slots: np.ndarray
+    no_ends: np.ndarray
+    row_offsets: np.ndarray
+    window: np.ndarray
+
+
+def _decode_tables(shape: GridShape, top_k: int | None, max_answer_length: int) -> _DecodeTables:
+    """The shape's _DecodeTables under top_k and max_answer_length, kept in
+    the shape's _decoding dict under (top_k, max_answer_length)."""
+    sizes = shape.sizes
+    n, longest, shortest = len(sizes), max(sizes) - 1, min(sizes) - 1
+    top = longest if top_k is None else min(top_k, longest)
+    span = min(max_answer_length, longest)
+    width = longest + span  # room in a row for a window from any position
+    none = n * top
+    # End indices are below none, so the narrowest unsigned dtype holding none.
+    dtype = np.uint8 if none <= 0xFF else np.uint16 if none <= 0xFFFF else np.uint32
+    rows = np.arange(n)[:, None]
+    end_slots = np.arange(none, dtype=dtype).reshape(n, top)
+    if top > shortest:  # ranks past a paragraph's length are its pads
+        end_slots[np.arange(top) >= np.array(sizes)[:, None] - 1] = none
+    no_ends = np.empty((n, width), dtype)
+    no_ends.fill(none)
+    cube = (2, n, longest + 1) if shortest == longest else None
+    starts = np.array(shape.offsets[:n])[:, None] - rows
+    found = _DecodeTables(top, span, cube, rows, starts, end_slots, no_ends, rows * width, np.arange(span))
+    shape._decoding[top_k, max_answer_length] = found
+    return found
+
+
 def _build_candidates(
     probs: LogProbGrid, pair: DocumentQuestionPair, top_k: int | None, max_answer_length: int
 ) -> Candidates:
     """The body of candidates, run once per kept entry."""
     layout, keys = pair.table.grid_layout, pair.table.span_keys
-    if probs.sizes != layout.sizes:
+    shape = layout.shape
+    if probs.shape is not shape and probs.shape != shape:
         raise InferenceError("probability grid does not match the document")
-    if np.logical_or.reduce(np.isnan(probs.vector)):
+    # maximum propagates NaN, so the largest entry is NaN exactly when one is.
+    if np.isnan(np.maximum.reduce(probs.vector)):
         raise InferenceError("probability grid holds NaN")
-    n, longest = layout.pad.shape
-    top = longest if top_k is None else min(top_k, longest)
-    span = min(max_answer_length, longest)
-    width = longest + span  # room in a row for a window from any position
-    lengths = layout.counts[:, None]
+    plan = shape._decoding.get((top_k, max_answer_length))
+    if plan is None:
+        plan = _decode_tables(shape, top_k, max_answer_length)
+    span, rows, starts = plan.span, plan.rows, plan.starts
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot; their sort keys become +inf, which ranks them
     # after every position of their row.
-    table = probs.vector.take(layout.gather)
-    order = -table
-    order[:, layout.pad] = np.inf
-    ranked = _rank_top(order, top)
-    begins, ends = ranked
-    rows = np.arange(n)[:, None]
+    if plan.cube is None:
+        table = probs.vector.take(layout.gather)
+        order = -table
+        order[:, layout.pad] = np.inf
+    else:  # no pads: the vector without its null slots
+        table = probs.vector.reshape(plan.cube)[:, :, :-1]
+        order = -table
+    begins, ends = _rank_top(order, plan.top)
     # Key: each ranked begin's first word over the document's positions,
     # paragraphs concatenated.
-    starts = np.array(pair.table.starts[:-1])[:, None]
     flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
     lead = keys.first.take(flat_begins, mode="clip")
     # Pair: each top end's index into the ranked ends, flattened, at its
-    # position; every other position, pads included, holds n * top.  A window
+    # position; every other position, pads included, holds none.  A window
     # drops the offsets before its begin's first word.
-    none = n * top
-    end_index = np.empty((n, width), np.intp)
-    end_index.fill(none)
-    flat_ends = np.arange(none).reshape(n, top)
-    flat_ends[np.arange(top) >= lengths] = none  # ranks past a paragraph's length are its pads
-    end_index[rows, ends] = flat_ends
-    windows = (begins + rows * width)[:, :, None] + np.arange(span)
-    index = end_index.ravel()[windows]
-    index[np.arange(span) < (lead - flat_begins)[:, :, None]] = none
+    none = plan.end_slots.size
+    end_index = plan.no_ends.copy()
+    end_index[rows, ends] = plan.end_slots
+    index = end_index.ravel()[(begins + plan.row_offsets)[:, :, None] + plan.window]
+    index[plan.window < (lead - flat_begins)[:, :, None]] = none
     index.sort(axis=-1)
     kept = index < none
     begin = kept.ravel().nonzero()[0] // span

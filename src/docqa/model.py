@@ -196,7 +196,7 @@ class ToyScorer:
         table = np.empty((2, n_words + len(layout.counts)))
         table[:, :n_words] = per_word[:2] + bias[:2, None]
         table[:, n_words:] = per_word[2:] @ layout.occurrences.T / layout.counts + bias[2:, None]
-        return ScoreGrid(table.take(layout.slots, axis=1).ravel(), layout.sizes)
+        return ScoreGrid(table.take(layout.slots, axis=1).ravel(), layout.shape)
 
     def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
         """Push a score-grid gradient back onto a vector laid out like params.

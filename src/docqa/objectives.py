@@ -183,11 +183,10 @@ def evaluate(
     """
     if temperature is not None and not 0.0 < temperature <= 1.0:
         raise ValueError("temperature must lie in (0, 1]")
-    if labels.n_paragraphs != grid.n_paragraphs:
-        raise LabelError(
-            f"labels cover {labels.n_paragraphs} paragraphs, grid has {grid.n_paragraphs}"
-        )
-    sizes = grid.sizes
+    shape = grid.shape
+    sizes = shape.sizes
+    if labels.n_paragraphs != len(sizes):
+        raise LabelError(f"labels cover {labels.n_paragraphs} paragraphs, grid has {len(sizes)}")
     key = _GROUP_KEY[spec.hypothesis]
     grouped: dict[int, list[tuple[int, int, int]]] = {}
     for rank, span in enumerate(labels.spans):
@@ -202,8 +201,8 @@ def evaluate(
     # In the grid's flat layout position i of paragraph k sits at offset[k] + i
     # on the begin side and at offset[n + k] + i on the end side.
     log_probs = log_partition(grid, spec.space).vector
-    n = grid.n_paragraphs
-    offset = grid.offsets
+    n = len(sizes)
+    offset = shape.offsets
     groups = list(grouped.values())
     # Only the first `latent` groups choose: H1 groups and null groups hold one
     # outcome, which marginalizing resolves to itself with weight one.
@@ -247,12 +246,12 @@ def evaluate(
         presses = [0] * n
         for group in groups:
             presses[group[0][0]] += 1
-        pressure = np.repeat(presses * 2, sizes * 2)
+        pressure = np.array(presses * 2).repeat(shape.paragraph_runs.lengths)
     else:
         pressure = len(groups)
     grad = np.bincount(at, weights, offset[-1])
     grad -= pressure * np.exp(log_probs)
-    return LossResult(float(value), ScoreGrid(grad, sizes))
+    return LossResult(float(value), ScoreGrid(grad, shape))
 
 
 def combine(
@@ -276,7 +275,7 @@ def combine(
         result = evaluate(spec, grid, labels, temperature)
         value += weight * result.value
         grad += weight * result.grad.vector
-    return LossResult(float(value), ScoreGrid(grad, grid.sizes))
+    return LossResult(float(value), ScoreGrid(grad, grid.shape))
 
 
 def grad_check(
@@ -297,9 +296,9 @@ def grad_check(
     for idx in range(base.shape[0]):
         bumped = np.copy(base)
         bumped[idx] = base[idx] + eps
-        high = evaluate(spec, ScoreGrid(bumped, grid.sizes), labels, temperature).value
+        high = evaluate(spec, ScoreGrid(bumped, grid.shape), labels, temperature).value
         bumped[idx] = base[idx] - eps
-        low = evaluate(spec, ScoreGrid(bumped, grid.sizes), labels, temperature).value
+        low = evaluate(spec, ScoreGrid(bumped, grid.shape), labels, temperature).value
         fd = (high - low) / (2.0 * eps)
         err = abs(fd - analytic[idx]) / max(1.0, abs(fd), abs(analytic[idx]))
         worst = max(worst, err)

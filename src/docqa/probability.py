@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,35 +36,132 @@ class SpaceKind(Enum):
         raise ValueError(f"unknown probability space {text!r}; expected P or D")
 
 
+class GridShape:
+    """The layout of one document's score grids, shared by every grid of it.
+
+    sizes counts each paragraph's slots, its token positions plus its null
+    slot.  A grid's vector holds every paragraph's begin slots, then every
+    paragraph's end slots, in paragraph order, so paragraph k of n starts at
+    offsets[k] on the begin side and at offsets[n + k] on the end side, and
+    offsets[-1] is the vector's length.  A size below 2 raises ValueError.
+    No sizes is the shape of a document without paragraphs, which no grid
+    takes.  Shapes are equal when their sizes are.
+
+    Everything else a shape holds derives from sizes alone, is computed on
+    its first read and kept for the shape's life: the runs log_partition
+    normalizes under each space, the document space's null-slot mask, and
+    the tables inference.candidates keeps in _decoding, one entry per top_k
+    and length cap.  WordTable.grid_layout keeps one shape per pair, so the
+    grids scored from one pair share these; a shape built from sizes lays
+    itself out on its own first use.
+    """
+
+    def __init__(self, sizes: Sequence[int]):
+        if sizes and min(sizes) < 2:
+            raise ValueError("each paragraph needs a position and a null slot")
+        self.sizes = tuple(map(int, sizes))
+        self.offsets = tuple(accumulate(self.sizes * 2, initial=0))
+        self._decoding: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridShape):
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self) -> int:
+        return hash(self.sizes)
+
+    @cached_property
+    def paragraph_runs(self) -> Runs:
+        """One run per paragraph half, begin halves then end halves: what
+        PARAGRAPH normalizes."""
+        return Runs.of(self.sizes * 2)._sealed()
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Whether each slot of the vector is a token position rather than a
+        null slot: the entries DOCUMENT normalizes."""
+        positions = np.empty(self.offsets[-1], bool)
+        positions.fill(True)
+        positions[np.subtract(self.offsets[1:], 1)] = False
+        positions.flags.writeable = False
+        return positions
+
+    @cached_property
+    def document_runs(self) -> Runs:
+        """The begin and end halves of the positions, two runs."""
+        half = self.offsets[-1] // 2 - len(self.sizes)
+        return Runs.of((half, half))._sealed()
+
+
+class Runs(NamedTuple):
+    """Runs a[heads[g] : heads[g] + lengths[g]] that cover an array a in
+    order, laid out for logsumexp_runs.
+
+    In a copy of a with a zero leading every run, run g starts at leads[g]
+    and is_term marks every other entry.
+    """
+
+    heads: np.ndarray
+    lengths: np.ndarray
+    leads: np.ndarray
+    is_term: np.ndarray
+
+    @classmethod
+    def of(cls, lengths: Sequence[int] | np.ndarray) -> "Runs":
+        """Runs of these lengths, each at least 1, one after another."""
+        lengths = np.asarray(lengths, np.intp)
+        ends = lengths.cumsum()
+        heads = ends - lengths
+        leads = heads + np.arange(len(lengths))
+        is_term = np.empty(len(lengths) + int(ends[-1]), bool)
+        is_term.fill(True)
+        is_term[leads] = False
+        return cls(heads, lengths, leads, is_term)
+
+    def _sealed(self) -> "Runs":
+        for array in self:
+            array.flags.writeable = False
+        return self
+
+
 class ScoreGrid:
     """Raw begin and end scores of one document in one flat vector.
 
-    Each paragraph has one entry per token position plus a trailing slot for
-    its null outcome; sizes counts both.  vector holds every paragraph's begin
-    entries, then every paragraph's end entries, in paragraph order, so
-    paragraph k of n starts at offsets[k] on the begin side and at
-    offsets[n + k] on the end side.  The grid shares the vector's memory when
-    it is already float64.
+    vector is laid out as shape, a GridShape, describes.  The constructor
+    takes a shape, or the sizes to build one from, and shares the vector's
+    memory when it is already float64.
     """
 
-    def __init__(self, vector: np.ndarray, sizes: Sequence[int]):
-        if not sizes:
+    def __init__(self, vector: np.ndarray, shape: GridShape | Sequence[int]):
+        if not isinstance(shape, GridShape):
+            shape = GridShape(shape)
+        if not shape.sizes:
             raise ValueError("grid must cover at least one paragraph")
-        if min(sizes) < 2:
-            raise ValueError("each paragraph needs a position and a null slot")
         self.vector = np.asarray(vector, dtype=np.float64)
-        if self.vector.shape != (2 * sum(sizes),):
+        if self.vector.shape != (shape.offsets[-1],):
             raise ValueError("vector length does not match grid shape")
-        self.sizes = tuple(int(s) for s in sizes)
-        self.offsets = tuple(accumulate(self.sizes * 2, initial=0))
+        self.shape = shape
 
     @classmethod
     def zeros(cls, token_counts: Sequence[int]) -> "ScoreGrid":
-        sizes = [n + 1 for n in token_counts]
-        return cls(np.zeros(2 * sum(sizes)), sizes)
+        shape = GridShape([n + 1 for n in token_counts])
+        return cls(np.zeros(shape.offsets[-1]), shape)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.shape.sizes
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return self.shape.offsets
+
+    @property
+    def n_paragraphs(self) -> int:
+        return len(self.shape.sizes)
 
     def _views(self, first: int) -> list[np.ndarray]:
-        at = self.offsets[first : first + len(self.sizes) + 1]
+        at = self.offsets[first : first + self.n_paragraphs + 1]
         return [self.vector[a:b] for a, b in zip(at, at[1:])]
 
     @property
@@ -75,11 +173,7 @@ class ScoreGrid:
     @property
     def end(self) -> list[np.ndarray]:
         """Each paragraph's end entries, views of the vector like begin."""
-        return self._views(len(self.sizes))
-
-    @property
-    def n_paragraphs(self) -> int:
-        return len(self.sizes)
+        return self._views(self.n_paragraphs)
 
 
 class LogProbGrid(ScoreGrid):
@@ -96,16 +190,16 @@ class LogProbGrid(ScoreGrid):
     before building them again.
     """
 
-    def __init__(self, vector: np.ndarray, sizes: Sequence[int]):
-        super().__init__(np.array(vector, dtype=np.float64), sizes)
+    def __init__(self, vector: np.ndarray, shape: GridShape | Sequence[int]):
+        super().__init__(np.array(vector, dtype=np.float64), shape)
         self._seal()
 
     @classmethod
-    def _taking(cls, vector: np.ndarray, like: ScoreGrid) -> "LogProbGrid":
-        """A grid laid out like `like` that owns vector, a new float64 array
-        of like's length, without copying or checking it again."""
+    def _taking(cls, vector: np.ndarray, shape: GridShape) -> "LogProbGrid":
+        """A grid of shape that owns vector, a new float64 array of the
+        shape's length, without copying or checking it again."""
         grid = cls.__new__(cls)
-        grid.vector, grid.sizes, grid.offsets = vector, like.sizes, like.offsets
+        grid.vector, grid.shape = vector, shape
         grid._seal()
         return grid
 
@@ -144,6 +238,19 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
 
     heads must start at 0 and strictly increase, so the runs cover a and none
     is empty; no heads (with an empty a) give no runs and an empty result.
+    """
+    if not len(heads):
+        return np.empty(0)
+    lengths = np.empty(len(heads), np.intp)
+    lengths[:-1] = heads[1:]
+    lengths[-1] = len(a)
+    lengths -= heads
+    return _logsumexp_over(a, Runs.of(lengths))
+
+
+def _logsumexp_over(a: np.ndarray, runs: Runs) -> np.ndarray:
+    """logsumexp_runs over runs laid out already.
+
     The maxima, counts and exponentials are those logsumexp computes, taken
     for every run at once.  Each run's exponentials are summed by one
     np.add.reduceat over a copy in which a zero leads every run: reduceat
@@ -152,41 +259,30 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
     run's maximum is non-finite (all -inf, +inf or nan) are floating-point
     warnings silenced, and those runs go through logsumexp itself.
     """
-    if not len(heads):
-        return np.empty(0)
-    sizes = np.empty(len(heads), np.intp)
-    sizes[:-1] = heads[1:]
-    sizes[-1] = len(a)
-    sizes -= heads
-    top = np.maximum.reduceat(a, heads)
+    top = np.maximum.reduceat(a, runs.heads)
     finite = np.isfinite(top)
     if np.logical_and.reduce(finite):
-        return _logsumexp_runs(a, heads, sizes, top)
+        return _logsumexp_finite(a, runs, top)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = _logsumexp_runs(a, heads, sizes, top)
+        out = _logsumexp_finite(a, runs, top)
+    heads, lengths = runs.heads, runs.lengths
     for g in (~finite).nonzero()[0].tolist():
-        out[g] = logsumexp(a[heads[g] : heads[g] + sizes[g]])
+        out[g] = logsumexp(a[heads[g] : heads[g] + lengths[g]])
     return out
 
 
-def _logsumexp_runs(
-    a: np.ndarray, heads: np.ndarray, sizes: np.ndarray, top: np.ndarray
-) -> np.ndarray:
-    """The body of logsumexp_runs, exact for the runs whose maximum top[g] is
-    finite."""
-    leads = heads + np.arange(len(heads))
-    padded = np.zeros(len(a) + len(heads))
-    is_term = np.empty(len(padded), bool)
-    is_term.fill(True)
-    is_term[leads] = False
-    shifted = a - top.repeat(sizes)
+def _logsumexp_finite(a: np.ndarray, runs: Runs, top: np.ndarray) -> np.ndarray:
+    """The body of _logsumexp_over, exact for the runs whose maximum top[g]
+    is finite."""
+    padded = np.zeros(len(runs.is_term))
+    shifted = a - top.repeat(runs.lengths)
     # a - top is 0 exactly where a equals a finite top.
     mask = shifted == 0
-    count = np.add.reduceat(mask, heads, dtype=np.intp)
+    count = np.add.reduceat(mask, runs.heads, dtype=np.intp)
     terms = np.exp(shifted)
     terms[mask] = 0.0
-    padded[is_term] = terms
-    rest = np.add.reduceat(padded, leads)
+    padded[runs.is_term] = terms
+    rest = np.add.reduceat(padded, runs.leads)
     return np.log1p(rest / count) + np.log(count) + top
 
 
@@ -195,21 +291,21 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
 
     PARAGRAPH: every paragraph's positions plus its null slot sum to one.
     DOCUMENT: all positions across paragraphs sum to one; null is excluded.
-    All work happens in the log domain so extreme scores stay finite.
+    All work happens in the log domain so extreme scores stay finite.  The
+    runs and the null-slot mask come from the grid's shape, which the result
+    shares.
     """
+    shape = grid.shape
     if space is SpaceKind.PARAGRAPH:
-        zs = logsumexp_runs(grid.vector, np.array(grid.offsets[:-1]))
-        log = grid.vector - zs.repeat(grid.sizes * 2)
+        runs = shape.paragraph_runs
+        log = grid.vector - _logsumexp_over(grid.vector, runs).repeat(runs.lengths)
     elif space is SpaceKind.DOCUMENT:
-        positions = np.empty(grid.vector.shape, bool)
-        positions.fill(True)
-        positions[np.subtract(grid.offsets[1:], 1)] = False  # the null slots
+        positions, runs = shape.positions, shape.document_runs
         scores = grid.vector[positions]  # a copy, so both halves are normalized in place
-        half = len(scores) // 2
-        scores -= logsumexp_runs(scores, np.array((0, half))).repeat(half)
+        scores -= _logsumexp_over(scores, runs).repeat(runs.lengths)
         log = np.empty(grid.vector.shape)
         log.fill(-np.inf)
         log[positions] = scores
     else:
         raise ValueError(f"unknown space {space!r}")
-    return LogProbGrid._taking(log, grid)
+    return LogProbGrid._taking(log, shape)

@@ -377,7 +377,7 @@ def oracle_layouts(pair):
         ],
         "upto": list(accumulate(map(bool, normalized))),
         "counts": counts,
-        "sizes": tuple(c + 1 for c in counts),
+        "shape": tuple(c + 1 for c in counts),
         "gather": [
             [[offsets[h * n + k] + min(p, c) for p in range(longest)] for k, c in enumerate(counts)]
             for h in range(2)
@@ -394,7 +394,7 @@ def assert_layouts_match_oracle(pair):
     assert sorted(expected) == sorted(layouts)
     for name, value in expected.items():
         mine = layouts[name]
-        assert (mine if name == "sizes" else mine.tolist()) == value, name
+        assert (mine.sizes if name == "shape" else mine.tolist()) == value, name
     size, n = len(table.ids), len(layouts["counts"])
     dtypes = {
         "sequence": table.key_of.dtype,
@@ -448,8 +448,8 @@ class TestLayouts:
     def test_layouts_are_read_only(self):
         pair, _ = random_scored_pair(np.random.default_rng(72))
         for name, value in laid_out(pair.table).items():
-            if name == "sizes":
-                assert isinstance(value, tuple)
+            if name == "shape":
+                assert isinstance(value.sizes, tuple)
                 continue
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
@@ -465,7 +465,7 @@ class TestLayouts:
         assert score_strings(probs, copy, AnswerAggregation.SUM, None) == decoded
         theirs = laid_out(pair.table)
         for name, value in laid_out(copy.table).items():
-            if name != "sizes":
+            if name != "shape":
                 np.testing.assert_array_equal(value, theirs[name])
                 assert not value.flags.writeable
 

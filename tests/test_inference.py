@@ -12,6 +12,7 @@ from docqa.inference import (
     AnswerAggregation,
     InferenceError,
     InferenceSpec,
+    _packed_rows,
     candidates,
     exhaustive_predict,
     predict,
@@ -20,7 +21,14 @@ from docqa.inference import (
 from docqa.labeling import find_consistent_spans_exact
 from docqa.metrics import exact_match, token_f1
 from docqa.model import ToyScorer, Vocabulary
-from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition, logsumexp
+from docqa.probability import (
+    LogProbGrid,
+    ScoreGrid,
+    SpaceKind,
+    log_partition,
+    logsumexp,
+    logsumexp_runs,
+)
 from docqa.synthlab import NoiseProfile, generate
 
 
@@ -335,6 +343,100 @@ class TestPackedPooling:
         assert split == 10
 
 
+def gather_packed(sequence, lo, hi):
+    """Key rows by one clipped gather of the sequence, zeroed from each hi
+    on and read as (rows, words) uint64: the reference the windows match."""
+    per_word = 8 // sequence.itemsize
+    words = -(-int(np.max(hi - lo)) // per_word)
+    at = lo[:, None] + np.arange(words * per_word)
+    keys = sequence.take(at, mode="clip")
+    keys[at >= hi[:, None]] = 0
+    return keys.view(np.uint64)
+
+
+def gather_pooled(found, aggregation):
+    """Candidates.pooled with its rows from gather_packed."""
+    packed = gather_packed(found.sequence, found.lo, found.hi)
+    if packed.shape[1] == 1:
+        packed = packed.ravel()
+        by_key = packed.argsort(kind="stable")
+        rows = packed[by_key]
+        differs = rows[1:] != rows[:-1]
+    else:
+        by_key = np.lexsort(packed.T)
+        rows = packed[by_key]
+        differs = np.logical_or.reduce(rows[1:] != rows[:-1], axis=1)
+    bounds = np.flatnonzero(np.concatenate([[True], differs, [True]]))
+    heads = bounds[:-1]
+    log_p = found.log_p[by_key]
+    if aggregation is AnswerAggregation.MAX:
+        return by_key[heads], np.maximum.reduceat(log_p, heads)
+    scores = log_p[heads] + 0.0
+    sizes = bounds[1:] - heads
+    shared = sizes > 1
+    if shared.any():
+        runs = sizes[shared]
+        scores[shared] = logsumexp_runs(log_p[shared.repeat(sizes)], runs.cumsum() - runs)
+    return by_key[heads], scores
+
+
+class TestWindowPacking:
+    """A key row of one word is the span's uint64 window of the zero-padded
+    key sequence ANDed with a length mask; it must equal the zero-padded
+    gather it replaced, including windows that read the padding."""
+
+    @pytest.mark.parametrize("n_words, dtype", [(40, np.uint8), (300, np.uint16)])
+    def test_every_one_word_row_packs_as_the_gather(self, n_words, dtype):
+        pair = TestPackedPooling().document(np.random.default_rng(68), n_words)
+        keys = pair.table.span_keys
+        sequence = keys.sequence
+        assert sequence.dtype == dtype
+        assert sequence.base[len(sequence) :].tobytes() == bytes(8)  # the padding
+        per_word = 8 // sequence.itemsize
+        lo = np.array(
+            [i for i in range(len(sequence)) for n in range(1, per_word + 1) if i + n <= len(sequence)],
+            keys.upto.dtype,
+        )
+        hi = np.array(
+            [i + n for i in range(len(sequence)) for n in range(1, per_word + 1) if i + n <= len(sequence)],
+            keys.upto.dtype,
+        )
+        assert (hi == len(sequence)).sum() == per_word  # rows that end at the last key
+        packed = _packed_rows(sequence, lo, hi)
+        assert packed.shape == lo.shape and packed.dtype == np.uint64
+        assert packed.tobytes() == gather_packed(sequence, lo, hi).ravel().tobytes()
+        for length in range(1, per_word + 1):  # each length alone, at the sequence's end too
+            short = hi - lo == length
+            assert (
+                _packed_rows(sequence, lo[short], hi[short]).tobytes()
+                == gather_packed(sequence, lo[short], hi[short]).tobytes()
+            )
+
+    @pytest.mark.parametrize("n_words", [40, 300])
+    def test_pooled_is_bit_identical_to_the_gather(self, n_words, monkeypatch):
+        rng = np.random.default_rng(69)
+        pair = TestPackedPooling().document(rng, n_words)
+        per_word = 8 // pair.table.span_keys.sequence.itemsize
+        grid = ScoreGrid.zeros(pair.paragraph_lengths())
+        grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+        for max_answer_length in (1, per_word, per_word + 1, 12):
+            for space in SpaceKind:
+                found = candidates(log_partition(grid, space), pair, None, max_answer_length)
+                for aggregation in AnswerAggregation:
+                    before = len(sorts)
+                    got = found.pooled(aggregation)
+                    wide = int(np.max(found.hi - found.lo)) > per_word
+                    assert len(sorts) - before == wide  # rows wider than one word go through lexsort
+                    want = gather_pooled(found, aggregation)
+                    for mine, theirs in zip(got, want):
+                        assert mine.dtype == theirs.dtype
+                        assert mine.tobytes() == theirs.tobytes()
+        assert sorts and all(n > 1 for n in sorts)
+
+
 class TestAggregationFlip:
     def build(self):
         # "rome" appears twice with moderate mass, "pisa" once with the most:
@@ -460,6 +562,38 @@ class TestNaNGrid:
                         decode(probs, pair, aggregation, top_k, 3)
                 with pytest.raises(InferenceError, match="NaN"):
                     score_strings(probs, pair, aggregation)
+
+    def test_infinite_entries_without_nan_decode(self):
+        # +inf and -inf among the begins, a finite end grid: every span's log
+        # probability is +inf, finite or -inf, and NaN appears nowhere
+        pair, grid = scored_pair(["rome pisa lake", "rome"], [[0.0], [0.0]], [[0.0], [0.0]])
+        vector = log_partition(grid, SpaceKind.DOCUMENT).vector.copy()
+        vector[1] = np.inf  # begin "pisa"
+        vector[2] = -np.inf  # begin "lake"
+        probs = LogProbGrid(vector, grid.sizes)
+        for _ in range(2):
+            for aggregation in AnswerAggregation:
+                for top_k in (1, 3, 20, None):
+                    got = decode(probs, pair, aggregation, top_k, 3)
+                    assert (got.answer, got.score) == oracle_predict(probs, pair, aggregation, top_k, 3)
+                    if top_k != 1:  # one ranked end, "rome", lies before "pisa"
+                        assert (got.answer, got.score) == ("pisa", math.inf)
+
+    def test_nan_in_one_null_slot_raises_on_every_call(self):
+        pair, grid = scored_pair(["rome pisa lake", "rome"], [[1.0, 0.0, 2.0], [0.5]], [[0.0] * 3, [0.0]])
+        for space in SpaceKind:
+            probs = log_partition(grid, space)
+            for null in (probs.offsets[1] - 1, probs.offsets[-1] - 1):
+                vector = probs.vector.copy()
+                vector[null] = np.nan
+                nan_grid = LogProbGrid(vector, probs.shape)
+                for _ in range(3):
+                    for aggregation in AnswerAggregation:
+                        with pytest.raises(InferenceError, match="NaN"):
+                            decode(nan_grid, pair, aggregation, 20, 3)
+                    with pytest.raises(InferenceError, match="NaN"):
+                        candidates(nan_grid, pair, None)
+                assert nan_grid._decoded == {}
 
 
 class TestKeptCandidates:

@@ -5,7 +5,12 @@ import pytest
 from scipy.special import logsumexp
 
 from docqa import probability
-from docqa.probability import LogProbGrid, ScoreGrid, SpaceKind, log_partition
+from docqa.diagnostics import ALL_CELLS, random_scored_pair
+from docqa.inference import AnswerAggregation, InferenceError, InferenceSpec, candidates, predict
+from docqa.model import ToyScorer, Vocabulary
+from docqa.objectives import ObjectiveSpec, combine, evaluate
+from docqa.probability import GridShape, LogProbGrid, ScoreGrid, SpaceKind, log_partition
+from docqa.synthlab import NoiseProfile, generate
 
 
 def log_span_prob(probs: LogProbGrid, k: int, begin: int, end: int) -> float:
@@ -303,3 +308,104 @@ class TestScoreGrid:
     def test_log_partition_rejects_a_value_that_is_no_space(self, space):
         with pytest.raises(ValueError, match=f"unknown space {space!r}"):
             log_partition(fixture_grid(), space)
+
+
+class TestGridShape:
+    """Every grid of one pair shares the pair's GridShape; grids built from
+    plain sizes build an equal one and behave the same."""
+
+    @staticmethod
+    def scored_pairs():
+        pairs, labels, _ = generate(NoiseProfile(documents=6, tokens_per_paragraph=24, seed=41))
+        vocab = Vocabulary.from_pairs(pairs)
+        rng = np.random.default_rng(41)
+        scorer = ToyScorer(vocab, rng.normal(size=(len(vocab), 4)), *rng.normal(size=(4, 12)))
+        return scorer, [(p, l) for p, l in zip(pairs, labels) if l.spans]
+
+    def test_grids_of_one_pair_carry_its_shape(self):
+        scorer, examples = self.scored_pairs()
+        assert examples
+        for pair, labels in examples:
+            shape = pair.table.grid_layout.shape
+            assert isinstance(shape, GridShape)
+            assert shape.sizes == tuple(len(p) + 1 for p in pair.paragraphs)
+            grid = scorer.score(pair)
+            assert grid.shape is shape
+            assert scorer.score(scorer.vocab.encode(pair)).shape is shape
+            for space in SpaceKind:
+                assert log_partition(grid, space).shape is shape
+            for cell in ALL_CELLS:
+                assert evaluate(cell, grid, labels).grad.shape is shape
+            cells = [ObjectiveSpec.parse("H2-P-pos-mml"), ObjectiveSpec.parse("H3-D-span-hardem")]
+            assert combine(cells, [0.5, 1.0], grid, labels).grad.shape is shape
+
+    def test_constructors_build_equal_shapes(self):
+        vector = np.arange(10.0)
+        shapes = [
+            ScoreGrid(vector, [3, 2]).shape,
+            ScoreGrid(vector, (3, 2)).shape,
+            ScoreGrid.zeros([2, 1]).shape,
+            LogProbGrid(vector, [3, 2]).shape,
+            GridShape([3, 2]),
+        ]
+        for shape in shapes:
+            assert shape == shapes[0] and hash(shape) == hash(shapes[0])
+            assert (shape.sizes, shape.offsets) == ((3, 2), (0, 3, 5, 8, 10))
+        assert GridShape([3, 2]) != GridShape([2, 3])
+        shared = ScoreGrid(vector, shapes[0])
+        assert shared.shape is shapes[0] and shared.vector is vector
+
+    @pytest.mark.parametrize(
+        "build", [ScoreGrid, LogProbGrid, lambda _, sizes: ScoreGrid.zeros([s - 1 for s in sizes])]
+    )
+    def test_constructors_keep_their_checks(self, build):
+        with pytest.raises(ValueError, match="at least one paragraph"):
+            build(np.zeros(0), [])
+        with pytest.raises(ValueError, match="a position and a null slot"):
+            build(np.zeros(6), [2, 1])
+
+    @pytest.mark.parametrize("cls", [ScoreGrid, LogProbGrid])
+    def test_a_vector_of_another_length_is_rejected(self, cls):
+        for shape in ([2], GridShape([2])):
+            for vector in (np.zeros(5), np.zeros(3), np.zeros((2, 2))):
+                with pytest.raises(ValueError, match="vector length"):
+                    cls(vector, shape)
+
+    def test_plain_sizes_decode_as_the_shared_shape(self):
+        # generated pairs, whose paragraphs share one length, and random ones
+        scorer, examples = self.scored_pairs()
+        grids = [scorer.score(pair) for pair, _ in examples]
+        pairs = [pair for pair, _ in examples]
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            pair, grid = random_scored_pair(rng, max_tokens=10)
+            grids.append(ScoreGrid(grid.vector, pair.table.grid_layout.shape))
+            pairs.append(pair)
+        assert any(len(set(grid.sizes)) > 1 for grid in grids)
+        for pair, grid in zip(pairs, grids):
+            plain = ScoreGrid(grid.vector.copy(), list(grid.sizes))
+            assert plain.shape is not grid.shape
+            for space in SpaceKind:
+                probs = log_partition(grid, space)
+                rebuilt = log_partition(plain, space)
+                assert rebuilt.vector.tobytes() == probs.vector.tobytes()
+                copied = LogProbGrid(probs.vector, list(probs.sizes))
+                for top_k in (1, 3, None):
+                    mine = candidates(probs, pair, top_k, 4)
+                    for other in (rebuilt, copied):
+                        theirs = candidates(other, pair, top_k, 4)
+                        for name in ("lo", "hi", "log_p"):
+                            a, b = getattr(mine, name), getattr(theirs, name)
+                            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                        for aggregation in AnswerAggregation if len(mine.log_p) else ():
+                            assert repr(mine.best(aggregation)) == repr(theirs.best(aggregation))
+
+    def test_a_grid_of_other_sizes_raises(self):
+        _, examples = self.scored_pairs()
+        pair = examples[0][0]
+        sizes = list(pair.table.grid_layout.shape.sizes)
+        for other in (sizes + [2], sizes[:-1] + [sizes[-1] + 1], [sum(sizes)]):
+            probs = log_partition(ScoreGrid.zeros([s - 1 for s in other]), SpaceKind.PARAGRAPH)
+            for _ in range(2):
+                with pytest.raises(InferenceError, match="does not match"):
+                    predict(probs, pair, InferenceSpec())
