@@ -125,12 +125,14 @@ class SpanKeys(NamedTuple):
     paragraph normalizes to the words of sequence[upto[first[i]] - 1 :
     upto[j]], or to "" when first[i] > j.
 
-    sequence is the head of a read-only buffer, its base, that pads it with
-    8 zero bytes, so that the 8 bytes from any key on can be read as one
-    word (see inference._packed_rows) without a copy.
+    sequence is the head of a read-only buffer that pads it with 8 zero
+    bytes, and windows[i] reads the 8 bytes of that buffer from key i on as
+    one little-endian uint64 (see inference._packed_rows): a strided view of
+    the buffer, not a copy, that reads the padding past the last key.
     """
 
     sequence: np.ndarray
+    windows: np.ndarray
     first: np.ndarray
     upto: np.ndarray
 
@@ -209,10 +211,13 @@ class WordTable:
         can_lead[0] = False
         at_word = np.where(can_lead[key], np.arange(size, dtype=dtype), dtype.type(size))
         sequence = key[nonempty]
-        padded = np.zeros(len(sequence) + 8 // sequence.itemsize, sequence.dtype)
-        padded[: len(sequence)] = sequence
+        n_keys, itemsize = len(sequence), sequence.itemsize
+        padded = np.zeros(n_keys + 8 // itemsize, sequence.dtype)
+        padded[:n_keys] = sequence
+        _read_only(padded)
         return SpanKeys(
-            sequence=_read_only(_read_only(padded)[: len(sequence)]),
+            sequence=padded[:n_keys],
+            windows=np.ndarray(n_keys, "<u8", padded, strides=(itemsize,)),
             first=_read_only(np.minimum.accumulate(at_word[::-1])[::-1]),
             upto=_read_only(np.add.accumulate(nonempty, dtype=dtype)),
         )

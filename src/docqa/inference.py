@@ -79,12 +79,14 @@ class Candidates:
     Candidate c's string is the slice sequence[lo[c] : hi[c]] of the
     document's non-empty normalized word keys (SpanKeys.sequence), which
     index words, the pair's WordTable.keys in key order, and log_p[c] is its
-    log probability.  Spans are grouped by string only where pooling reads
+    log probability.  windows is SpanKeys.windows, the keys read 8 bytes at
+    a time.  Spans are grouped by string only where pooling reads
     the groups (see pooled); MAX needs none to find its best string.
     """
 
     words: tuple[str, ...]
     sequence: np.ndarray
+    windows: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     log_p: np.ndarray
@@ -107,7 +109,7 @@ class Candidates:
         """
         if not len(self.log_p):
             return np.empty(0, np.intp), np.empty(0)
-        packed = _packed_rows(self.sequence, self.lo, self.hi)
+        packed = _packed_rows(self.sequence, self.windows, self.lo, self.hi)
         if packed.ndim == 1:
             by_key = packed.argsort(kind="stable")
             rows = packed[by_key]
@@ -151,26 +153,25 @@ class Candidates:
         return Prediction(answer=min(self.text(first[g]) for g in tied), score=float(top))
 
 
-def _packed_rows(sequence: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _packed_rows(
+    sequence: np.ndarray, windows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
     """Each span's key row: its keys sequence[lo : hi], zero padded to whole
     8-byte words and read as uint64.  Keys are never 0, so two rows are equal
     exactly when their strings are.
 
     When every row fits one word (up to 8 uint8 or 4 uint16 keys) the rows
-    come as one column.  Each is the span's window, the 8 bytes from its
-    first key on read as one little-endian uint64, ANDed with a mask that
-    keeps its own keys' bytes, the low ones.  The windows are a strided view
-    of sequence's base, the buffer that pads it with 8 zero bytes (see
-    SpanKeys), so a window may read past the last key.  Wider rows come as a
-    (spans, words) table read by one clipped gather of the sequence, zeroed
-    from each span's hi on.
+    come as one column.  Each is the span's window, windows[lo], the 8 bytes
+    from its first key on read as one little-endian uint64 (SpanKeys.windows),
+    ANDed with a mask that keeps its own keys' bytes, the low ones.  Wider
+    rows come as a (spans, words) table read by one clipped gather of the
+    sequence, zeroed from each span's hi on.
     """
     size = sequence.itemsize
     per_word = 8 // size
     lengths = hi - lo
     longest = int(np.maximum.reduce(lengths))
     if longest <= per_word:
-        windows = np.ndarray(len(sequence), "<u8", sequence.base, strides=(size,))
         return windows.take(lo) & (_ALL_BITS >> ((per_word - lengths) * (8 * size)))
     at = lo[:, None] + np.arange(-(-longest // per_word) * per_word)
     rows = sequence.take(at, mode="clip")
@@ -239,33 +240,22 @@ def candidates(
 
 
 class _DecodeTables(NamedTuple):
-    """What _build_candidates reads of a GridShape of n paragraphs under one
+    """What _build_candidates keeps of a GridShape of n paragraphs under one
     top_k and length cap.
 
     top is the ranks kept per paragraph and span the length of the window of
-    ends a begin pairs with.  cube is (2, n, longest + 1) when every
-    paragraph has the longest length, so that the padded (2, n, longest)
-    table of begin and end entries is the vector so reshaped, without its
-    null column; it is None when some paragraph is shorter.  rows (n, 1)
-    holds each paragraph's index and starts (n, 1) its first position in
-    the document.  end_slots (n, top) holds each end rank's index into the
-    flattened ranked ends, or n * top for a rank past the paragraph's
-    length.  no_ends (n, longest + span) is the table of ends by position
-    before any is placed, every entry n * top, in the narrowest unsigned
-    dtype that holds n * top; row_offsets (n, 1) is where each of its rows
-    starts once flattened, and window is arange(span).  Every grid of the
-    shape reads these arrays and none writes them.
+    ends a begin pairs with.  end_slots (n, top) holds each end rank's index
+    into the flattened ranked ends, or n * top for a rank past the
+    paragraph's length.  no_ends (n, longest + span) is the table of ends by
+    position before any is placed, every entry n * top.  Both are in the
+    narrowest unsigned dtype that holds n * top and are read-only: every
+    grid of the shape reads them and none writes them.
     """
 
     top: int
     span: int
-    cube: tuple[int, int, int] | None
-    rows: np.ndarray
-    starts: np.ndarray
     end_slots: np.ndarray
     no_ends: np.ndarray
-    row_offsets: np.ndarray
-    window: np.ndarray
 
 
 def _decode_tables(shape: GridShape, top_k: int | None, max_answer_length: int) -> _DecodeTables:
@@ -275,19 +265,16 @@ def _decode_tables(shape: GridShape, top_k: int | None, max_answer_length: int) 
     n, longest, shortest = len(sizes), max(sizes) - 1, min(sizes) - 1
     top = longest if top_k is None else min(top_k, longest)
     span = min(max_answer_length, longest)
-    width = longest + span  # room in a row for a window from any position
     none = n * top
     # End indices are below none, so the narrowest unsigned dtype holding none.
     dtype = np.uint8 if none <= 0xFF else np.uint16 if none <= 0xFFFF else np.uint32
-    rows = np.arange(n)[:, None]
     end_slots = np.arange(none, dtype=dtype).reshape(n, top)
     if top > shortest:  # ranks past a paragraph's length are its pads
         end_slots[np.arange(top) >= np.array(sizes)[:, None] - 1] = none
-    no_ends = np.empty((n, width), dtype)
+    no_ends = np.empty((n, longest + span), dtype)  # room for a window from any position
     no_ends.fill(none)
-    cube = (2, n, longest + 1) if shortest == longest else None
-    starts = np.array(shape.offsets[:n])[:, None] - rows
-    found = _DecodeTables(top, span, cube, rows, starts, end_slots, no_ends, rows * width, np.arange(span))
+    end_slots.flags.writeable = no_ends.flags.writeable = False
+    found = _DecodeTables(top, span, end_slots, no_ends)
     shape._decoding[top_k, max_answer_length] = found
     return found
 
@@ -306,30 +293,29 @@ def _build_candidates(
     plan = shape._decoding.get((top_k, max_answer_length))
     if plan is None:
         plan = _decode_tables(shape, top_k, max_answer_length)
-    span, rows, starts = plan.span, plan.rows, plan.starts
+    span, none = plan.span, plan.end_slots.size
+    n, width = plan.no_ends.shape
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot; their sort keys become +inf, which ranks them
     # after every position of their row.
-    if plan.cube is None:
-        table = probs.vector.take(layout.gather)
-        order = -table
-        order[:, layout.pad] = np.inf
-    else:  # no pads: the vector without its null slots
-        table = probs.vector.reshape(plan.cube)[:, :, :-1]
-        order = -table
+    table = probs.vector.take(layout.gather)
+    order = -table
+    order[:, layout.pad] = np.inf
     begins, ends = _rank_top(order, plan.top)
+    rows = np.arange(n)[:, None]
     # Key: each ranked begin's first word over the document's positions,
     # paragraphs concatenated.
+    starts = np.array(pair.table.starts[:-1])[:, None]
     flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
     lead = keys.first.take(flat_begins, mode="clip")
     # Pair: each top end's index into the ranked ends, flattened, at its
     # position; every other position, pads included, holds none.  A window
     # drops the offsets before its begin's first word.
-    none = plan.end_slots.size
     end_index = plan.no_ends.copy()
     end_index[rows, ends] = plan.end_slots
-    index = end_index.ravel()[(begins + plan.row_offsets)[:, :, None] + plan.window]
-    index[plan.window < (lead - flat_begins)[:, :, None]] = none
+    window = np.arange(span)
+    index = end_index.ravel()[(begins + rows * width)[:, :, None] + window]
+    index[window < (lead - flat_begins)[:, :, None]] = none
     index.sort(axis=-1)
     kept = index < none
     begin = kept.ravel().nonzero()[0] // span
@@ -337,6 +323,7 @@ def _build_candidates(
     return Candidates(
         words=tuple(pair.table.keys),
         sequence=keys.sequence,
+        windows=keys.windows,
         lo=keys.upto[lead.ravel()[begin]] - 1,
         hi=keys.upto[(starts + ends).ravel()[end]],
         log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].ravel()[end],

@@ -366,11 +366,17 @@ def oracle_layouts(pair):
     n, longest = len(counts), max(counts, default=0)
     offsets = list(accumulate([c + 1 for c in counts] * 2, initial=0))
     words = pair.table.words
+    sequence = [pair.table.keys[w] for w in normalized if w]
+    itemsize = pair.table.key_of.itemsize
+    padded = b"".join(key.to_bytes(itemsize, "little") for key in sequence) + bytes(8)
     slots = []
     for k, paragraph in enumerate(pair.paragraphs):
         slots += [words.index(t.text) for t in paragraph.tokens] + [len(words) + k]
     return {
-        "sequence": [pair.table.keys[w] for w in normalized if w],
+        "sequence": sequence,
+        "windows": [
+            int.from_bytes(padded[i * itemsize : i * itemsize + 8], "little") for i in range(len(sequence))
+        ],
         "first": [
             next((j for j in range(i, size) if normalized[j] not in ARTICLES | {""}), size)
             for i in range(size)
@@ -398,6 +404,7 @@ def assert_layouts_match_oracle(pair):
     size, n = len(table.ids), len(layouts["counts"])
     dtypes = {
         "sequence": table.key_of.dtype,
+        "windows": np.dtype("<u8"),
         "first": np.min_scalar_type(size),
         "upto": np.min_scalar_type(size),
         "gather": np.min_scalar_type(2 * (size + n)),
@@ -408,7 +415,8 @@ def assert_layouts_match_oracle(pair):
         assert layouts[name].dtype == dtype, name
     # SpanKeys' invariant: span [i, j] normalizes to a slice of sequence.
     names = list(table.keys)
-    sequence, first, upto = table.span_keys
+    span_keys = table.span_keys
+    sequence, first, upto = span_keys.sequence, span_keys.first, span_keys.upto
     for k, paragraph in enumerate(pair.paragraphs):
         texts = [t.text for t in paragraph.tokens]
         for i in range(len(texts)):
@@ -446,11 +454,17 @@ class TestLayouts:
         assert long.table.span_keys.first.dtype == long.table.grid_layout.gather.dtype == np.uint16
 
     def test_layouts_are_read_only(self):
-        pair, _ = random_scored_pair(np.random.default_rng(72))
-        for name, value in laid_out(pair.table).items():
-            if name == "shape":
-                assert isinstance(value.sizes, tuple)
-                continue
+        pair, grid = random_scored_pair(np.random.default_rng(72))
+        for space in SpaceKind:  # builds every array the shape keeps
+            score_strings(log_partition(grid, space), pair, AnswerAggregation.SUM)
+        shape = pair.table.grid_layout.shape
+        assert isinstance(shape.sizes, tuple) and isinstance(shape.offsets, tuple)
+        kept = [shape.positions, *shape.paragraph_runs, *shape.document_runs]
+        for tables in shape._decoding.values():
+            kept += [value for value in tables if isinstance(value, np.ndarray)]
+        assert shape._decoding and len(kept) > 9
+        arrays = [value for name, value in laid_out(pair.table).items() if name != "shape"]
+        for value in arrays + kept:
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
 

@@ -392,6 +392,7 @@ class TestWindowPacking:
         sequence = keys.sequence
         assert sequence.dtype == dtype
         assert sequence.base[len(sequence) :].tobytes() == bytes(8)  # the padding
+        assert keys.windows.base is sequence.base  # a view of the padded buffer, not a copy
         per_word = 8 // sequence.itemsize
         lo = np.array(
             [i for i in range(len(sequence)) for n in range(1, per_word + 1) if i + n <= len(sequence)],
@@ -402,13 +403,13 @@ class TestWindowPacking:
             keys.upto.dtype,
         )
         assert (hi == len(sequence)).sum() == per_word  # rows that end at the last key
-        packed = _packed_rows(sequence, lo, hi)
+        packed = _packed_rows(sequence, keys.windows, lo, hi)
         assert packed.shape == lo.shape and packed.dtype == np.uint64
         assert packed.tobytes() == gather_packed(sequence, lo, hi).ravel().tobytes()
         for length in range(1, per_word + 1):  # each length alone, at the sequence's end too
             short = hi - lo == length
             assert (
-                _packed_rows(sequence, lo[short], hi[short]).tobytes()
+                _packed_rows(sequence, keys.windows, lo[short], hi[short]).tobytes()
                 == gather_packed(sequence, lo[short], hi[short]).tobytes()
             )
 
