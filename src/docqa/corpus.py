@@ -7,7 +7,8 @@ import string
 import sys
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, repeat
+from operator import add, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -182,8 +183,13 @@ class WordTable:
     computed on its first read and kept for the table's life, so a pair is
     laid out once however often it is scored or decoded, and building,
     loading or labeling a pair computes neither.  Their arrays are read-only,
-    in the narrowest dtype that holds their values.  A pickle carries the
-    fields only, so its copy lays itself out anew.
+    in the narrowest dtype that holds their values (narrowest_unsigned, a
+    comparison of Python ints).  The builders take every per-paragraph
+    quantity (lengths, heads, null slots, the longest paragraph) from starts
+    as Python ints, put the small ones into one intp array, and build each
+    per-position array with a few whole-array numpy calls; the only numpy
+    Python frame they enter is np.bincount's dispatcher.  A pickle carries
+    the fields only, so its copy lays itself out anew.
     """
 
     words: tuple[str, ...]
@@ -203,57 +209,82 @@ class WordTable:
 
     @cached_property
     def span_keys(self) -> SpanKeys:
-        key = self.key_of[self.ids]
-        nonempty = key != 0
+        key = self.key_of.take(self.ids)
         size = len(key)
-        dtype = np.min_scalar_type(size)
-        can_lead = ~self.article
-        can_lead[0] = False
-        at_word = np.where(can_lead[key], np.arange(size, dtype=dtype), dtype.type(size))
+        dtype = narrowest_unsigned(size)
+        nonempty = key != 0
+        # A position leads a span's words unless its word is empty or an article.
+        cannot_lead = nonempty <= self.article.take(key)
+        first = np.arange(size, dtype=dtype)
+        first[cannot_lead] = size
+        first = np.minimum.accumulate(first[::-1])[::-1]
+        upto = np.add.accumulate(nonempty, dtype=dtype)
         sequence = key[nonempty]
-        n_keys, itemsize = len(sequence), sequence.itemsize
-        padded = np.zeros(n_keys + 8 // itemsize, sequence.dtype)
+        n_keys, itemsize = len(sequence), key.itemsize
+        padded = np.zeros(n_keys + 8 // itemsize, key.dtype)
         padded[:n_keys] = sequence
-        _read_only(padded)
+        for array in (padded, first, upto):
+            array.setflags(write=False)
         return SpanKeys(
-            sequence=padded[:n_keys],
-            windows=np.ndarray(n_keys, "<u8", padded, strides=(itemsize,)),
-            first=_read_only(np.minimum.accumulate(at_word[::-1])[::-1]),
-            upto=_read_only(np.add.accumulate(nonempty, dtype=dtype)),
+            padded[:n_keys], np.ndarray(n_keys, _WINDOW, padded, strides=(itemsize,)), first, upto
         )
 
     @cached_property
     def grid_layout(self) -> GridLayout:
-        starts = np.array(self.starts)
-        counts = starts[1:] - starts[:-1]
-        n, n_words, size = len(counts), len(self.words), len(self.ids)
-        longest = np.maximum.reduce(counts, initial=0)
-        # Paragraph k's slots in a grid half start at starts[k] + k, and its
-        # null slot ends them.
-        heads = starts[:-1] + np.arange(n)
-        at = np.minimum(np.arange(longest), counts[:, None])
-        begin = at + heads[:, None]
-        cells = (np.arange(n) * n_words).repeat(counts) + self.ids
-        occurrences = np.bincount(cells, minlength=n * n_words).reshape(n, n_words)
-        nulls = heads + counts
-        is_token = np.ones(size + n, bool)
-        is_token[nulls] = False
-        slots = np.empty(size + n, np.min_scalar_type(n_words + n))
-        slots[is_token] = self.ids
-        slots[nulls] = np.arange(n_words, n_words + n)
-        return GridLayout(
-            counts=_read_only(counts),
-            shape=GridShape((counts + 1).tolist()),
-            gather=_read_only(np.array((begin, begin + size + n), np.min_scalar_type(2 * (size + n)))),
-            pad=_read_only(np.arange(longest) >= counts[:, None]),
-            occurrences=_read_only(occurrences.astype(np.min_scalar_type(longest))),
-            slots=_read_only(slots),
+        starts, n_words = self.starts, len(self.words)
+        n = len(starts) - 1
+        half = starts[-1] + n  # the slots of one grid half
+        lengths = list(map(sub, starts[1:], starts))
+        longest = max(lengths, default=0)
+        # Paragraph k's slots in a grid half run from heads[k] = starts[k] + k
+        # to its null slot, nulls[k] = starts[k + 1] + k.
+        heads = list(map(add, starts, range(n)))
+        # One read-only intp table of n-long rows: the lengths (counts), the
+        # null slots, and the heads in the begin half and in the end half.
+        table = np.array(
+            [*lengths, *map(add, starts[1:], range(n)), *heads, *map(add, heads, repeat(half))],
+            np.intp,
         )
+        table.setflags(write=False)
+        counts, nulls = table[:n], table[n : 2 * n]
+        across = np.arange(longest)
+        ends = counts[:, None]
+        gather = np.minimum(across, ends)
+        gather = (gather + table[2 * n :].reshape(2, n, 1)).astype(narrowest_unsigned(2 * half))
+        pad = across >= ends
+        # Cell k * n_words + w counts word w in paragraph k; no words means no
+        # paragraphs, for which any nonzero step gives no cells.
+        cells = np.arange(0, n * n_words, n_words or 1).repeat(counts)
+        cells += self.ids
+        occurrences = np.bincount(cells, minlength=n * n_words).astype(narrowest_unsigned(longest))
+        is_token = np.empty(half, bool)
+        is_token.fill(True)
+        is_token[nulls] = False
+        dtype = narrowest_unsigned(n_words + n)
+        slots = np.empty(half, dtype)
+        slots[is_token] = self.ids
+        slots[nulls] = np.arange(n_words, n_words + n, dtype=dtype)
+        for array in (gather, pad, occurrences, slots):
+            array.setflags(write=False)
+        shape = GridShape(list(map(add, lengths, repeat(1))))
+        return GridLayout(counts, shape, gather, pad, occurrences.reshape(n, n_words), slots)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+_WINDOW = np.dtype("<u8")
+
+
+def narrowest_unsigned(bound: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds bound, a non-negative Python
+    int: np.min_scalar_type(bound), found by comparison without entering
+    numpy's Python dispatcher."""
+    if bound <= 0xFF:
+        return _UINT8
+    if bound <= 0xFFFF:
+        return _UINT16
+    return _UINT32 if bound <= 0xFFFF_FFFF else _UINT64
+
+
+_UINT8, _UINT16, _UINT32, _UINT64 = map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:
@@ -272,7 +303,7 @@ def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) ->
             raise ValueError("token text must be non-empty")
         raise ValueError(f"token text must not contain whitespace: {bad!r}")
     words = tuple(map(sys.intern, index))
-    dtype = np.min_scalar_type(len(words))
+    dtype = narrowest_unsigned(len(words))
     ids = np.fromiter(map(index.__getitem__, positions), dtype, len(positions))
     keys = {"": 0}
     key_of = [keys.setdefault(word, len(keys)) for word in _normalized(words)]
@@ -284,7 +315,7 @@ def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) ->
         ids=ids[len(question) :],
         starts=tuple(accumulate(map(len, paragraphs), initial=0)),
         keys=keys,
-        key_of=np.fromiter(key_of, np.min_scalar_type(len(keys)), len(key_of)),
+        key_of=np.fromiter(key_of, narrowest_unsigned(len(keys)), len(key_of)),
         article=article,
     )
 

@@ -8,12 +8,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair
-from .probability import GridShape, LogProbGrid, logsumexp_runs
+from .corpus import DocumentQuestionPair, narrowest_unsigned
+from .probability import GridShape, LogProbGrid, Runs, logsumexp_over
 
 DEFAULT_TOP_K = 20
 DEFAULT_MAX_ANSWER_LENGTH = 8
-_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# _LOW_BYTES[size][n] keeps the low n keys of size bytes of a uint64 word.
+_LOW_BYTES = {
+    size: np.array([(1 << (8 * size * n)) - 1 for n in range(8 // size + 1)], np.uint64)
+    for size in (1, 2, 4, 8)
+}
 
 # Decoding runs once per document on small arrays, so it calls array methods
 # (a.take, a.nonzero) and ufunc reductions (np.maximum.reduce) directly:
@@ -104,7 +108,7 @@ class Candidates:
         rows (see _packed_rows), so each string's mentions form one run in
         candidate order.  A row of one word sorts as one column; wider rows
         go through np.lexsort.  Only strings with two or more mentions go
-        through logsumexp_runs: the log-sum-exp of one entry x is 0.0 + x,
+        through logsumexp_over: the log-sum-exp of one entry x is 0.0 + x,
         bit for bit, -inf included.
         """
         if not len(self.log_p):
@@ -124,15 +128,19 @@ class Candidates:
         bounds = cut.nonzero()[0]
         heads = bounds[:-1]
         log_p = self.log_p[by_key]
+        first = by_key[heads]
         if aggregation is AnswerAggregation.MAX:
-            return by_key[heads], np.maximum.reduceat(log_p, heads)
+            return first, np.maximum.reduceat(log_p, heads)
         scores = log_p[heads] + 0.0  # as logsumexp of one entry, which turns -0.0 into 0.0
         sizes = bounds[1:] - heads
         shared = sizes > 1
         if np.logical_or.reduce(shared):
-            runs = sizes[shared]
-            scores[shared] = logsumexp_runs(log_p[shared.repeat(sizes)], runs.cumsum() - runs)
-        return by_key[heads], scores
+            lengths = sizes[shared]
+            edges = np.empty(len(lengths) + 1, np.intp)  # the shared runs' bounds, packed
+            edges[0] = 0
+            np.add.accumulate(lengths, out=edges[1:])
+            scores[shared] = logsumexp_over(log_p[shared.repeat(sizes)], Runs.of(edges))
+        return first, scores
 
     def best(self, aggregation: AnswerAggregation) -> Prediction:
         """The top-scoring string, ties to the smallest, with its score.
@@ -163,7 +171,8 @@ def _packed_rows(
     When every row fits one word (up to 8 uint8 or 4 uint16 keys) the rows
     come as one column.  Each is the span's window, windows[lo], the 8 bytes
     from its first key on read as one little-endian uint64 (SpanKeys.windows),
-    ANDed with a mask that keeps its own keys' bytes, the low ones.  Wider
+    ANDed with the mask that keeps its own keys' bytes, the low ones
+    (_LOW_BYTES[size][length]).  Wider
     rows come as a (spans, words) table read by one clipped gather of the
     sequence, zeroed from each span's hi on.
     """
@@ -172,7 +181,7 @@ def _packed_rows(
     lengths = hi - lo
     longest = int(np.maximum.reduce(lengths))
     if longest <= per_word:
-        return windows.take(lo) & (_ALL_BITS >> ((per_word - lengths) * (8 * size)))
+        return windows.take(lo) & _LOW_BYTES[size].take(lengths)
     at = lo[:, None] + np.arange(-(-longest // per_word) * per_word)
     rows = sequence.take(at, mode="clip")
     rows[at >= hi[:, None]] = 0
@@ -266,8 +275,7 @@ def _decode_tables(shape: GridShape, top_k: int | None, max_answer_length: int) 
     top = longest if top_k is None else min(top_k, longest)
     span = min(max_answer_length, longest)
     none = n * top
-    # End indices are below none, so the narrowest unsigned dtype holding none.
-    dtype = np.uint8 if none <= 0xFF else np.uint16 if none <= 0xFFFF else np.uint32
+    dtype = narrowest_unsigned(none)  # end indices are below none
     end_slots = np.arange(none, dtype=dtype).reshape(n, top)
     if top > shortest:  # ranks past a paragraph's length are its pads
         end_slots[np.arange(top) >= np.array(sizes)[:, None] - 1] = none
@@ -324,9 +332,9 @@ def _build_candidates(
         words=tuple(pair.table.keys),
         sequence=keys.sequence,
         windows=keys.windows,
-        lo=keys.upto[lead.ravel()[begin]] - 1,
-        hi=keys.upto[(starts + ends).ravel()[end]],
-        log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].ravel()[end],
+        lo=keys.upto.take(lead.ravel()[begin]) - 1,
+        hi=keys.upto[(starts + ends).take(end)],
+        log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].take(end),
     )
 
 

@@ -176,7 +176,8 @@ class ToyScorer:
     def _fold(self, doc: EncodedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Question mean qbar, then W (4, dim) and c (4,) of the four heads."""
         question = doc.table.question
-        qbar = np.add.reduce(self.embedding[doc.words[question]], axis=0) / max(1, len(question))
+        rows = self.embedding[doc.words.take(question)]
+        qbar = np.add.reduce(rows, axis=0) / max(1, len(question))
         return qbar, self._heads[:, 0] + qbar * self._heads[:, 2], self._heads[:, 1] @ qbar
 
     def score(self, pair: DocumentQuestionPair | EncodedPair) -> ScoreGrid:
@@ -194,8 +195,10 @@ class ToyScorer:
         per_word = weights @ self.embedding[doc.words].T
         n_words = len(doc.words)
         table = np.empty((2, n_words + len(layout.counts)))
-        table[:, :n_words] = per_word[:2] + bias[:2, None]
-        table[:, n_words:] = per_word[2:] @ layout.occurrences.T / layout.counts + bias[2:, None]
+        np.add(per_word[:2], bias[:2, None], out=table[:, :n_words])
+        nulls = per_word[2:] @ layout.occurrences.T
+        nulls /= layout.counts
+        np.add(nulls, bias[2:, None], out=table[:, n_words:])
         return ScoreGrid(table.take(layout.slots, axis=1).ravel(), layout.shape)
 
     def backprop(self, pair: DocumentQuestionPair | EncodedPair, grad: ScoreGrid) -> np.ndarray:
@@ -213,20 +216,30 @@ class ToyScorer:
         n_words = len(doc.words)
         columns = n_words + len(layout.counts)
         halves = grad.vector.reshape(2, -1)
-        sums = np.stack([np.bincount(layout.slots, weights=h, minlength=columns) for h in halves])
+        sums = np.empty((2, columns))
+        for half, h in zip(sums, halves):
+            half[:] = np.bincount(layout.slots, weights=h, minlength=columns)
         g = np.empty((4, n_words))
         g[:2] = sums[:, :n_words]
         g[2:] = sums[:, n_words:] / layout.counts @ layout.occurrences
         g_x = g @ self.embedding[doc.words]
-        g_sum = g.sum(axis=1)
-        out = np.empty_like(self.params)
+        g_sum = np.add.reduce(g, axis=1)
+        out = np.empty(self.params.shape)
         split = self.embedding.size
-        out[split:] = np.stack([g_x, g_sum[:, None] * qbar, g_x * qbar], axis=1).ravel()
-        d_qbar = g_sum @ self._heads[:, 1] + (g_x * self._heads[:, 2]).sum(axis=0)
+        # Head j's gradient: X^T g_j on h_x, qbar * sum(g_j) on h_q, qbar * (X^T g_j) on h_xq.
+        heads = out[split:].reshape(4, 3, self.dim)
+        heads[:, 0] = g_x
+        np.multiply(g_sum[:, None], qbar, out=heads[:, 1])
+        np.multiply(g_x, qbar, out=heads[:, 2])
+        d_qbar = g_sum @ self._heads[:, 1] + np.add.reduce(g_x * self._heads[:, 2], axis=0)
         question = doc.words[doc.table.question]
-        shared = np.broadcast_to(d_qbar / max(1, len(question)), (len(question), self.dim))
-        ids = np.concatenate([doc.words, question])
-        d_rows = np.concatenate([g.T @ weights, shared])
+        # Every word's row gradient, then each question position's share of d_qbar.
+        ids = np.empty(n_words + len(question), doc.words.dtype)
+        ids[:n_words] = doc.words
+        ids[n_words:] = question
+        d_rows = np.empty((len(ids), self.dim))
+        d_rows[:n_words] = g.T @ weights
+        d_rows[n_words:] = d_qbar / max(1, len(question))
         # One scatter that adds every row's gradient onto the flat embedding:
         # unknown words share row 0, so rows must never be assigned.
         cells = (ids[:, None] * self.dim + np.arange(self.dim)).ravel()

@@ -140,8 +140,8 @@ def _aggregate(
         value = float(logsumexp(logs))
         return value, np.exp(logs - value)
     if temperature is None:
-        idx = int(np.argmax(logs))
-        weights = np.zeros_like(logs)
+        idx = int(logs.argmax())
+        weights = np.zeros(logs.shape)
         weights[idx] = 1.0
         return float(logs[idx]), weights
     scaled = logs / temperature
@@ -222,7 +222,8 @@ def evaluate(
     n_begin = len(at)
     at += [offset[n + k] + e for side in ends for k, e in side]
     logs = log_probs[at]
-    weights = np.ones(len(at))
+    weights = np.empty(len(at))
+    weights.fill(1.0)
 
     value = 0.0
     b0, e0 = 0, n_begin
@@ -270,7 +271,7 @@ def combine(
         if not np.isfinite(w) or w < 0:
             raise ObjectiveSpecError("weights must be finite and non-negative")
     value = 0.0
-    grad = np.zeros_like(grid.vector)
+    grad = np.zeros(grid.vector.shape)
     for spec, weight in zip(specs, weights):
         result = evaluate(spec, grid, labels, temperature)
         value += weight * result.value

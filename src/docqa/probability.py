@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import index, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,24 +44,36 @@ class GridShape:
     slot.  A grid's vector holds every paragraph's begin slots, then every
     paragraph's end slots, in paragraph order, so paragraph k of n starts at
     offsets[k] on the begin side and at offsets[n + k] on the end side, and
-    offsets[-1] is the vector's length.  A size below 2 raises ValueError.
-    No sizes is the shape of a document without paragraphs, which no grid
-    takes.  Shapes are equal when their sizes are.
+    offsets[-1] is the vector's length.  Each size passes through
+    operator.index, so numpy integers are taken as Python ints and a float,
+    a string or None raises ValueError naming it; a size below 2 raises
+    ValueError too.  No sizes is the shape of a document without paragraphs,
+    which no grid takes.  Shapes are equal when their sizes are.
 
     Everything else a shape holds derives from sizes alone, is computed on
-    its first read and kept for the shape's life: the runs log_partition
-    normalizes under each space, the document space's null-slot mask, and
-    the tables inference.candidates keeps in _decoding, one entry per top_k
-    and length cap.  WordTable.grid_layout keeps one shape per pair, so the
-    grids scored from one pair share these; a shape built from sizes lays
-    itself out on its own first use.
+    its first read and kept, read-only, for the shape's life: the runs
+    log_partition normalizes under each space, built by Runs.of from the
+    offsets as one intp array, the document space's null-slot mask, and the
+    tables inference.candidates keeps in _decoding, one entry per top_k and
+    length cap.  WordTable.grid_layout keeps one shape per pair, so the grids
+    scored from one pair share these; a shape built from sizes lays itself
+    out on its own first use.
     """
 
     def __init__(self, sizes: Sequence[int]):
+        try:
+            sizes = tuple(map(index, sizes))
+        except TypeError:
+            for size in sizes:
+                try:
+                    index(size)
+                except TypeError:
+                    raise ValueError(f"paragraph size must be an integer, got {size!r}") from None
+            raise
         if sizes and min(sizes) < 2:
             raise ValueError("each paragraph needs a position and a null slot")
-        self.sizes = tuple(map(int, sizes))
-        self.offsets = tuple(accumulate(self.sizes * 2, initial=0))
+        self.sizes = sizes
+        self.offsets = tuple(accumulate(sizes * 2, initial=0))
         self._decoding: dict = {}
 
     def __eq__(self, other: object) -> bool:
@@ -75,28 +88,29 @@ class GridShape:
     def paragraph_runs(self) -> Runs:
         """One run per paragraph half, begin halves then end halves: what
         PARAGRAPH normalizes."""
-        return Runs.of(self.sizes * 2)._sealed()
+        return Runs.of(np.array(self.offsets, np.intp))._sealed()
 
     @cached_property
     def positions(self) -> np.ndarray:
         """Whether each slot of the vector is a token position rather than a
         null slot: the entries DOCUMENT normalizes."""
-        positions = np.empty(self.offsets[-1], bool)
+        offsets = self.offsets
+        positions = np.empty(offsets[-1], bool)
         positions.fill(True)
-        positions[np.subtract(self.offsets[1:], 1)] = False
-        positions.flags.writeable = False
+        positions[list(map(sub, offsets[1:], repeat(1)))] = False
+        positions.setflags(write=False)
         return positions
 
     @cached_property
     def document_runs(self) -> Runs:
         """The begin and end halves of the positions, two runs."""
         half = self.offsets[-1] // 2 - len(self.sizes)
-        return Runs.of((half, half))._sealed()
+        return Runs.of(np.array((0, half, 2 * half), np.intp))._sealed()
 
 
 class Runs(NamedTuple):
     """Runs a[heads[g] : heads[g] + lengths[g]] that cover an array a in
-    order, laid out for logsumexp_runs.
+    order, laid out for logsumexp_over.
 
     In a copy of a with a zero leading every run, run g starts at leads[g]
     and is_term marks every other entry.
@@ -108,16 +122,15 @@ class Runs(NamedTuple):
     is_term: np.ndarray
 
     @classmethod
-    def of(cls, lengths: Sequence[int] | np.ndarray) -> "Runs":
-        """Runs of these lengths, each at least 1, one after another."""
-        lengths = np.asarray(lengths, np.intp)
-        ends = lengths.cumsum()
-        heads = ends - lengths
-        leads = heads + np.arange(len(lengths))
-        is_term = np.empty(len(lengths) + int(ends[-1]), bool)
+    def of(cls, bounds: np.ndarray) -> "Runs":
+        """The runs a[bounds[g] : bounds[g + 1]] of an intp array of bounds
+        that starts at 0 and strictly increases; heads is a view of it."""
+        heads = bounds[:-1]
+        leads = heads + np.arange(heads.size)
+        is_term = np.empty(heads.size + int(bounds[-1]), bool)
         is_term.fill(True)
         is_term[leads] = False
-        return cls(heads, lengths, leads, is_term)
+        return cls(heads, bounds[1:] - heads, leads, is_term)
 
     def _sealed(self) -> "Runs":
         for array in self:
@@ -241,15 +254,14 @@ def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """
     if not len(heads):
         return np.empty(0)
-    lengths = np.empty(len(heads), np.intp)
-    lengths[:-1] = heads[1:]
-    lengths[-1] = len(a)
-    lengths -= heads
-    return _logsumexp_over(a, Runs.of(lengths))
+    bounds = np.empty(len(heads) + 1, np.intp)
+    bounds[:-1] = heads
+    bounds[-1] = len(a)
+    return logsumexp_over(a, Runs.of(bounds))
 
 
-def _logsumexp_over(a: np.ndarray, runs: Runs) -> np.ndarray:
-    """logsumexp_runs over runs laid out already.
+def logsumexp_over(a: np.ndarray, runs: Runs) -> np.ndarray:
+    """logsumexp_runs over runs laid out already, one logsumexp per run.
 
     The maxima, counts and exponentials are those logsumexp computes, taken
     for every run at once.  Each run's exponentials are summed by one
@@ -272,9 +284,9 @@ def _logsumexp_over(a: np.ndarray, runs: Runs) -> np.ndarray:
 
 
 def _logsumexp_finite(a: np.ndarray, runs: Runs, top: np.ndarray) -> np.ndarray:
-    """The body of _logsumexp_over, exact for the runs whose maximum top[g]
+    """The body of logsumexp_over, exact for the runs whose maximum top[g]
     is finite."""
-    padded = np.zeros(len(runs.is_term))
+    padded = np.zeros(runs.is_term.shape)
     shifted = a - top.repeat(runs.lengths)
     # a - top is 0 exactly where a equals a finite top.
     mask = shifted == 0
@@ -298,11 +310,11 @@ def log_partition(grid: ScoreGrid, space: SpaceKind) -> LogProbGrid:
     shape = grid.shape
     if space is SpaceKind.PARAGRAPH:
         runs = shape.paragraph_runs
-        log = grid.vector - _logsumexp_over(grid.vector, runs).repeat(runs.lengths)
+        log = grid.vector - logsumexp_over(grid.vector, runs).repeat(runs.lengths)
     elif space is SpaceKind.DOCUMENT:
         positions, runs = shape.positions, shape.document_runs
         scores = grid.vector[positions]  # a copy, so both halves are normalized in place
-        scores -= _logsumexp_over(scores, runs).repeat(runs.lengths)
+        scores -= logsumexp_over(scores, runs).repeat(runs.lengths)
         log = np.empty(grid.vector.shape)
         log.fill(-np.inf)
         log[positions] = scores

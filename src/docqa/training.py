@@ -143,7 +143,7 @@ def _run_epochs(
             batch = order[start : start + config.batch_size]
             batch = sorted(batch, key=lambda i: examples[i][0].id)
             temperature = _ramp_temperature(step, total_steps) if use_ramp else None
-            accumulated = np.zeros_like(scorer.params)
+            accumulated = np.zeros(scorer.params.shape)
             for i in batch:
                 pair, label_set = examples[i]
                 grid = scorer.score(encoded[i])

@@ -24,7 +24,9 @@ version, so other versions skip the test.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_call_counts.py
 
-and say in CHANGES.md why the counts moved.
+which prints, for each stage and kind, the pinned count, the new count and
+the change per document, then writes the file and prints it; say in
+CHANGES.md why the counts moved.
 """
 
 from __future__ import annotations
@@ -166,7 +168,22 @@ def test_counts_repeat_exactly():
     assert runs[0]["docqa"] > 0 and runs[0]["c_calls"] > 0
 
 
+def report(pinned: dict, stages: dict) -> str:
+    """One line per stage and kind: the pinned count, the new one, and the
+    change per document."""
+    lines = []
+    for stage, counts in stages.items():
+        before = pinned.get(stage, {})
+        for kind in KINDS:
+            old = before.get(kind)
+            change = "new" if old is None else f"{(counts[kind] - old) / counts['documents']:+.2f}/doc"
+            lines.append(f"{stage:20s} {kind:9s} {old if old is not None else '-':>6} -> {counts[kind]:>6}  {change}")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
+    pinned = json.loads(COUNTS.read_text(encoding="utf-8"))["stages"] if COUNTS.exists() else {}
     record = {"versions": versions(), "stages": measure()}
+    print(report(pinned, record["stages"]))
     COUNTS.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))

@@ -27,8 +27,9 @@ from docqa.diagnostics import RAW_TOKENS, random_scored_pair
 from docqa.inference import AnswerAggregation, score_strings
 from docqa.labeling import find_consistent_spans_exact, find_consistent_spans_rouge
 from docqa.model import ToyScorer, Vocabulary
-from docqa.probability import SpaceKind, log_partition
+from docqa.probability import ScoreGrid, SpaceKind, log_partition
 from docqa.synthlab import NoiseProfile, generate
+from test_inference import decode, oracle_predict
 
 PUNCTUATION = str.maketrans("", "", string.punctuation)
 
@@ -644,3 +645,92 @@ class TestLoadDataset:
         save_dataset(first, out)
         second = load_dataset(out)
         assert first == second
+
+
+def straddling_pair(rng, lengths, vocabulary):
+    """A pair whose paragraphs have these lengths, over the distinct token
+    texts vocabulary, each used at least once (so the table holds exactly
+    them after the question's "q"), in random order and with repeats."""
+    tokens = list(vocabulary) + rng.choice(vocabulary, sum(lengths) - len(vocabulary)).tolist()
+    rng.shuffle(tokens)
+    bounds = list(accumulate(lengths, initial=0))
+    pair = make_pair("b", "q", [tokens[a:b] for a, b in zip(bounds, bounds[1:])], ["w0"])
+    assert pair.paragraph_lengths() == tuple(lengths) and len(pair.table.words) == len(vocabulary) + 1
+    return pair
+
+
+def vocabulary_of(count):
+    """count distinct token texts: articles and punctuation, then w0, w1, ..."""
+    extra = ["the", ",", "A", "an"]
+    return extra + [f"w{i}" for i in range(count - len(extra))]
+
+
+class TestLayoutDtypeBoundaries:
+    """Documents on both sides of every switch to a wider layout dtype lay
+    out as the oracle does, dtypes included, and decode as the decoding
+    oracle does: a builder that picked too narrow a dtype would wrap around
+    silently here."""
+
+    CASES = {
+        # size (tokens) of 255 and 256: first and upto
+        "size 255": ([255], 40),
+        "size 256": ([256], 40),
+        "size 256 in two": ([128, 128], 40),
+        # size + paragraphs of 127 and 128: gather indexes 2 * (size + n) slots
+        "size + n 127": ([31, 31, 31, 30], 30),
+        "size + n 128": ([31, 31, 31, 31], 30),
+        "size + n 128 in one": ([127], 30),
+        # words + paragraphs of 255 and 256: slots
+        "words + n 255": ([200, 200], 252),
+        "words + n 256": ([200, 200], 253),
+        # the longest paragraph of 255 and 256 tokens: occurrences
+        "longest 255": ([255, 3], 20),
+        "longest 256": ([256, 3], 20),
+        # 255 and 256 keys ("" and "q" among them): key_of, the sequence and packed rows
+        "keys 255": ([300, 100], 254),
+        "keys 256": ([300, 100], 255),
+    }
+
+    @classmethod
+    def pair(cls, name, rng):
+        lengths, count = cls.CASES[name]
+        return straddling_pair(rng, lengths, vocabulary_of(count))
+
+    @staticmethod
+    def check(pair, rng):
+        assert_layouts_match_oracle(pair)
+        grid = ScoreGrid.zeros(pair.paragraph_lengths())
+        grid.vector[:] = rng.normal(0.0, 2.0, grid.vector.shape)
+        for space in SpaceKind:
+            probs = log_partition(grid, space)
+            for aggregation in AnswerAggregation:
+                answer, score = oracle_predict(probs, pair, aggregation, 20, 8)
+                got = decode(probs, pair, aggregation, 20, 8)
+                assert (got.answer, got.score) == (answer, score)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_each_side_of_a_dtype_switch(self, name):
+        rng = np.random.default_rng(sorted(self.CASES).index(name))
+        self.check(self.pair(name, rng), rng)
+
+    def test_the_cases_straddle_every_switch(self):
+        def itemsize(name, field):
+            return laid_out(self.pair(name, np.random.default_rng(0)).table)[field].itemsize
+
+        for field, below, above in [
+            ("first", "size 255", "size 256"),
+            ("upto", "size 255", "size 256 in two"),
+            ("gather", "size + n 127", "size + n 128"),
+            ("gather", "size + n 127", "size + n 128 in one"),
+            ("slots", "words + n 255", "words + n 256"),
+            ("occurrences", "longest 255", "longest 256"),
+            ("sequence", "keys 255", "keys 256"),
+        ]:
+            assert (itemsize(below, field), itemsize(above, field)) == (1, 2), (field, below, above)
+
+    def test_ragged_documents_of_eight_paragraphs(self):
+        rng = np.random.default_rng(83)
+        shapes = [[1, 400, 2, 399, 255, 256, 127, 128]]
+        shapes += [rng.integers(1, 401, 8).tolist() for _ in range(3)]
+        for lengths in shapes:
+            self.check(straddling_pair(rng, lengths, vocabulary_of(int(rng.integers(5, 300)))), rng)

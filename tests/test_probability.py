@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,22 @@ class TestGridShape:
             build(np.zeros(0), [])
         with pytest.raises(ValueError, match="a position and a null slot"):
             build(np.zeros(6), [2, 1])
+
+    @pytest.mark.parametrize("bad", [3.9, 2.0, np.float64(3.0), "3", None, [3]])
+    @pytest.mark.parametrize("build", [GridShape, lambda sizes: ScoreGrid(np.zeros(10), sizes)])
+    def test_a_size_that_is_not_an_integer_is_named(self, build, bad):
+        with pytest.raises(ValueError, match=f"paragraph size must be an integer, got {re.escape(repr(bad))}"):
+            build([3, bad])
+
+    def test_numpy_integer_sizes_build_the_shape(self):
+        for sizes in (np.array([3, 2]), np.array([3, 2], np.uint8), [np.int64(3), np.uint16(2)]):
+            shape = GridShape(sizes)
+            assert shape == GridShape([3, 2]) and shape.offsets == (0, 3, 5, 8, 10)
+            assert all(type(size) is int for size in shape.sizes + shape.offsets)
+            assert ScoreGrid(np.zeros(10), sizes).shape == shape
+        assert GridShape(np.zeros(0, np.intp)).sizes == ()
+        with pytest.raises(ValueError, match="a position and a null slot"):
+            GridShape(np.array([3, 1]))
 
     @pytest.mark.parametrize("cls", [ScoreGrid, LogProbGrid])
     def test_a_vector_of_another_length_is_rejected(self, cls):
