@@ -459,7 +459,21 @@ def load_dataset(
 
 
 def save_dataset(pairs: Iterable[DocumentQuestionPair], path: str | Path) -> None:
-    """Write pairs back out as line-delimited JSON of tokenized content."""
+    """Write pairs back out as line-delimited JSON of tokenized content.
+
+    load_dataset lowercases a text and strips its punctuation, so a pair with
+    a word that this changes ("Pisa") or drops (",") would load back as other
+    tokens.  Such a pair raises ValueError naming its id and its first such
+    word, in order of first sight, before the file is opened.
+    """
+    pairs = list(pairs)
+    for pair in pairs:
+        words = pair.table.words
+        normalized = _normalized(words)
+        if normalized is not words:
+            word, read = next((w, n) for w, n in zip(words, normalized) if w != n)
+            fate = f"would load back as {read!r}" if read else "would be dropped on loading"
+            raise ValueError(f"pair {pair.id!r}: word {word!r} {fate}")
     records = (
         {
             "id": pair.id,

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import DocumentQuestionPair, narrowest_unsigned
-from .probability import GridShape, LogProbGrid, Runs, logsumexp_over
+from .corpus import DocumentQuestionPair
+from .probability import LogProbGrid, Runs, logsumexp_over
 
 DEFAULT_TOP_K = 20
 DEFAULT_MAX_ANSWER_LENGTH = 8
@@ -216,9 +215,11 @@ def candidates(
     over the padded (2, paragraphs, longest) table, after masking every
     position whose log probability falls below its row's top-th largest
     (see _rank_top).
-    Pair: each of the top_k ranked begins of a paragraph takes the top_k
-    ranked ends among its next max_answer_length positions, in end rank
-    order, so candidates run by paragraph, then begin rank, then end rank.
+    Pair: each of a paragraph's top_k ranked ends is compared with each of
+    its top_k ranked begins' window, the positions from the begin's first
+    word to its max_answer_length-th position, within the paragraph: top_k
+    squared booleans per paragraph, read out in order, so candidates run by
+    paragraph, then begin rank, then end rank.
     Key: a span's string is the non-empty words from its begin's first word
     (the first at or after it that is neither empty nor one of ARTICLES) to
     its end, a slice of the sequence of non-empty words; spans with no such
@@ -248,93 +249,51 @@ def candidates(
     return found
 
 
-class _DecodeTables(NamedTuple):
-    """What _build_candidates keeps of a GridShape of n paragraphs under one
-    top_k and length cap.
-
-    top is the ranks kept per paragraph and span the length of the window of
-    ends a begin pairs with.  end_slots (n, top) holds each end rank's index
-    into the flattened ranked ends, or n * top for a rank past the
-    paragraph's length.  no_ends (n, longest + span) is the table of ends by
-    position before any is placed, every entry n * top.  Both are in the
-    narrowest unsigned dtype that holds n * top and are read-only: every
-    grid of the shape reads them and none writes them.
-    """
-
-    top: int
-    span: int
-    end_slots: np.ndarray
-    no_ends: np.ndarray
-
-
-def _decode_tables(shape: GridShape, top_k: int | None, max_answer_length: int) -> _DecodeTables:
-    """The shape's _DecodeTables under top_k and max_answer_length, kept in
-    the shape's _decoding dict under (top_k, max_answer_length)."""
-    sizes = shape.sizes
-    n, longest, shortest = len(sizes), max(sizes) - 1, min(sizes) - 1
-    top = longest if top_k is None else min(top_k, longest)
-    span = min(max_answer_length, longest)
-    none = n * top
-    dtype = narrowest_unsigned(none)  # end indices are below none
-    end_slots = np.arange(none, dtype=dtype).reshape(n, top)
-    if top > shortest:  # ranks past a paragraph's length are its pads
-        end_slots[np.arange(top) >= np.array(sizes)[:, None] - 1] = none
-    no_ends = np.empty((n, longest + span), dtype)  # room for a window from any position
-    no_ends.fill(none)
-    end_slots.flags.writeable = no_ends.flags.writeable = False
-    found = _DecodeTables(top, span, end_slots, no_ends)
-    shape._decoding[top_k, max_answer_length] = found
-    return found
-
-
 def _build_candidates(
     probs: LogProbGrid, pair: DocumentQuestionPair, top_k: int | None, max_answer_length: int
 ) -> Candidates:
     """The body of candidates, run once per kept entry."""
     layout, keys = pair.table.grid_layout, pair.table.span_keys
-    shape = layout.shape
-    if probs.shape is not shape and probs.shape != shape:
+    if probs.shape is not layout.shape and probs.shape != layout.shape:
         raise InferenceError("probability grid does not match the document")
     # maximum propagates NaN, so the largest entry is NaN exactly when one is.
     if np.isnan(np.maximum.reduce(probs.vector)):
         raise InferenceError("probability grid holds NaN")
-    plan = shape._decoding.get((top_k, max_answer_length))
-    if plan is None:
-        plan = _decode_tables(shape, top_k, max_answer_length)
-    span, none = plan.span, plan.end_slots.size
-    n, width = plan.no_ends.shape
+    n, longest = layout.pad.shape
+    top = longest if top_k is None or top_k > longest else top_k
     # Rank: begin and end log probabilities padded to (2, n, longest).  The
     # pads read the null slot; their sort keys become +inf, which ranks them
     # after every position of their row.
     table = probs.vector.take(layout.gather)
     order = -table
     order[:, layout.pad] = np.inf
-    begins, ends = _rank_top(order, plan.top)
+    begins, ends = _rank_top(order, top)
     rows = np.arange(n)[:, None]
     # Key: each ranked begin's first word over the document's positions,
-    # paragraphs concatenated.
-    starts = np.array(pair.table.starts[:-1])[:, None]
-    flat_begins = starts + begins  # a pad's lands past its paragraph; no window pairs it
+    # paragraphs concatenated.  A pad begin lands past its paragraph; past
+    # the last one, the clipped take reads the last position's first word.
+    bounds = np.array(pair.table.starts)
+    starts = bounds[:-1, None]
+    flat_begins = starts + begins
     lead = keys.first.take(flat_begins, mode="clip")
-    # Pair: each top end's index into the ranked ends, flattened, at its
-    # position; every other position, pads included, holds none.  A window
-    # drops the offsets before its begin's first word.
-    end_index = plan.no_ends.copy()
-    end_index[rows, ends] = plan.end_slots
-    window = np.arange(span)
-    index = end_index.ravel()[(begins + rows * width)[:, :, None] + window]
-    index[window < (lead - flat_begins)[:, :, None]] = none
-    index.sort(axis=-1)
-    kept = index < none
-    begin = kept.ravel().nonzero()[0] // span
-    end = index[kept]
+    # Pair: (n, top, top) booleans, each ranked end against each ranked
+    # begin's window, which runs from its first word, never before the begin
+    # itself, to its length cap or its paragraph's end, so no pad pairs.  In
+    # C order the pairs run by paragraph, then begin rank, then end rank.
+    flat_ends = starts + ends
+    at = flat_ends[:, None, :]
+    paired = np.maximum(lead, flat_begins)[:, :, None] <= at
+    paired &= at < np.minimum(flat_begins + max_answer_length, bounds[1:, None])[:, :, None]
+    found = paired.ravel().nonzero()[0]
+    begin = found // top  # into the flattened ranked begins
+    end = begin - begin % top + found % top  # into the flattened ranked ends
     return Candidates(
         words=tuple(pair.table.keys),
         sequence=keys.sequence,
         windows=keys.windows,
-        lo=keys.upto.take(lead.ravel()[begin]) - 1,
-        hi=keys.upto[(starts + ends).take(end)],
-        log_p=table[0, rows, begins].ravel()[begin] + table[1, rows, ends].take(end),
+        lo=keys.upto.take(lead.take(begin)) - 1,
+        hi=keys.upto[flat_ends.take(end)],
+        log_p=table[0, rows, begins].take(begin) + table[1, rows, ends].take(end),
     )
 
 

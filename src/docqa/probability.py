@@ -7,7 +7,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import index, sub
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class GridShape:
     slot.  A grid's vector holds every paragraph's begin slots, then every
     paragraph's end slots, in paragraph order, so paragraph k of n starts at
     offsets[k] on the begin side and at offsets[n + k] on the end side, and
-    offsets[-1] is the vector's length.  Each size passes through
+    offsets[-1] is the vector's length.  The sizes may come from any
+    iterable, an iterator included.  Each size passes through
     operator.index, so numpy integers are taken as Python ints and a float,
     a string or None raises ValueError naming it; a size below 2 raises
     ValueError too.  No sizes is the shape of a document without paragraphs,
@@ -53,14 +54,14 @@ class GridShape:
     Everything else a shape holds derives from sizes alone, is computed on
     its first read and kept, read-only, for the shape's life: the runs
     log_partition normalizes under each space, built by Runs.of from the
-    offsets as one intp array, the document space's null-slot mask, and the
-    tables inference.candidates keeps in _decoding, one entry per top_k and
-    length cap.  WordTable.grid_layout keeps one shape per pair, so the grids
-    scored from one pair share these; a shape built from sizes lays itself
-    out on its own first use.
+    offsets as one intp array, and the document space's null-slot mask.
+    WordTable.grid_layout keeps one shape per pair, so the grids scored from
+    one pair share these; a shape built from sizes lays itself out on its own
+    first use.
     """
 
-    def __init__(self, sizes: Sequence[int]):
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(sizes)  # walked twice when a size is bad
         try:
             sizes = tuple(map(index, sizes))
         except TypeError:
@@ -74,7 +75,6 @@ class GridShape:
             raise ValueError("each paragraph needs a position and a null slot")
         self.sizes = sizes
         self.offsets = tuple(accumulate(sizes * 2, initial=0))
-        self._decoding: dict = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridShape):
@@ -245,23 +245,9 @@ def logsumexp(a: np.ndarray) -> np.float64:
     return np.log1p(rest / count) + np.log(count) + top
 
 
-def logsumexp_runs(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """logsumexp of each run a[heads[g] : heads[g + 1]], the last run ending
-    with a, bit-identical to calling logsumexp on each run.
-
-    heads must start at 0 and strictly increase, so the runs cover a and none
-    is empty; no heads (with an empty a) give no runs and an empty result.
-    """
-    if not len(heads):
-        return np.empty(0)
-    bounds = np.empty(len(heads) + 1, np.intp)
-    bounds[:-1] = heads
-    bounds[-1] = len(a)
-    return logsumexp_over(a, Runs.of(bounds))
-
-
 def logsumexp_over(a: np.ndarray, runs: Runs) -> np.ndarray:
-    """logsumexp_runs over runs laid out already, one logsumexp per run.
+    """logsumexp of each run of a, bit-identical to calling logsumexp on
+    each run a[runs.heads[g] : runs.heads[g] + runs.lengths[g]].
 
     The maxima, counts and exponentials are those logsumexp computes, taken
     for every run at once.  Each run's exponentials are summed by one

@@ -27,6 +27,13 @@ def log_span_prob(probs: LogProbGrid, k: int, begin: int, end: int) -> float:
     return float(probs.log_begin[k][begin] + probs.log_end[k][end])
 
 
+def over_runs(a: np.ndarray, sizes) -> np.ndarray:
+    """logsumexp_over a, cut into consecutive runs of these sizes."""
+    bounds = np.zeros(len(sizes) + 1, np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return probability.logsumexp_over(a, probability.Runs.of(bounds))
+
+
 def fixture_grid():
     grid = ScoreGrid.zeros([2, 1])
     grid.begin[0][:] = [0.2, -0.3, 0.1]
@@ -203,14 +210,9 @@ class TestLogSumExp:
                 a[rng.random(a.size) < 0.3] = -np.inf
             if rng.random() < 0.05:
                 a[rng.integers(a.size)] = np.inf
-            heads = np.cumsum(sizes) - sizes
-            got = probability.logsumexp_runs(a, heads)
-            want = [probability.logsumexp(run) for run in np.split(a, heads[1:])]
-            np.testing.assert_array_equal(got, want, err_msg=repr((a, heads)))
-
-    def test_runs_of_nothing(self):
-        got = probability.logsumexp_runs(np.empty(0), np.empty(0, np.intp))
-        assert got.shape == (0,) and got.dtype == np.float64
+            got = over_runs(a, sizes)
+            want = [probability.logsumexp(run) for run in np.split(a, np.cumsum(sizes)[:-1])]
+            np.testing.assert_array_equal(got, want, err_msg=repr((a, sizes)))
 
     def test_runs_with_non_finite_maxima(self):
         # a run whose maximum is +inf, -inf or nan goes through logsumexp with
@@ -226,10 +228,9 @@ class TestLogSumExp:
             [-np.inf],
         ]
         a = np.concatenate(runs)
-        heads = np.cumsum([len(run) for run in runs]) - [len(run) for run in runs]
         with np.errstate(all="raise"):
-            got = probability.logsumexp_runs(a, heads)
-            finite = probability.logsumexp_runs(a[:3], np.array([0]))
+            got = over_runs(a, [len(run) for run in runs])
+            finite = over_runs(a[:3], [3])
         with np.errstate(all="ignore"):
             want = [probability.logsumexp(np.array(run)) for run in runs]
         np.testing.assert_array_equal(got, want)
@@ -368,8 +369,9 @@ class TestGridShape:
     @pytest.mark.parametrize("bad", [3.9, 2.0, np.float64(3.0), "3", None, [3]])
     @pytest.mark.parametrize("build", [GridShape, lambda sizes: ScoreGrid(np.zeros(10), sizes)])
     def test_a_size_that_is_not_an_integer_is_named(self, build, bad):
-        with pytest.raises(ValueError, match=f"paragraph size must be an integer, got {re.escape(repr(bad))}"):
-            build([3, bad])
+        for sizes in ([3, bad], iter([3, bad])):
+            with pytest.raises(ValueError, match=f"paragraph size must be an integer, got {re.escape(repr(bad))}"):
+                build(sizes)
 
     def test_numpy_integer_sizes_build_the_shape(self):
         for sizes in (np.array([3, 2]), np.array([3, 2], np.uint8), [np.int64(3), np.uint16(2)]):
