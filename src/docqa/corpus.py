@@ -8,7 +8,7 @@ import sys
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
-from operator import add, sub
+from operator import add, attrgetter, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,7 +71,9 @@ class Token:
 
     A plain record: the pair's word table checks each distinct text once.
     make_pair builds one instance per table word, shared by the question and
-    every paragraph, and slots keep each instance to a single reference.
+    every paragraph; pair_of_ids takes them from an array that the pairs of
+    one synthetic corpus share.  Slots keep each instance to a single
+    reference.
     """
 
     text: str
@@ -271,6 +273,7 @@ class WordTable:
 
 
 _WINDOW = np.dtype("<u8")
+_TEXT = attrgetter("text")
 
 
 def narrowest_unsigned(bound: int) -> np.dtype:
@@ -289,33 +292,42 @@ _UINT8, _UINT16, _UINT32, _UINT64 = map(np.dtype, (np.uint8, np.uint16, np.uint3
 
 def _word_table(question: Sequence[str], paragraphs: Sequence[Sequence[str]]) -> WordTable:
     """The WordTable of a pair whose question and paragraphs hold these token
-    texts; its words are interned.
-
-    Raises ValueError for the first distinct text, in order of first sight,
-    that is empty or holds whitespace.  All are checked by one split: joined
-    by spaces, valid texts split back into exactly themselves.
-    """
+    texts; its words are interned, and checked as _table_of describes."""
     positions = list(chain(question, *paragraphs))
     index = dict(zip(dict.fromkeys(positions), count()))
-    if " ".join(index).split() != list(index):
-        bad = next(text for text in index if text.split() != [text])
+    ids = np.fromiter(map(index.__getitem__, positions), narrowest_unsigned(len(index)), len(positions))
+    return _table_of(list(index), ids, len(question), tuple(accumulate(map(len, paragraphs), initial=0)))
+
+
+def _table_of(
+    words: list[str], ids: np.ndarray, n_question: int, starts: tuple[int, ...]
+) -> WordTable:
+    """The WordTable of a pair's distinct words, in order of first sight, and
+    ids, the id into words of every position: the question's n_question
+    first, then the paragraphs' split at starts.  Its words are interned.
+
+    Raises ValueError for the first word that is empty or holds whitespace.
+    All are checked by one split: joined by spaces, valid texts split back
+    into exactly themselves.
+    """
+    if " ".join(words).split() != words:
+        bad = next(text for text in words if text.split() != [text])
         if not bad:
             raise ValueError("token text must be non-empty")
         raise ValueError(f"token text must not contain whitespace: {bad!r}")
-    words = tuple(map(sys.intern, index))
-    dtype = narrowest_unsigned(len(words))
-    ids = np.fromiter(map(index.__getitem__, positions), dtype, len(positions))
-    keys = {"": 0}
-    key_of = [keys.setdefault(word, len(keys)) for word in _normalized(words)]
+    words = tuple(map(sys.intern, words))
+    normalized = _normalized(words)
+    keys = dict(zip(dict.fromkeys(chain(("",), normalized)), count()))
+    key_of = np.fromiter(map(keys.__getitem__, normalized), narrowest_unsigned(len(keys)), len(words))
     article = np.zeros(len(keys), bool)
     article[[keys[word] for word in ARTICLES if word in keys]] = True
     return WordTable(
         words=words,
-        question=ids[: len(question)],
-        ids=ids[len(question) :],
-        starts=tuple(accumulate(map(len, paragraphs), initial=0)),
+        question=ids[:n_question],
+        ids=ids[n_question:],
+        starts=starts,
         keys=keys,
-        key_of=np.fromiter(key_of, narrowest_unsigned(len(keys)), len(key_of)),
+        key_of=key_of,
         article=article,
     )
 
@@ -374,16 +386,66 @@ def make_pair(
     kept = [w for w in (split(raw)[:max_tokens] for raw in list(paragraphs)[:max_paragraphs]) if w]
     table = _word_table(q_words, kept)
     shared = np.fromiter(map(Token, table.words), object, len(table.words))
+    return _pair(id, table, shared, table.question, table.ids, answers)
 
-    def tokens(ids: np.ndarray) -> tuple[Token, ...]:
-        return tuple(shared[ids].tolist())
 
+def pair_of_ids(
+    id: str,
+    tokens: np.ndarray,
+    question: np.ndarray,
+    paragraphs: Sequence[np.ndarray],
+    answers: Iterable[str],
+) -> DocumentQuestionPair:
+    """Build a pair from ids into tokens, an object array of Tokens with
+    distinct texts, one instance per word.
+
+    Each position takes its Token from tokens, so the pairs built from one
+    array share its instances; no cap applies, and a paragraph must not be
+    empty.  The pair's words are its distinct ids in order of first sight,
+    question first, found in one pass over its positions, and its WordTable
+    is the one make_pair builds from the same texts, through the same checks.
+    """
+    n_question = len(question)
+    starts = tuple(accumulate(map(len, paragraphs), initial=0))
+    size = n_question + starts[-1]
+    # The positions, question first, copied into one array piece by piece:
+    # np.concatenate would enter numpy's Python dispatcher.
+    positions = np.empty(size, np.intp)
+    positions[:n_question] = question
+    for begin, end, ids in zip(starts, starts[1:], paragraphs):
+        positions[n_question + begin : n_question + end] = ids
+    # first[u] becomes the first position of id u, so position p is the first
+    # sight of its id exactly when first[positions[p]] == p.
+    steps = np.arange(size)
+    first = np.empty(len(tokens), np.intp)
+    first.fill(size)
+    np.minimum.at(first, positions, steps)
+    seen = positions[first.take(positions) == steps]
+    dtype = narrowest_unsigned(len(seen))
+    local = np.empty(len(tokens), dtype)
+    local[seen] = np.arange(len(seen), dtype=dtype)
+    words = list(map(_TEXT, tokens.take(seen).tolist()))
+    table = _table_of(words, local.take(positions), n_question, starts)
+    return _pair(id, table, tokens, positions[:n_question], positions[n_question:], answers)
+
+
+def _pair(
+    id: str,
+    table: WordTable,
+    tokens: np.ndarray,
+    question: np.ndarray,
+    ids: np.ndarray,
+    answers: Iterable[str],
+) -> DocumentQuestionPair:
+    """The pair of a built table whose question positions hold the Tokens
+    tokens[question] and whose paragraphs, concatenated and split at
+    table.starts, hold tokens[ids]."""
+    body = tokens.take(ids).tolist()
+    starts = table.starts
     return DocumentQuestionPair(
         id=id,
-        question=tokens(table.question),
-        paragraphs=tuple(
-            Paragraph(tokens(table.paragraph(k))) for k in range(len(kept))
-        ),
+        question=tuple(tokens.take(question).tolist()),
+        paragraphs=tuple([Paragraph(tuple(body[b:e])) for b, e in zip(starts, starts[1:])]),
         answers=AnswerStringSet.from_strings(answers),
         word_table=table,
     )

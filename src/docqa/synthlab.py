@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -24,8 +25,10 @@ import numpy as np
 from .corpus import (
     DatasetSchemaError,
     DocumentQuestionPair,
-    make_pair,
+    Token,
+    make_pair,  # noqa: F401  bench/tracing.py wraps synthlab.make_pair
     normalize_string,
+    pair_of_ids,
     read_json_lines,
     write_json_lines,
 )
@@ -154,24 +157,49 @@ class SyntheticTruth:
 
 @dataclass(frozen=True)
 class _Universe:
-    answers: tuple[str, ...]
-    prefixes: tuple[str, ...]
-    cues: tuple[tuple[str, ...], ...]
-    filler: tuple[str, ...]
+    """Every word of a profile's documents, each known by its universe id.
+
+    words holds the texts once, interned, in a fixed order: the answers of
+    topics 0, 1, ..., then their prefixes, then their cues topic by topic,
+    then the filler, from first_filler on.  tokens holds one Token per word,
+    in the same order, as an object array.  A universe is built per generate
+    call, so the documents of one call share its Tokens and two calls share
+    none.
+    """
+
+    n_topics: int
+    first_filler: int
+    words: tuple[str, ...]
+    tokens: np.ndarray
+
+    def prefix(self, topic: int) -> int:
+        """The id of topic's prefix; its answer's id is topic itself."""
+        return self.n_topics + topic
+
+    def first_cue(self, topic: int) -> int:
+        """The id of topic's first cue; its CUES_PER_TOPIC cues run on from it."""
+        return 2 * self.n_topics + CUES_PER_TOPIC * topic
 
 
 def _build_universe(profile: NoiseProfile) -> _Universe:
     n_topics = max(4, profile.vocab_size // 10)
-    answers = tuple(f"ans{t}" for t in range(n_topics))
-    prefixes = tuple(f"pre{t}" for t in range(n_topics))
-    cues = tuple(
-        tuple(f"cue{t}w{c}" for c in range(CUES_PER_TOPIC)) for t in range(n_topics)
-    )
-    n_filler = profile.vocab_size - n_topics * (2 + CUES_PER_TOPIC)
+    first_filler = n_topics * (2 + CUES_PER_TOPIC)
+    n_filler = profile.vocab_size - first_filler
     if n_filler < 20:
         raise ValueError("vocab_size leaves too few filler tokens")
-    filler = tuple(f"fil{m}" for m in range(n_filler))
-    return _Universe(answers, prefixes, cues, filler)
+    words = tuple(
+        map(
+            sys.intern,
+            chain(
+                (f"ans{t}" for t in range(n_topics)),
+                (f"pre{t}" for t in range(n_topics)),
+                (f"cue{t}w{c}" for t in range(n_topics) for c in range(CUES_PER_TOPIC)),
+                (f"fil{m}" for m in range(n_filler)),
+            ),
+        )
+    )
+    tokens = np.fromiter(map(Token, words), object, len(words))
+    return _Universe(n_topics, first_filler, words, tokens)
 
 
 def _draw_roles(rng, profile: NoiseProfile) -> list[str]:
@@ -191,28 +219,31 @@ def _draw_roles(rng, profile: NoiseProfile) -> list[str]:
     return roles
 
 
-def _draw(rng, pool: Sequence[str], n: int) -> list[str]:
-    """n uniform draws with replacement from pool, consuming the same random
-    numbers as rng.choice(pool, size=n)."""
-    return [pool[i] for i in rng.integers(0, len(pool), size=n).tolist()]
-
-
-def _assemble(rng, filler_pool, segments: list[list[str]], length: int) -> list[str]:
-    used = sum(len(s) for s in segments)
-    n_filler = length - used
+def _draw_paragraph(
+    rng, universe: _Universe, segments: list[list[int]], length: int
+) -> np.ndarray:
+    """The universe ids of a paragraph of length positions: filler drawn from
+    rng with the segments inserted at gaps drawn after it, ties in segment
+    order."""
+    n_filler = length - sum(map(len, segments))
     if n_filler < 0:
         raise ValueError("paragraph too short for its mentions")
-    backbone = _draw(rng, filler_pool, n_filler)
-    gaps = sorted(
-        (int(rng.integers(n_filler + 1)), order) for order, _ in enumerate(segments)
-    )
-    out = []
-    cursor = 0
+    first_filler = universe.first_filler
+    backbone = rng.integers(0, len(universe.words) - first_filler, size=n_filler)
+    backbone += first_filler
+    if not segments:
+        return backbone
+    gaps = sorted([(int(rng.integers(n_filler + 1)), order) for order in range(len(segments))])
+    out = np.empty(length, np.intp)
+    cursor = at = 0
     for gap, order in gaps:
-        out.extend(backbone[cursor:gap])
-        out.extend(segments[order])
+        segment = segments[order]
+        placed = at + gap - cursor
+        out[at:placed] = backbone[cursor:gap]
+        at = placed + len(segment)
+        out[placed:at] = segment
         cursor = gap
-    out.extend(backbone[cursor:])
+    out[at:] = backbone[cursor:]
     return out
 
 
@@ -238,54 +269,56 @@ def generate(
     Labels come from the real exact matcher run on the finished text, never
     from the generator's bookkeeping, so they contain exactly the noise the
     profile injected.  Identical seeds reproduce identical corpora.
+
+    Every draw is kept as a universe id and each pair is built from them by
+    corpus.pair_of_ids, so the pairs of one call share one Token per word
+    (see _Universe).  The pairs, labels and truths are those of assembling
+    each document's texts and giving them to make_pair.
     """
     universe = _build_universe(profile)
-    n_topics = len(universe.answers)
+    words, n_topics = universe.words, universe.n_topics
     rng = np.random.default_rng(profile.seed)
     draw_mentions = _mention_count_draw(profile.mention_counts)
 
     pairs, labels, truths = [], [], []
     for doc_index in range(profile.documents):
         topic = int(rng.integers(n_topics))
-        question = [
-            universe.cues[topic][i]
-            for i in rng.permutation(CUES_PER_TOPIC)[: profile.question_length]
-        ]
+        first_cue = universe.first_cue(topic)
+        question = rng.permutation(CUES_PER_TOPIC)[: profile.question_length]
+        question += first_cue
         multi = rng.random() < profile.multi_answer_rate
-        base = universe.answers[topic]
-        extended = f"{universe.prefixes[topic]} {base}"
+        prefix = universe.prefix(topic)
+        base = words[topic]
+        extended = f"{words[prefix]} {base}"
         gold_strings = {base} | ({extended} if multi else set())
         roles = _draw_roles(rng, profile)
-        alias_token = None
+        alias = None
         if "alias" in roles:
             other = int(rng.integers(n_topics - 1))
-            alias_token = universe.answers[other if other < topic else other + 1]
+            alias = other if other < topic else other + 1
         paragraphs = []
         for role in roles:
-            segments: list[list[str]] = []
+            segments: list[list[int]] = []
             if role == "correct":
                 n_mentions = draw_mentions(rng)
                 for _ in range(n_mentions):
-                    mention = [base]
+                    mention = [topic]
                     if multi and rng.random() < 0.5:
-                        mention = [universe.prefixes[topic], base]
-                    before, after = _draw(rng, universe.cues[topic], 2)
-                    segments.append([before, *mention, after])
+                        mention = [prefix, topic]
+                    before, after = rng.integers(0, CUES_PER_TOPIC, size=2).tolist()
+                    segments.append([first_cue + before, *mention, first_cue + after])
             elif role == "alias":
-                segments.append([alias_token])
+                segments.append([alias])
             paragraphs.append(
-                _assemble(rng, universe.filler, segments, profile.tokens_per_paragraph)
+                _draw_paragraph(rng, universe, segments, profile.tokens_per_paragraph)
             )
         answers = [base]
         if multi:
             answers.append(extended)
-        if alias_token is not None:
-            answers.append(alias_token)
-        pair = make_pair(
-            id=f"{id_prefix}{doc_index:05d}",
-            question=question,
-            paragraphs=paragraphs,
-            answers=answers,
+        if alias is not None:
+            answers.append(words[alias])
+        pair = pair_of_ids(
+            f"{id_prefix}{doc_index:05d}", universe.tokens, question, paragraphs, answers
         )
         label_set = find_consistent_spans_exact(pair)
         correct = tuple(s for s in label_set.spans if s.matched_string in gold_strings)

@@ -1,7 +1,8 @@
 """Deterministic call counts of decoding and training, pinned.
 
 A sys.setprofile counter counts, on the golden profile's corpus, three kinds
-of work per decoded document and per training document-epoch:
+of work per generated document, per decoded document and per training
+document-epoch:
 
 - "docqa": frames of docqa's own Python functions (generators count each
   resumption);
@@ -10,7 +11,9 @@ of work per decoded document and per training document-epoch:
   ufunc methods such as np.add.reduce included.  Calling a ufunc itself
   (np.exp(a)) and arithmetic operators are not C calls by this count.
 
-Decoding scores a pair, normalizes its grid in both spaces and predicts
+Generating runs synthlab.generate on the golden profile once more, after
+the corpora the other stages use are generated.  Decoding scores a pair,
+normalizes its grid in both spaces and predicts
 under both aggregations, first on fresh pairs, whose layouts the first call
 builds, then on the same pairs laid out.  Training runs one step of a cell
 per document on pairs a first epoch laid out: score, combine and backprop,
@@ -118,6 +121,7 @@ def measure() -> dict:
         counter.run(work)
         stages[name] = {"documents": documents, **counter.counts}
 
+    record("generate", profile.documents, lambda: generate(profile))
     record("decode_fresh", len(dev_pairs), _decode(scorer, dev_pairs, specs))
     record("decode_laid_out", len(dev_pairs), _decode(scorer, dev_pairs, specs))
     examples = [

@@ -21,6 +21,7 @@ from docqa.corpus import (
     load_dataset,
     make_pair,
     normalize_string,
+    pair_of_ids,
     save_dataset,
 )
 from docqa.diagnostics import RAW_TOKENS, random_scored_pair
@@ -436,6 +437,46 @@ def assert_layouts_match_oracle(pair):
                 lead = first[at]
                 keys = sequence[upto[lead] - 1 : upto[end]] if lead <= end else []
                 assert " ".join(names[key] for key in keys) == normalize_string(" ".join(texts[i : j + 1]))
+
+
+class TestPairOfIds:
+    WORDS = ["the", "The", "cat", "Cat.", "a", "AN", "mat", ",", "--", "ΣΑΣ", "İx"]
+
+    def build(self, rng, words, max_tokens):
+        tokens = np.fromiter(map(Token, words), object, len(words))
+        question = rng.integers(0, len(words), size=int(rng.integers(0, 4)))
+        paragraphs = [
+            rng.integers(0, len(words), size=int(rng.integers(1, max_tokens)))
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        pair = pair_of_ids("i", tokens, question, paragraphs, ["cat"])
+        texts = [[words[i] for i in ids.tolist()] for ids in [question, *paragraphs]]
+        return tokens, pair, make_pair("i", texts[0], texts[1:], ["cat"])
+
+    @pytest.mark.parametrize("n_words", [len(WORDS), 600])
+    def test_matches_make_pair_of_the_texts(self, n_words):
+        # 600 words make more than 255 distinct ones per pair: uint16 ids
+        words = self.WORDS + [f"w{i}" for i in range(n_words - len(self.WORDS))]
+        rng = np.random.default_rng(29)
+        dtypes = set()
+        for _ in range(100):
+            tokens, pair, expected = self.build(rng, words, 12 if n_words < 100 else 400)
+            dtypes.add(pair.table.ids.dtype)
+            assert pair == expected
+            assert_table_describes(pair)
+            assert_same_table(pair, expected)
+            shared = set(map(id, tokens.tolist()))
+            assert {id(t) for p in pair.paragraphs for t in p.tokens} <= shared
+            assert set(map(id, pair.question)) <= shared
+        assert np.dtype(np.uint16 if n_words > 255 else np.uint8) in dtypes
+
+    @pytest.mark.parametrize("bad, message", [("", "non-empty"), ("a b", "whitespace")])
+    def test_bad_word_raises(self, bad, message):
+        tokens = np.array([Token("a"), Token(bad)], object)
+        with pytest.raises(ValueError, match=message):
+            pair_of_ids("b", tokens, np.array([0]), [np.array([0, 1])], [])
+        # a word no position uses is not checked
+        assert pair_of_ids("b", tokens, np.array([0]), [np.array([0])], []).table.words == ("a",)
 
 
 class TestLayouts:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from dataclasses import replace
 
@@ -5,13 +7,16 @@ import numpy as np
 import pytest
 
 from docqa import synthlab
-from docqa.corpus import make_pair
+from docqa.corpus import load_dataset, make_pair
+from docqa.cli import main
 from docqa.inference import AnswerAggregation, InferenceSpec
-from docqa.labeling import find_consistent_spans_exact
+from docqa.labeling import find_consistent_spans_exact, load_labels
 from docqa.model import ToyScorer
 from docqa.probability import SpaceKind
 from docqa.synthlab import (
+    CUES_PER_TOPIC,
     NoiseProfile,
+    SyntheticTruth,
     decode_corpus,
     dev_profile,
     evaluate_checkpoint,
@@ -38,6 +43,105 @@ def small_profile(**overrides):
     )
     settings.update(overrides)
     return NoiseProfile(**settings)
+
+
+def oracle_generate(profile, id_prefix="doc", ties=None):
+    """The string-assembling generator: each document's words are drawn as
+    texts, with the same random numbers as generate, and given to make_pair.
+    A list given as ties gets one entry per segment drawn into the gap of the
+    segment before it."""
+    n_topics = max(4, profile.vocab_size // 10)
+    answers_of = [f"ans{t}" for t in range(n_topics)]
+    prefixes = [f"pre{t}" for t in range(n_topics)]
+    cues = [[f"cue{t}w{c}" for c in range(CUES_PER_TOPIC)] for t in range(n_topics)]
+    filler = [f"fil{m}" for m in range(profile.vocab_size - n_topics * (2 + CUES_PER_TOPIC))]
+    rng = np.random.default_rng(profile.seed)
+    draw_mentions = synthlab._mention_count_draw(profile.mention_counts)
+
+    def draw(pool, n):
+        return [pool[i] for i in rng.integers(0, len(pool), size=n).tolist()]
+
+    def assemble(segments, length):
+        n_filler = length - sum(len(s) for s in segments)
+        backbone = draw(filler, n_filler)
+        gaps = sorted((int(rng.integers(n_filler + 1)), order) for order, _ in enumerate(segments))
+        if ties is not None:
+            ties.extend(a for a, b in zip(gaps, gaps[1:]) if a[0] == b[0])
+        out, cursor = [], 0
+        for gap, order in gaps:
+            out.extend(backbone[cursor:gap])
+            out.extend(segments[order])
+            cursor = gap
+        return out + backbone[cursor:]
+
+    pairs, labels, truths = [], [], []
+    for doc_index in range(profile.documents):
+        topic = int(rng.integers(n_topics))
+        question = [cues[topic][i] for i in rng.permutation(CUES_PER_TOPIC)[: profile.question_length]]
+        multi = rng.random() < profile.multi_answer_rate
+        base = answers_of[topic]
+        extended = f"{prefixes[topic]} {base}"
+        gold_strings = {base} | ({extended} if multi else set())
+        roles = synthlab._draw_roles(rng, profile)
+        alias_token = None
+        if "alias" in roles:
+            other = int(rng.integers(n_topics - 1))
+            alias_token = answers_of[other if other < topic else other + 1]
+        paragraphs = []
+        for role in roles:
+            segments = []
+            if role == "correct":
+                for _ in range(draw_mentions(rng)):
+                    mention = [base]
+                    if multi and rng.random() < 0.5:
+                        mention = [prefixes[topic], base]
+                    before, after = draw(cues[topic], 2)
+                    segments.append([before, *mention, after])
+            elif role == "alias":
+                segments.append([alias_token])
+            paragraphs.append(assemble(segments, profile.tokens_per_paragraph))
+        answers = [base] + [extended] * multi + [alias_token] * (alias_token is not None)
+        pair = make_pair(f"{id_prefix}{doc_index:05d}", question, paragraphs, answers)
+        label_set = find_consistent_spans_exact(pair)
+        correct = tuple(s for s in label_set.spans if s.matched_string in gold_strings)
+        pairs.append(pair)
+        labels.append(label_set)
+        truths.append(SyntheticTruth(gold_answer=base, correct_spans=correct))
+    return pairs, labels, truths
+
+
+def assert_tables_equal(got, expected):
+    """Every WordTable field equal in value and, for arrays, in dtype."""
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+def oracle_sweep():
+    """(name, profile, id prefix) triples that reach every branch of the
+    generator: each rate at 0 and at 1, every question length, 1 and 8
+    paragraphs, 400 tokens, the smallest vocabulary and one whose documents
+    hold more than 255 distinct words, and dev profiles under the dev prefix."""
+    base = small_profile(documents=24, mention_counts=((1, 0.3), (2, 0.3), (3, 0.4)))
+    rates = ("alias_rate", "distractor_rate", "multi_answer_rate")
+    named = [
+        (f"rates-{a:.0f}{d:.0f}{m:.0f}", replace(base, **dict(zip(rates, (a, d, m))), seed=seed))
+        for seed, (a, d, m) in enumerate(itertools.product((0.0, 1.0), repeat=3))
+    ]
+    named += [(f"question-{n}", replace(base, question_length=n, seed=20 + n)) for n in range(1, 5)]
+    named += [
+        ("1-paragraph", replace(base, paragraphs_per_document=1, alias_rate=0.5)),
+        ("8x400", replace(base, documents=4, paragraphs_per_document=8, tokens_per_paragraph=400, alias_rate=0.3)),
+        ("vocab-60", replace(base, vocab_size=60, alias_rate=0.3, multi_answer_rate=0.5)),
+        ("vocab-20000", replace(base, documents=6, vocab_size=20_000, paragraphs_per_document=8, tokens_per_paragraph=100)),
+    ]
+    return [(name, profile, "doc") for name, profile in named] + [
+        (f"dev-{name}", dev_profile(profile), "dev") for name, profile in named[-4:]
+    ]
 
 
 class TestGeneration:
@@ -152,6 +256,71 @@ class TestGeneration:
     def test_id_prefix(self):
         pairs, _, _ = generate(small_profile(documents=3), id_prefix="syn")
         assert [p.id for p in pairs] == ["syn00000", "syn00001", "syn00002"]
+
+
+class TestIdAssembly:
+    @pytest.mark.parametrize(
+        "profile, id_prefix", [pytest.param(*case[1:], id=case[0]) for case in oracle_sweep()]
+    )
+    def test_matches_the_string_assembling_oracle(self, profile, id_prefix):
+        pairs, labels, truths = generate(profile, id_prefix)
+        expected = oracle_generate(profile, id_prefix)
+        assert (pairs, labels, truths) == expected
+        for pair, oracle_pair in zip(pairs, expected[0]):
+            assert_tables_equal(pair.table, oracle_pair.table)
+
+    def test_sweep_reaches_wide_ids_and_gap_ties(self):
+        ties, wide = [], 0
+        for _, profile, id_prefix in oracle_sweep():
+            pairs = oracle_generate(profile, id_prefix, ties)[0]
+            wide += sum(pair.table.ids.dtype == np.uint16 for pair in pairs)
+        assert wide > 0 and len(ties) > 10
+
+    def test_documents_of_one_call_share_tokens_and_calls_share_none(self):
+        def tokens(pair):
+            return itertools.chain(pair.question, *(p.tokens for p in pair.paragraphs))
+
+        profile = small_profile(documents=30)
+        pairs = generate(profile)[0]
+        instances = {}
+        for pair in pairs:
+            for token in tokens(pair):
+                instances.setdefault(token.text, set()).add(id(token))
+        assert all(len(ids) == 1 for ids in instances.values())
+        in_many = [text for text in instances if sum(text in pair.table.words for pair in pairs) > 1]
+        assert len(in_many) > 20
+        again = generate(profile)[0]
+        assert again == pairs
+        first_call = set().union(*instances.values())
+        assert not first_call & {id(token) for pair in again for token in tokens(pair)}
+
+    def test_largest_simulated_corpus_loads_back_as_generated(self, tmp_path):
+        # 8 x 400 tokens is load_dataset's cap: nothing the generator writes is cut
+        profile = NoiseProfile(
+            vocab_size=20_000,
+            documents=3,
+            dev_documents=2,
+            paragraphs_per_document=8,
+            tokens_per_paragraph=400,
+            alias_rate=0.3,
+            multi_answer_rate=0.5,
+            seed=5,
+        )
+        (tmp_path / "profile.json").write_text(profile.to_json())
+        out = tmp_path / "out"
+        assert main(["simulate", "--profile", str(tmp_path / "profile.json"), "--out", str(out)]) == 0
+        for split, id_prefix, split_profile in (
+            ("train", "train", profile),
+            ("dev", "dev", dev_profile(profile)),
+        ):
+            pairs, labels, truths = generate(split_profile, id_prefix)
+            loaded = load_dataset(out / f"{split}.jsonl")
+            assert loaded == pairs
+            assert [p.paragraph_lengths() for p in loaded] == [(400,) * 8] * len(pairs)
+            for pair, again in zip(pairs, loaded):
+                assert_tables_equal(again.table, pair.table)
+            assert load_labels(loaded, out / f"labels_{split}.jsonl") == labels
+            assert load_truth(loaded, out / f"truth_{split}.jsonl") == truths
 
 
 class TestMentionCountDraw:
