@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -23,9 +22,13 @@ DEFAULT_MAX_SPAN_LENGTH = 8
 DEFAULT_ROUGE_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanLabel:
-    """An inclusive token span [begin, end] inside one paragraph."""
+    """An inclusive token span [begin, end] inside one paragraph.
+
+    Slotted, like corpus.Token: an instance holds its four fields and no
+    __dict__, and still pickles and goes through dataclasses.replace.
+    """
 
     paragraph: int
     begin: int
@@ -43,15 +46,17 @@ class SpanLabel:
 
 
 _TRIPLE = attrgetter("paragraph", "begin", "end")
+_FIRST = itemgetter(0)
 
 
 @dataclass(frozen=True)
 class ConsistentLabelSet:
     """All weakly labeled spans of one pair, in (paragraph, begin, end) order.
 
-    The constructor sorts the spans.  A negative n_paragraphs, a span whose
-    paragraph is not below n_paragraphs, or a (paragraph, begin, end) that
-    repeats raises ValueError.
+    The constructor sorts the spans by (paragraph, begin, end) and checks
+    those triples: a negative n_paragraphs, a span whose paragraph is not
+    below n_paragraphs, or a triple that repeats raises ValueError, and the
+    repeat's message names the first repeated triple in sorted order.
     """
 
     n_paragraphs: int
@@ -86,7 +91,9 @@ def _begins(keys: Sequence[int], article: np.ndarray, s: int, max_span_length: i
     reach s.
     """
     i = s
-    floor = max(0, s - max_span_length + 1)
+    floor = s - max_span_length + 1
+    if floor < 0:
+        floor = 0
     while i > floor and (keys[i - 1] == 0 or article[keys[i - 1]]):
         i -= 1
     return range(i, s + 1)
@@ -107,49 +114,63 @@ def find_consistent_spans_exact(
     in the table's keys once, and an answer holding a word the document lacks
     matches nothing.  One gather reads the key of every position of the
     document once; it finds the positions s that hold some answer's first
-    word, and only the keys around them are sliced from it.  From s, the scan
-    grows the key tuple of each span [s, j], and stops before it would hold
-    more keys than the longest answer, notes the ends whose tuple is an
-    answer, then walks back over the empty words and articles before s to the
-    begins that share them.
+    word, in position order, and only the keys around them are sliced from
+    it.  The scan walks the paragraph bounds forward as the positions s
+    advance, and clips each window to s's paragraph.  From s, it grows the
+    key tuple of each span [s, j], looking each tuple up once among the
+    answers, and stops before the tuple would hold more keys than the longest
+    answer; it notes the ends whose tuple is an answer, then walks back over
+    the empty words and articles before s to the begins that share them.
     """
     if max_span_length < 1:
         raise ValueError("max_span_length must be at least 1")
     table = pair.table
     targets = {}  # the key tuple of each answer -> its normalized text
     for answer in pair.answers.normalized:
-        keyed = tuple(table.keys.get(word, -1) for word in answer.split())
-        if keyed and -1 not in keyed:
+        keyed = tuple(map(table.keys.get, answer.split()))
+        if keyed and None not in keyed:
             targets[keyed] = answer
     longest = max(map(len, targets), default=0)
     is_first = np.zeros(len(table.keys), bool)
-    is_first[[keyed[0] for keyed in targets]] = True
+    is_first[list(map(_FIRST, targets))] = True
     position_keys = table.key_of.take(table.ids)
+    find = targets.get
+    article = table.article
     starts = table.starts
     spans = []
+    k, base, end = -1, 0, 0  # paragraph k holds positions [base, end)
     for s in is_first.take(position_keys).nonzero()[0].tolist():
-        k = bisect_right(starts, s) - 1
+        while end <= s:
+            k += 1
+            base, end = starts[k], starts[k + 1]
         # The keys of paragraph k from the furthest begin to the furthest end.
-        lo = max(starts[k], s - max_span_length + 1)
-        stop = min(starts[k + 1], s + max_span_length)
+        lo = s - max_span_length + 1
+        if lo < base:
+            lo = base
+        stop = s + max_span_length
+        if stop > end:
+            stop = end
         keys = position_keys[lo:stop].tolist()
-        matches, keyed = [], ()
-        for j, key in enumerate(keys[s - lo :], start=s):
+        matches = []
+        keyed, words, text = (), 0, None
+        for j in range(s - lo, stop - lo):
+            key = keys[j]
             if key:
-                if len(keyed) == longest:
+                if words == longest:
                     break  # no answer holds more words
                 keyed += (key,)
-            if keyed in targets:
-                matches.append((j, targets[keyed]))
+                words += 1
+                text = find(keyed)
+            if text is not None:
+                matches.append((j, text))
         if not matches:
             continue
-        base = starts[k]
-        for i in _begins(keys, table.article, s - lo, max_span_length):
-            spans.extend(
-                SpanLabel(k, lo + i - base, j - base, matched_string=text)
-                for j, text in matches
-                if j < lo + i + max_span_length
-            )
+        for i in _begins(keys, article, s - lo, max_span_length):
+            begin = lo + i - base
+            for j, text in matches:
+                if j >= i + max_span_length:
+                    break
+                spans.append(SpanLabel(k, begin, lo + j - base, text))
     return ConsistentLabelSet(len(pair.paragraphs), spans)
 
 

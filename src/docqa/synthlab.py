@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -547,6 +546,9 @@ def run_grid(
     cell_seeds = [seed for _ in objective_combos for seed in seeds]
     shared = map(repeat, (config, pairs, labels, dev_pairs, dev_golds, inference_specs))
     if jobs > 1:
+        # Imported here so that `import docqa` loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, combos, cell_seeds, *shared))
     else:

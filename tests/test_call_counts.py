@@ -1,8 +1,8 @@
-"""Deterministic call counts of decoding and training, pinned.
+"""Deterministic call counts of generating, labeling, decoding and training, pinned.
 
 A sys.setprofile counter counts, on the golden profile's corpus, three kinds
-of work per generated document, per decoded document and per training
-document-epoch:
+of work per generated document, per labeled document, per decoded document
+and per training document-epoch:
 
 - "docqa": frames of docqa's own Python functions (generators count each
   resumption);
@@ -12,7 +12,9 @@ document-epoch:
   (np.exp(a)) and arithmetic operators are not C calls by this count.
 
 Generating runs synthlab.generate on the golden profile once more, after
-the corpora the other stages use are generated.  Decoding scores a pair,
+the corpora the other stages use are generated.  Labeling runs exact
+labeling (labeling.find_consistent_spans_exact at its defaults) on those
+train and dev pairs.  Decoding scores a pair,
 normalizes its grid in both spaces and predicts
 under both aggregations, first on fresh pairs, whose layouts the first call
 builds, then on the same pairs laid out.  Training runs one step of a cell
@@ -43,6 +45,7 @@ import numpy as np
 import pytest
 
 from docqa.inference import AnswerAggregation, InferenceSpec, predict
+from docqa.labeling import find_consistent_spans_exact
 from docqa.model import ToyScorer, Vocabulary
 from docqa.objectives import ObjectiveSpec, combine
 from docqa.probability import SpaceKind, log_partition
@@ -95,6 +98,14 @@ def _decode(scorer, pairs, specs):
     return work
 
 
+def _label_exact(pairs):
+    def work():
+        for pair in pairs:
+            find_consistent_spans_exact(pair)
+
+    return work
+
+
 def _train_steps(scorer, spec, examples):
     def work():
         for encoded, labels in examples:
@@ -122,6 +133,7 @@ def measure() -> dict:
         stages[name] = {"documents": documents, **counter.counts}
 
     record("generate", profile.documents, lambda: generate(profile))
+    record("label_exact", len(train_pairs) + len(dev_pairs), _label_exact(train_pairs + dev_pairs))
     record("decode_fresh", len(dev_pairs), _decode(scorer, dev_pairs, specs))
     record("decode_laid_out", len(dev_pairs), _decode(scorer, dev_pairs, specs))
     examples = [

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -235,6 +237,50 @@ class TestExactScanEdges:
                 assert triples == oracle_exact(pair, max_span_length)
 
 
+class TestExactScanParagraphs:
+    """The scan walks the paragraphs forward as its hits advance."""
+
+    @staticmethod
+    def check(paragraphs, answers, expected):
+        pair = make_pair("w", "q", paragraphs, answers)
+        for max_span_length in (1, 2, 3, 8):
+            labels = find_consistent_spans_exact(pair, max_span_length)
+            triples = [s.triple() for s in labels.all_spans()]
+            assert triples == oracle_exact(pair, max_span_length)
+        assert triples == expected
+
+    def test_hits_at_first_and_last_position_of_a_paragraph(self):
+        # No window crosses a paragraph bound: "the" | "cat" is no begin of
+        # "cat", and "cat" | "dog" is no "cat dog".
+        self.check(
+            ["cat dog fish the", "cat dog cat", "dog cat", "cat", "dog fish cat"],
+            ["cat", "cat dog"],
+            [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 2, 2), (2, 1, 1), (3, 0, 0), (4, 2, 2)],
+        )
+
+    def test_hits_in_non_adjacent_paragraphs(self):
+        self.check(
+            ["a cat", "dog fish", "the fish", "dog", "fish the cat", "dog"],
+            ["cat"],
+            [(0, 0, 1), (0, 1, 1), (4, 1, 2), (4, 2, 2)],
+        )
+
+    def test_hits_only_in_the_last_paragraph(self):
+        self.check(
+            [["dog", "fish"], ["fish"], ["dog", ",", "cat", ","]],
+            ["cat"],
+            [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3)],
+        )
+
+    def test_pair_without_paragraphs(self):
+        self.check([], ["cat", "the"], [])
+
+    def test_answer_whose_first_word_the_document_lacks(self):
+        # "bird cat" and "cat bird" hold a word no paragraph has; "cat" still matches.
+        self.check(["cat dog", "dog cat"], ["bird cat", "cat bird", "cat"], [(0, 0, 0), (1, 1, 1)])
+        self.check(["cat dog", "dog cat"], ["bird cat", "bird"], [])
+
+
 class TestMatcherSettings:
     @pytest.mark.parametrize("match", [find_consistent_spans_exact, find_consistent_spans_rouge])
     def test_span_cap_below_one_rejected(self, match):
@@ -364,6 +410,18 @@ class TestLabelSet:
         assert labels.all_spans() == list(labels.spans)
         assert labels == ConsistentLabelSet(2, tuple(reversed(spans)))
         assert labels != ConsistentLabelSet(3, spans)
+
+    def test_span_label_pickles_and_replaces(self):
+        span = SpanLabel(2, 3, 5, "cat dog")
+        assert not hasattr(span, "__dict__")
+        copy = pickle.loads(pickle.dumps(span))
+        assert copy == span and copy.matched_string == "cat dog"
+        moved = dataclasses.replace(span, begin=4)
+        assert moved == SpanLabel(2, 4, 5, "cat dog") and span.begin == 3
+        with pytest.raises(ValueError, match="need 0 <= begin <= end"):
+            dataclasses.replace(span, begin=6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.begin = 4
 
     def test_negative_paragraph_count_rejected(self):
         with pytest.raises(ValueError, match="n_paragraphs"):

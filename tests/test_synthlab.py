@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -550,6 +552,12 @@ class TestGrid:
         assert {"span_keys", "grid_layout"} <= set(vars(pairs[0].table))
         parallel = run_grid(pairs, labels, truths, jobs=2, **kwargs)
         assert serial == parallel
+
+    def test_import_loads_no_process_pool(self):
+        code = "import sys, docqa; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rows_do_not_depend_on_layouts_laid_out_before(self):
         """Cells that share pairs reuse each pair's layouts; every row equals
